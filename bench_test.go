@@ -608,7 +608,7 @@ func BenchmarkSteadyStateSingleQuery(b *testing.B) {
 }
 
 // BenchmarkSteadyStateBatch measures the workspace batch path (one handle,
-// reused buffers) at a serving-window batch size, at every serving precision.
+// reused buffers) at a serving batch size, at every serving precision.
 func BenchmarkSteadyStateBatch(b *testing.B) {
 	for _, prec := range servePrecisions {
 		b.Run(prec.String(), func(b *testing.B) {
@@ -653,13 +653,13 @@ func serveClients(b *testing.B, clients int, fn func(client, i int)) {
 	wg.Wait()
 }
 
-// BenchmarkServeQPS is the coalescing acceptance bench: 8 concurrent clients
-// issuing single-fingerprint queries, served naively (one Model.Predict per
-// request) versus through the micro-batching engine. The engine amortises
-// the weight/memory streaming of the forward pass across the whole window,
-// so coalesced QPS must beat naive per-request QPS.
+// BenchmarkServeQPS is the engine's concurrency sweep: closed-loop clients
+// issuing single-fingerprint queries through a default-options engine, from
+// a lone caller (who must pay one model call and no wait) to far more
+// clients than workers (where the backlog leaves in MaxBatch-row batches and
+// avg_batch shows the realised coalescing). The naive arm — one
+// Model.Predict per request at 8 clients, no engine — is the reference.
 func BenchmarkServeQPS(b *testing.B) {
-	const clients = 8
 	m := paperShapeModel(b, 1024)
 	features := core.PaperConfig().NumAPs
 	qs := randQueries(64, features)
@@ -671,34 +671,35 @@ func BenchmarkServeQPS(b *testing.B) {
 	b.Run("naive_8clients", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
-		serveClients(b, clients, func(_, i int) {
+		serveClients(b, 8, func(_, i int) {
 			m.Predict(rows[i%len(rows)])
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 	})
 
-	b.Run("coalesced_8clients", func(b *testing.B) {
-		reg := localizer.NewRegistry()
-		key := localizer.Key{Building: 1, Floor: 0, Backend: "calloc"}
-		if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
-			b.Fatal(err)
-		}
-		engine, err := serve.New(reg,
-			serve.Options{MaxBatch: clients, MaxWait: 200 * time.Microsecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer engine.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		serveClients(b, clients, func(_, i int) {
-			if _, err := engine.Localize(nil, key, qs[i%len(qs)]); err != nil {
-				b.Error(err)
+	for _, clients := range []int{1, 2, 8, 32, 128} {
+		b.Run(fmt.Sprintf("engine_%dclients", clients), func(b *testing.B) {
+			reg := localizer.NewRegistry()
+			key := localizer.Key{Building: 1, Floor: 0, Backend: "calloc"}
+			if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
+				b.Fatal(err)
 			}
+			engine, err := serve.New(reg, serve.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer engine.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			serveClients(b, clients, func(_, i int) {
+				if _, err := engine.Localize(nil, key, qs[i%len(qs)]); err != nil {
+					b.Error(err)
+				}
+			})
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+			b.ReportMetric(engine.Stats().AvgBatch, "avg_batch")
 		})
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-		b.ReportMetric(engine.Stats().AvgBatch, "avg_batch")
-	})
+	}
 }
 
 // BenchmarkRegistryDispatch is the tentpole acceptance bench: dispatching a
@@ -774,7 +775,7 @@ func BenchmarkRoutingDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	engine, err := serve.New(reg, serve.Options{MaxBatch: 8, MaxWait: -1})
+	engine, err := serve.New(reg, serve.Options{MaxBatch: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -984,7 +985,7 @@ func BenchmarkShadowDispatch(b *testing.B) {
 				}
 			}
 		}
-		engine, err := serve.New(reg, serve.Options{MaxBatch: 8, MaxWait: -1, ABFraction: abFraction})
+		engine, err := serve.New(reg, serve.Options{MaxBatch: 8, ABFraction: abFraction})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1035,7 +1036,7 @@ func BenchmarkRouterHop(b *testing.B) {
 	n, err := node.New([]*fingerprint.Dataset{ds}, node.Config{
 		Backends:       []string{"calloc"},
 		WeightBlobs:    [][]byte{blob},
-		Engine:         serve.Options{MaxBatch: 8, MaxWait: -1},
+		Engine:         serve.Options{MaxBatch: 8},
 		DisableTrainer: true,
 	})
 	if err != nil {
@@ -1213,7 +1214,7 @@ func BenchmarkWirePath(b *testing.B) {
 	// model compute, which batching cannot amortize.
 	n, err := node.New([]*fingerprint.Dataset{ds}, node.Config{
 		Backends:       []string{"bayes"},
-		Engine:         serve.Options{MaxBatch: 64, MaxWait: -1},
+		Engine:         serve.Options{MaxBatch: 64},
 		DisableTrainer: true,
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ func baseFlags() serveFlags {
 		backends:        "calloc,knn,bayes",
 		addr:            ":0",
 		maxBatch:        32,
-		maxWait:         time.Millisecond,
 		feedbackMin:     16,
 		trainerInterval: time.Second,
 		abFraction:      8,

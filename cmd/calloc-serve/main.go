@@ -77,7 +77,7 @@ type serveFlags struct {
 	regretWindow, retries                         int
 	promoteAfter                                  int64
 	routerBatch                                   int
-	maxWait, trainerInterval, probeInterval       time.Duration
+	trainerInterval, probeInterval                time.Duration
 	routerWait                                    time.Duration
 	fineTuneLR, minDelta, minAgreement            float64
 	regretDelta                                   float64
@@ -95,7 +95,6 @@ func main() {
 	flag.StringVar(&f.precision, "precision", "float64", "CALLOC packed-weight serving precision: float64 (default), float32, or int8 (quantized snapshots; training stays float64)")
 	flag.StringVar(&f.addr, "addr", ":8080", "HTTP listen address")
 	flag.IntVar(&f.maxBatch, "max-batch", 32, "max coalesced requests per model call")
-	flag.DurationVar(&f.maxWait, "max-wait", 500*time.Microsecond, "max time the first request of a window waits (negative: dispatch immediately)")
 	flag.IntVar(&f.workers, "workers", 0, "concurrent batch dispatchers shared by all lanes (0 = min(2, GOMAXPROCS))")
 	flag.IntVar(&f.queueCap, "queue", 0, "per-lane pending-request bound (0 = 4×max-batch)")
 	flag.BoolVar(&f.noTrainer, "no-trainer", false, "disable the online fine-tune loop")

@@ -30,7 +30,7 @@ func (f *serveFlags) validate() error {
 		return nil
 	}
 	if f.routerBatch != 0 || f.routerWait != 0 {
-		return errors.New("-router-batch/-router-wait apply to router mode only (use -max-batch/-max-wait for the node's engine)")
+		return errors.New("-router-batch/-router-wait apply to router mode only (use -max-batch for the node's engine)")
 	}
 	if f.data == "" {
 		return errors.New("-data is required")
@@ -134,7 +134,7 @@ func buildNode(f serveFlags) (*node.Node, []*fingerprint.Dataset, error) {
 		TrainEpochs: f.trainEpochs,
 		Precision:   strings.TrimSpace(f.precision),
 		Engine: serve.Options{
-			MaxBatch: f.maxBatch, MaxWait: f.maxWait, Workers: f.workers,
+			MaxBatch: f.maxBatch, Workers: f.workers,
 			QueueCap: f.queueCap, ABFraction: f.abFraction,
 		},
 		DisableTrainer: f.noTrainer, FeedbackMin: f.feedbackMin,

@@ -15,8 +15,8 @@ import (
 // ONE shard into one upstream /v1/localize/batch call. At high fan-in the
 // router otherwise pays a full proxy round trip — and the shard a full lane
 // wakeup — per query; coalescing amortises both across everything that
-// arrives within a short gather window, exactly as the shard's own engine
-// amortises model calls across a micro-batch.
+// arrives within a short gather window, as the shard's own engine amortises
+// model calls across a micro-batch.
 //
 // The window closes when it holds CoalesceBatch requests or when CoalesceWait
 // elapses, whichever is first. A window that closes with a single request is

@@ -143,7 +143,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			Floors:      []int{floor},
 			WeightBlobs: [][]byte{fleetUntrainedWeights(t, ds)},
 			Engine: serve.Options{
-				MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2, ABFraction: 2,
+				MaxBatch: 8, Workers: 2, ABFraction: 2,
 			},
 			FeedbackMin:     4,
 			TrainerInterval: 25 * time.Millisecond,

@@ -58,7 +58,8 @@ type RouterOptions struct {
 	// nothing.
 	CoalesceBatch int
 	// CoalesceWait is how long a non-full window gathers before flushing
-	// (mirrors serve.Options.MaxWait; default 2ms when coalescing is on).
+	// (default 2ms when coalescing is on). The shard's engine never makes a
+	// lone request wait; it only paces a lane with concurrent callers.
 	CoalesceWait time.Duration
 
 	Logf func(format string, args ...any)

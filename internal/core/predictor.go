@@ -18,8 +18,9 @@ import (
 // the model. Create one per goroutine (they are cheap: buffers grow lazily),
 // or use the model's pooled Predict/PredictBatch entry points. Weight or
 // memory updates (training steps, RefreshMemoryKeys, UnmarshalWeights) must
-// not run concurrently with prediction; serving layers serialise them — see
-// serve.Engine.Refresh.
+// not run concurrently with prediction: a served model is never mutated in
+// place — the update is built on a clone and hot-swapped in through
+// localizer.Registry.Swap.
 type Predictor struct {
 	m  *Model
 	ws *nn.Workspace
@@ -48,16 +49,28 @@ func (p *Predictor) logits(x *mat.Matrix) *mat.Matrix {
 	return m.fc.InferInto(p.ws, att)
 }
 
+// maxRetainedRows is the largest PredictInto call whose workspace buffers a
+// predictor keeps for reuse. The attention scores alone are rows × memory
+// floats, so one evaluation-sized call (quick-train scoring, the trainer's
+// gate) would otherwise pin tens of MB in every pooled handle for the life
+// of the model. Serving batches (MaxBatch 32, 64-row wire batches) sit well
+// below it and keep their buffers.
+const maxRetainedRows = 128
+
 // PredictInto localises every row of x into dst and returns it, running
 // inline on the calling goroutine (no batch fan-out). A nil dst is
 // allocated; otherwise len(dst) must equal x.Rows. This is the steady-state
 // serving path: after the first call warms the workspace and packed weight
-// views, it performs zero heap allocations.
+// views, it performs zero heap allocations. A call of more than
+// maxRetainedRows rows gives its workspace buffers back when it is done.
 func (p *Predictor) PredictInto(dst []int, x *mat.Matrix) []int {
 	dst = prepPredictDst(dst, x.Rows)
 	logits := p.logits(x)
 	for i := 0; i < logits.Rows; i++ {
 		dst[i] = mat.ArgMax(logits.Row(i))
+	}
+	if x.Rows > maxRetainedRows {
+		p.ws.Release()
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"calloc/internal/fingerprint"
@@ -116,4 +117,47 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestPredictorDropsOversizedWorkspace: one evaluation-sized call must not
+// pin its buffers (rows × memory attention scores above all) in the handle
+// for the rest of its life, while calls at serving sizes keep theirs and
+// stay allocation-free.
+func TestPredictorDropsOversizedWorkspace(t *testing.T) {
+	const memory, bigRows = 1024, 2048 // scores buffer alone: 2048×1024×8 B = 16 MB
+	m, x := syntheticModel(t, 12, 5, memory)
+	p := m.Predictor()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	big := mat.New(bigRows, x.Cols)
+	for i := range big.Data {
+		big.Data[i] = x.Data[i%len(x.Data)]
+	}
+	// Inline kernels: a sharded product allocates its goroutines' closures,
+	// which is not what this test is about.
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	for _, rows := range []int{1, 64, maxRetainedRows} {
+		q := mat.FromSlice(rows, big.Cols, big.Data[:rows*big.Cols])
+		dst := make([]int, rows)
+		p.PredictInto(dst, q)
+		if allocs := testing.AllocsPerRun(20, func() { p.PredictInto(dst, q) }); allocs != 0 {
+			t.Fatalf("steady-state %d-row PredictInto allocates %.0f objects/op, want 0", rows, allocs)
+		}
+	}
+
+	before := heap()
+	got := p.PredictInto(nil, big)
+	after := heap()
+	if want := m.PredictBatch(big); !equalInts(got, want) {
+		t.Fatal("oversized PredictInto diverged from PredictBatch")
+	}
+	if grew := int64(after) - int64(before); grew > 4<<20 {
+		t.Fatalf("predictor retains %d MB after a %d-row call, want its workspace dropped", grew>>20, bigRows)
+	}
+	runtime.KeepAlive(p)
 }

@@ -44,8 +44,8 @@ type packedView struct {
 
 // NoteUpdate marks the parameter's weights as changed, invalidating any
 // packed view. Safe to call concurrently, but must not race with readers of
-// W.Data (serving layers exclude weight updates around inference; see
-// serve.Engine.Refresh).
+// W.Data (a served model is never updated in place: updates are built on a
+// clone and hot-swapped in, see localizer.Registry.Swap).
 func (p *Param) NoteUpdate() { p.version.Add(1) }
 
 // Packed returns the full-precision (float64) packed snapshot view of W,

@@ -38,6 +38,17 @@ func (w *Workspace) Precision() mat.Precision { return w.prec }
 //calloc:noalloc
 func (w *Workspace) Reset() { w.next = 0 }
 
+// Release drops every buffer's backing array (the matrix headers stay), so a
+// workspace that served one unusually large pass does not pin that pass's
+// memory for the rest of its life. Outputs handed out so far are
+// invalidated; the next pass grows buffers to its own shape.
+func (w *Workspace) Release() {
+	for _, m := range w.bufs {
+		m.Rows, m.Cols, m.Data = 0, 0, nil
+	}
+	w.next = 0
+}
+
 // Take returns an r×c scratch matrix backed by the workspace. Contents are
 // unspecified; Into-style kernels overwrite their destination fully.
 //

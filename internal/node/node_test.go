@@ -87,7 +87,7 @@ func TestFeedbackFineTuneSwapOverHTTP(t *testing.T) {
 	n, err := node.New(datasets, node.Config{
 		Backends:        []string{"calloc"},
 		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
-		Engine:          serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2},
+		Engine:          serve.Options{MaxBatch: 8, Workers: 2},
 		FeedbackMin:     4,
 		TrainerInterval: 25 * time.Millisecond,
 		FineTuneEpochs:  8,
@@ -326,7 +326,7 @@ func TestABPipelineOverHTTP(t *testing.T) {
 		Backends:    []string{"calloc"},
 		WeightBlobs: [][]byte{untrainedWeights(t, ds)},
 		Engine: serve.Options{
-			MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2, ABFraction: 2,
+			MaxBatch: 8, Workers: 2, ABFraction: 2,
 		},
 		FeedbackMin:     4,
 		TrainerInterval: 25 * time.Millisecond,

@@ -57,7 +57,7 @@ func TestLocalizeWireLowAlloc(t *testing.T) {
 	n, err := node.New([]*fingerprint.Dataset{ds}, node.Config{
 		Backends:       []string{"calloc"},
 		WeightBlobs:    [][]byte{blob},
-		Engine:         serve.Options{MaxBatch: 8, MaxWait: -1, Workers: 1},
+		Engine:         serve.Options{MaxBatch: 8, Workers: 1},
 		DisableTrainer: true,
 	})
 	if err != nil {

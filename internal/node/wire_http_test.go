@@ -25,7 +25,7 @@ func wireTestNode(t testing.TB, floors []*fingerprint.Dataset) (*node.Node, *htt
 	t.Cleanup(leakcheck.Check(t))
 	n, err := node.New(floors, node.Config{
 		Backends:       []string{"knn"},
-		Engine:         serve.Options{MaxBatch: 8, MaxWait: -1},
+		Engine:         serve.Options{MaxBatch: 8},
 		DisableTrainer: true,
 	})
 	if err != nil {

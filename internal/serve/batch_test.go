@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"calloc/internal/localizer"
 	"calloc/internal/mat"
@@ -18,7 +17,7 @@ import (
 func TestLocalizeBatchMatchesSingles(t *testing.T) {
 	s := &scripted{name: "echo", features: 2, classes: 64}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 16, MaxWait: -1, Workers: 1})
+	e, err := New(reg, Options{MaxBatch: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestLocalizeBatchMatchesSingles(t *testing.T) {
 func TestLocalizeBatchPerRowErrors(t *testing.T) {
 	s := &scripted{name: "echo", features: 2, classes: 64}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: -1, Workers: 1})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestLocalizeBatchPerRowErrors(t *testing.T) {
 func TestLocalizeBatchOversized(t *testing.T) {
 	s := &scripted{name: "echo", features: 1, classes: 256}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: -1, Workers: 1})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestRouteBatchMixed(t *testing.T) {
 	if _, err := reg.Register(localizer.Key{Building: 3, Floor: 1, Backend: "pos"}, f1); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: -1, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestRouteBatchShadowSampling(t *testing.T) {
 	if _, err := reg.Register(key, live); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: -1, Workers: 2, ABFraction: 2})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2, ABFraction: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestRouteBatchShadowSampling(t *testing.T) {
 func TestBatchConcurrentWithSingles(t *testing.T) {
 	s := &scripted{name: "echo", features: 1, classes: 1024}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,24 @@
 // single RSS vector, but a single-row forward pass streams the full weight
 // and attention-memory working set from cache for one query's worth of
 // arithmetic. Batching amortises that traffic across every query in the
-// window, so coalescing B concurrent requests into one batched call costs
-// far less than B single-row calls. The engine batches by time and size:
-// the first request in a window waits at most MaxWait for company, a full
-// window of MaxBatch dispatches immediately.
+// batch, so coalescing B concurrent requests into one batched call costs
+// less than B single-row calls. Waiting for company, though, is only worth
+// anything when there is company: a lane served one caller at a time — however
+// fast that caller is — dispatches every request the moment a worker picks it
+// up, so an idle engine answers a lone request at the cost of one model call.
+// A lane that has recently shown concurrent callers (two requests gathered
+// together, or a batch picked up while the lane's previous one was still
+// computing) is paced instead: its dispatches are spaced at least holdoff
+// apart, so what arrives in between leaves as one batch. The first request
+// after a quiet spell never waits either way, and a full batch never does.
 //
 // Every registered localizer gets its own micro-batch lane (a bounded queue
 // that only ever coalesces requests for that localizer), and a shared pool
-// of workers services whichever lanes have pending requests — so one hot
-// model cannot starve the others of batching, and adding a backend costs a
-// queue, not a thread pool.
+// of workers services whichever lanes have pending requests in turn — so one
+// hot model cannot starve the others, and adding a backend costs a queue, not
+// a thread pool. A worker holds a lane only while it gathers; the model call
+// runs with the lane released, so a second worker can take the hot lane's
+// next batch while the first computes.
 //
 // Requests route hierarchically: Localize addresses one registered
 // {building, floor, backend} key directly; Route first consults the
@@ -34,12 +42,9 @@
 // version earns real-traffic evidence before the promotion gate (see
 // internal/train) makes it the live version.
 //
-// Model updates come in two flavours (see DESIGN.md):
-//   - Hot-swap (preferred): build a NEW localizer and Registry.Swap it in.
-//     Lock-free for readers; in-flight batches finish on the old snapshot.
-//   - In-place mutation: Engine.Refresh(fn) holds all dispatch off while fn
-//     mutates weights/memory of a live localizer (the PR 2 mechanism,
-//     still required when mutating rather than replacing).
+// Models are updated by hot-swap: build a NEW localizer and Registry.Swap it
+// in. Lock-free for readers; in-flight batches finish on the old snapshot. A
+// registered localizer is never mutated in place (see DESIGN.md).
 package serve
 
 import (
@@ -70,17 +75,28 @@ var ErrUnknownModel = errors.New("serve: no localizer registered for key")
 // Stats.Misroutes.
 var ErrMisroute = errors.New("serve: floor classifier predicted an unregistered floor")
 
+// Pacing of a lane with concurrent callers (see gather). Constants, not
+// options: a Go timer shorter than a millisecond fires through the
+// netpoller's millisecond epoll_wait on an idle host, so a holdoff "tuned"
+// below that buys nothing, and one above it is latency nobody asked for.
+const (
+	// holdoff is the least spacing between two dispatches of a crowded lane.
+	holdoff = 500 * time.Microsecond
+	// crowdMemory is how long after its last sign of concurrent callers a
+	// lane still counts as crowded: long against one paced cycle, so a cycle
+	// that happens to gather a single request does not flip the lane back
+	// and forth; short against the gaps of sparse traffic, so two requests
+	// that once collided do not tax the thousands that follow alone.
+	crowdMemory = 50 * time.Millisecond
+)
+
 // Options configures an Engine.
 type Options struct {
 	// MaxBatch caps how many requests one model call coalesces (default 32).
 	MaxBatch int
-	// MaxWait bounds how long the first request of a window waits for the
-	// window to fill. 0 selects the default 500µs; negative dispatches
-	// immediately with whatever is already queued (no timer).
-	MaxWait time.Duration
 	// Workers is the number of concurrent batch dispatchers shared by every
 	// lane (default min(2, GOMAXPROCS)). More workers overlap model calls
-	// at the cost of smaller windows; on a single-core host extra workers
+	// at the cost of smaller batches; on a single-core host extra workers
 	// only fragment batches.
 	Workers int
 	// QueueCap bounds each lane's pending-request queue (default
@@ -112,9 +128,6 @@ func (o *Options) setDefaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
 	}
-	if o.MaxWait == 0 {
-		o.MaxWait = 500 * time.Microsecond
-	}
 	if o.Workers <= 0 {
 		o.Workers = 2
 		if n := runtime.GOMAXPROCS(0); n < 2 {
@@ -136,10 +149,9 @@ type response struct {
 // request is one in-flight unit of localization work: a single query (rn ==
 // 1) or a pre-formed batch of rn rows packed row-major into x
 // (LocalizeBatch). A batch occupies ONE lane-queue slot and one wakeup, which
-// is what amortises the gather protocol and MaxWait across its rows. Shadow
-// requests additionally carry the live arm's answer for agreement accounting;
-// nobody waits on their result channel — the worker recycles them after
-// scoring.
+// is what amortises the gather protocol across its rows. Shadow requests
+// additionally carry the live arm's answer for agreement accounting; nobody
+// waits on their result channel — the worker recycles them after scoring.
 type request struct {
 	x         []float64 // rn × features, row-major
 	rn        int       // rows carried by this request
@@ -150,9 +162,9 @@ type request struct {
 }
 
 // abCounters is one shadow lane's A/B bookkeeping. rows/agree/candNs are
-// only touched by the single worker holding the lane; sampled/dropped/liveNs
-// are bumped from Route goroutines. Counters reset when the staged candidate
-// version changes, so they always describe the current candidate's exposure.
+// bumped by the workers dispatching the lane's batches; sampled/dropped/liveNs
+// from Route goroutines. Counters reset when the staged candidate version
+// changes, so they always describe the current candidate's exposure.
 type abCounters struct {
 	candVersion atomic.Uint64
 	sampled     atomic.Int64 // routed requests selected for shadowing
@@ -166,8 +178,8 @@ type abCounters struct {
 
 // resetIfStale zeroes the counters when they still describe an older
 // candidate version. Candidate versions are monotonic per key, so a sample
-// that pinned its version before a restage (and was then delayed in a
-// batching window) must never roll the bucket backwards and wipe the newer
+// that pinned its version before a restage (and was then delayed in the
+// shadow queue) must never roll the bucket backwards and wipe the newer
 // candidate's evidence — it just lands in the newer bucket. The CAS elects
 // exactly one resetter per version bump; increments racing the reset from
 // still-in-flight old-version samples may be lost or re-attributed, which
@@ -214,14 +226,22 @@ type lane struct {
 	sampleSeq atomic.Int64
 	ab        abCounters
 
-	// pending counts accepted-but-undispatched requests; scheduled is true
-	// while the lane sits in the run queue or is held by a worker. Together
-	// they guarantee a lane with pending work is always either queued or
-	// about to be re-queued by the worker that holds it (no lost wakeups),
-	// and that at most one worker gathers from a lane at a time (so windows
-	// actually coalesce instead of fragmenting across workers).
+	// pending counts accepted-but-ungathered requests; scheduled is true
+	// while the lane sits in the run queue or a worker is gathering from it.
+	// Together they guarantee a lane with pending work is always either
+	// queued or about to be re-queued by the worker that holds it (no lost
+	// wakeups), and that at most one worker gathers from a lane at a time
+	// (so a backlog leaves as one batch instead of fragmenting across
+	// workers). The hold ends when the gather does: model calls for one lane
+	// may overlap, and computing counts the ones running now.
 	pending   atomic.Int64
 	scheduled atomic.Bool
+	computing atomic.Int32
+
+	// Pacing state, owned by whichever worker holds the lane: when the last
+	// gather ended, and when the lane last showed concurrent callers.
+	lastGather time.Time
+	crowdSeen  time.Time
 }
 
 // Engine coalesces concurrent localization requests into batched model
@@ -252,11 +272,6 @@ type Engine struct {
 	// answered) or observes closed and fails with ErrClosed.
 	sendMu sync.RWMutex
 	closed bool
-
-	// modelMu serialises in-place model mutation: workers read-lock around
-	// each batch dispatch, Refresh write-locks. Hot-swaps through the
-	// registry do not need it.
-	modelMu sync.RWMutex
 
 	workers sync.WaitGroup
 	reqPool sync.Pool
@@ -327,8 +342,8 @@ type Result struct {
 }
 
 // Localize coalesces one fingerprint into the micro-batch lane of the
-// localizer registered under key, blocking until a batching window delivers
-// its result. When the lane's queue is full the call blocks (backpressure)
+// localizer registered under key, blocking until a worker delivers its
+// result. When the lane's queue is full the call blocks (backpressure)
 // until space frees or ctx is done. A nil ctx means context.Background().
 //
 // Close ordering: a call that observes Close fails with ErrClosed before
@@ -413,10 +428,9 @@ func (e *Engine) enqueue(ctx context.Context, l *lane, r *request, rows int64) e
 
 // LocalizeBatch coalesces a pre-formed batch of fingerprints into the
 // micro-batch lane of the localizer registered under key. The whole batch
-// occupies one queue slot and pays one gather/wakeup and at most one MaxWait
-// window — the per-query protocol cost is amortised across the rows, which
-// is what makes a batched wire call cheap. A batch larger than MaxBatch
-// dispatches as one oversized model call.
+// occupies one queue slot and pays one gather/wakeup — the per-query protocol
+// cost is amortised across the rows, which is what makes a batched wire call
+// cheap. A batch larger than MaxBatch dispatches as one oversized model call.
 //
 // Errors are per row: results[i].Err carries row i's failure (wrong feature
 // width, or the batch-level dispatch error) and one bad row never fails the
@@ -635,8 +649,8 @@ func (e *Engine) shadowRowsSample(key localizer.Key, rows [][]float64, res []Res
 // registered under localizer.FloorKey) picks the floor, then the floor's
 // backend localizer predicts the position. Without a floor classifier the
 // building must have exactly one registered floor for the backend, which is
-// used directly. Both stages are micro-batched; a routed request therefore
-// pays up to two batching windows of latency.
+// used directly. Both stages are micro-batched: a routed request makes two
+// lane hops.
 func (e *Engine) Route(ctx context.Context, building int, backend string, rss []float64) (Result, error) {
 	floor := 0
 	if _, ok := e.reg.Get(localizer.FloorKey(building)); ok {
@@ -799,10 +813,10 @@ func (e *Engine) shadowLane(key localizer.Key) (*lane, error) {
 	return l, nil
 }
 
-// schedule puts l on the run queue unless it is already queued or held by a
-// worker. The scheduled flag serialises gathering per lane; the worker
-// re-checks pending after clearing it, so a request enqueued concurrently
-// with a dispatch is never stranded.
+// schedule puts l on the run queue unless it is already queued or a worker is
+// gathering from it. The scheduled flag serialises gathering per lane; the
+// worker re-checks pending after clearing it, so a request enqueued
+// concurrently with a gather is never stranded.
 //
 //calloc:noalloc
 func (e *Engine) schedule(l *lane) {
@@ -815,8 +829,8 @@ func (e *Engine) schedule(l *lane) {
 	e.cond.Signal()
 }
 
-// run is one shared worker: pull a lane with pending requests, gather a
-// window from that lane, dispatch the batch, repeat.
+// run is one shared worker: pull a lane with pending requests, gather what it
+// holds, release the lane, dispatch the batch, repeat.
 func (e *Engine) run() {
 	defer e.workers.Done()
 	maxB := e.opts.MaxBatch
@@ -838,7 +852,8 @@ func (e *Engine) run() {
 		if len(e.runq) == 0 {
 			// Draining and nothing queued: all accepted requests are served
 			// (a lane with pending work is always queued or held by a live
-			// worker that will re-queue it).
+			// worker that will re-queue it, and a gathered batch is dispatched
+			// before its worker comes back here).
 			e.runMu.Unlock()
 			return
 		}
@@ -853,68 +868,89 @@ func (e *Engine) run() {
 		e.runMu.Unlock()
 
 		batch = e.gather(l, batch[:0], timer, draining)
-		if len(batch) > 0 {
-			// A window is maxB ROWS, but one oversized batch request can
-			// carry more — size the scratch to what was actually gathered.
-			rows := 0
-			for _, r := range batch {
-				rows += r.rn
-			}
-			if cap(xbuf) < rows*l.features {
-				xbuf = make([]float64, max(rows, maxB)*l.features)
-			}
-			if cap(dst) < rows {
-				dst = make([]int, rows)
-			}
-			if l.shadow {
-				e.dispatchShadow(l, batch, rows, dst, xbuf, xm)
-			} else {
-				e.dispatch(l, batch, rows, dst, xbuf, xm)
-			}
-		}
 
-		// Release the lane: decrement pending by what we served, clear the
-		// hold, then re-check — requests that arrived during dispatch CAS'd
-		// against our hold and rely on this re-schedule.
+		// Release the lane before the model call: decrement pending by what
+		// we took, clear the hold, then re-check — requests that arrived
+		// during the gather CAS'd against our hold and rely on this
+		// re-schedule. Whatever arrives from here on is another worker's
+		// batch (or this worker's next).
 		l.pending.Add(int64(-len(batch)))
 		l.scheduled.Store(false)
 		if l.pending.Load() > 0 {
 			e.schedule(l)
 		}
+		if len(batch) == 0 {
+			continue
+		}
+
+		// A batch is capped at maxB ROWS, but one oversized batch request can
+		// carry more — size the scratch to what was actually gathered.
+		rows := 0
+		for _, r := range batch {
+			rows += r.rn
+		}
+		if cap(xbuf) < rows*l.features {
+			xbuf = make([]float64, max(rows, maxB)*l.features)
+		}
+		if cap(dst) < rows {
+			dst = make([]int, rows)
+		}
+		if l.shadow {
+			e.dispatchShadow(l, batch, rows, dst, xbuf, xm)
+		} else {
+			e.dispatch(l, batch, rows, dst, xbuf, xm)
+		}
 	}
 }
 
-// gather collects one batching window from l, counting ROWS (a pre-formed
-// batch request contributes all its rows at once, so a full batch skips the
-// MaxWait timer entirely). The first receive must not block: a worker can
-// consume a request from the lane channel before the sender's pending
-// increment lands, in which case the sender's subsequent schedule re-queues
-// an already-drained lane — such a spurious pop returns an empty batch and
-// the caller just releases the lane. While draining, the window never waits —
-// Close should not pay MaxWait per residual batch.
+// gather takes what l holds right now, up to MaxBatch ROWS (a pre-formed
+// batch request contributes all its rows at once). Not even the first receive
+// may block: a worker can consume a request from the lane channel before the
+// sender's pending increment lands, in which case the sender's subsequent
+// schedule re-queues an already-drained lane — such a spurious pop returns an
+// empty batch and the caller just releases the lane.
+//
+// A lane that shows concurrent callers — this gather found two requests, or
+// an earlier batch of the lane is still inside its model call — is crowded
+// for the next crowdMemory, and a crowded lane is paced: a batch that is not
+// full stays open until holdoff after the previous gather ended, taking in
+// what arrives meanwhile. A lane with one caller at a time is never crowded,
+// the first batch after a gap of holdoff or more leaves at once, and so does
+// everything while draining — Close should not pay a holdoff per residual
+// batch.
 //
 //calloc:noalloc
 func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining bool) []*request {
 	maxB := e.opts.MaxBatch
 	rows := 0
-	select {
-	case r := <-l.reqs:
-		batch = append(batch, r)
-		rows += r.rn
-	default:
+greedy:
+	for rows < maxB {
+		select {
+		case r := <-l.reqs:
+			batch = append(batch, r)
+			rows += r.rn
+		default:
+			break greedy
+		}
+	}
+	if len(batch) == 0 {
 		return batch
 	}
-	switch {
-	case rows < maxB && e.opts.MaxWait > 0 && !draining:
-		timer.Reset(e.opts.MaxWait)
-	gather:
+	now := time.Now()
+	if len(batch) > 1 || l.computing.Load() > 0 {
+		l.crowdSeen = now
+	}
+	crowded := now.Sub(l.crowdSeen) < crowdMemory
+	if wait := holdoff - now.Sub(l.lastGather); crowded && wait > 0 && rows < maxB && !draining {
+		timer.Reset(wait)
+	paced:
 		for rows < maxB {
 			select {
 			case r := <-l.reqs:
 				batch = append(batch, r)
 				rows += r.rn
 			case <-timer.C:
-				break gather // window expired (timer drained)
+				break paced // holdoff over (timer drained)
 			}
 		}
 		if !timer.Stop() { //calloc:allow inlined Stop's panic-path message; never reached on an armed timer
@@ -923,28 +959,20 @@ func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining b
 			default:
 			}
 		}
-	case rows < maxB:
-		// Negative MaxWait (or draining): dispatch immediately with
-		// whatever is already queued.
-	greedy:
-		for rows < maxB {
-			select {
-			case r := <-l.reqs:
-				batch = append(batch, r)
-				rows += r.rn
-			default:
-				break greedy
-			}
+		now = time.Now()
+		if len(batch) > 1 {
+			l.crowdSeen = now
 		}
 	}
+	l.lastGather = now
 	return batch
 }
 
-// dispatch assembles the window into one matrix, pins the lane's current
-// registry snapshot, runs the model under the read-lock, and delivers
-// per-request results stamped with the snapshot version. Batch requests get
-// their rows copied into their own out buffer before the result send (the
-// channel send is the happens-before edge the waiting caller reads across).
+// dispatch assembles the batch into one matrix, pins the lane's current
+// registry snapshot, runs the model, and delivers per-request results stamped
+// with the snapshot version. Batch requests get their rows copied into their
+// own out buffer before the result send (the channel send is the
+// happens-before edge the waiting caller reads across).
 func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf []float64, x *mat.Matrix) {
 	f := l.features
 	off := 0
@@ -953,7 +981,7 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		off += r.rn * f
 	}
 	// x is the worker's reusable header over its scratch; the localizer only
-	// reads it during PredictInto, so refilling it next window is safe.
+	// reads it during PredictInto, so refilling it next batch is safe.
 	x.Rows, x.Cols, x.Data = rows, f, xbuf[:rows*f]
 
 	snap, ok := e.reg.Get(l.key)
@@ -976,10 +1004,17 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		}
 		return
 	}
-	e.modelMu.RLock()
+	// computing falls before the results go out: a caller that sends its next
+	// request the moment it has this answer must not find its own previous
+	// batch still counted, or one sequential caller would look like two.
+	l.computing.Add(1)
 	snap.Localizer.PredictInto(dst[:rows], x)
-	e.modelMu.RUnlock()
+	l.computing.Add(-1)
 
+	// Counted before delivery, so a caller holding its answer finds its batch
+	// in Stats.
+	e.batches.Add(1)
+	e.rows.Add(int64(rows))
 	off = 0
 	for _, r := range batch {
 		// The result send releases the request back to its caller (which may
@@ -993,15 +1028,13 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		}
 		off += rn
 	}
-	e.batches.Add(1)
-	e.rows.Add(int64(rows))
 }
 
-// dispatchShadow runs one shadow window through the key's staged candidate:
+// dispatchShadow runs one shadow batch through the key's staged candidate:
 // it pins the candidate (not the live snapshot), records agreement with the
 // live arm and candidate-arm latency, and answers nobody — shadow requests
 // have no waiting caller and are recycled here. A candidate that was aborted
-// (or restaged with a different shape) while the window sat queued just
+// (or restaged with a different shape) while the batch sat queued just
 // drops the rows.
 func (e *Engine) dispatchShadow(l *lane, batch []*request, rows int, dst []int, xbuf []float64, x *mat.Matrix) {
 	recycle := func() {
@@ -1027,9 +1060,7 @@ func (e *Engine) dispatchShadow(l *lane, batch []*request, rows int, dst []int, 
 	}
 	x.Rows, x.Cols, x.Data = n, f, xbuf[:n*f]
 
-	e.modelMu.RLock()
 	cand.Localizer.PredictInto(dst[:n], x)
-	e.modelMu.RUnlock()
 
 	now := time.Now()
 	for i, r := range batch {
@@ -1097,19 +1128,6 @@ func (e *Engine) ABStats(key localizer.Key) (ABStats, bool) {
 		return ABStats{}, false
 	}
 	return l.abStats(), true
-}
-
-// Refresh runs fn with exclusive dispatch access: it waits for in-flight
-// batches to finish and holds new ones off until fn returns. It is required
-// only for IN-PLACE mutation of a live localizer's state (weight updates,
-// RefreshMemoryKeys, weight deserialisation into a served model) — the
-// packed-view and memory-key caches are only safe to invalidate while no
-// batch is in flight. Replacing a model wholesale does not need Refresh:
-// build a new localizer and Registry.Swap it in.
-func (e *Engine) Refresh(fn func()) {
-	e.modelMu.Lock()
-	defer e.modelMu.Unlock()
-	fn()
 }
 
 // Close shuts the engine down gracefully. The ordering guarantee is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,15 @@ import (
 
 // scripted is a deterministic localizer: it echoes feature 0 as the
 // prediction and records batch sizes; an optional gate holds every dispatch
-// until released, making coalescing and backpressure deterministic to test.
+// until released, making coalescing and backpressure deterministic to test,
+// and an optional entered channel reports each dispatch as it reaches the
+// gate.
 type scripted struct {
 	name     string
 	features int
 	classes  int
 	gate     chan struct{}
+	entered  chan struct{}
 
 	mu         sync.Mutex
 	batchSizes []int
@@ -36,6 +40,9 @@ func (s *scripted) InputDim() int   { return s.features }
 func (s *scripted) NumClasses() int { return s.classes }
 
 func (s *scripted) PredictInto(dst []int, x *mat.Matrix) []int {
+	if s.entered != nil {
+		s.entered <- struct{}{}
+	}
 	if s.gate != nil {
 		<-s.gate
 	}
@@ -138,37 +145,161 @@ func TestEngineEchoesEveryRequest(t *testing.T) {
 	}
 }
 
-// TestEngineCoalesces: with one worker, a large window, and a full
-// complement of queued requests, the engine must dispatch one batch.
-func TestEngineCoalesces(t *testing.T) {
-	s := &scripted{name: "echo", features: 1, classes: 8, gate: make(chan struct{}, 16)}
+// wedge parks n workers inside s.PredictInto, one single-row request each,
+// and returns once all n are observed at the gate together. The returned
+// WaitGroup completes when those requests are answered.
+func wedge(t *testing.T, e *Engine, key localizer.Key, s *scripted, n int) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Localize(nil, key, []float64{0}); err != nil {
+				t.Errorf("wedged Localize: %v", err)
+			}
+		}()
+		select {
+		case <-s.entered:
+		case <-time.After(5 * time.Second):
+			close(s.gate) // let the held workers go, or Close would hang the failure
+			t.Fatalf("worker %d never entered PredictInto while %d were held there", i+1, i)
+		}
+	}
+	return &wg
+}
+
+// TestSameLaneOverlapsWorkers: a worker holds a lane only while it gathers,
+// so with one model call of a lane in flight a second worker takes that
+// lane's next request instead of leaving it queued behind the first.
+func TestSameLaneOverlapsWorkers(t *testing.T) {
+	s := &scripted{name: "echo", features: 1, classes: 8, gate: make(chan struct{}), entered: make(chan struct{}, 2)}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: time.Second, Workers: 1})
+	e, err := New(reg, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	wg := wedge(t, e, key, s, 2)
+	close(s.gate)
+	wg.Wait()
+}
+
+// TestEngineCoalesces: batches form from what queued while every worker was
+// busy, with no clock involved — both workers are held inside the model, k
+// requests arrive, and when the workers come free the backlog leaves as
+// exactly one batch of k.
+func TestEngineCoalesces(t *testing.T) {
+	s := &scripted{name: "echo", features: 1, classes: 8, gate: make(chan struct{}), entered: make(chan struct{}, 3)}
+	reg, key := reg1(s)
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	wg := wedge(t, e, key, s, 2)
+
+	const k = 6
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+				t.Errorf("Localize %d = (%+v, %v)", i, res, err)
+			}
+		}(i)
+	}
+	for e.Stats().Requests < 2+k { // accepted = sitting in the lane queue
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(s.gate)
+	wg.Wait()
+
+	sizes := s.sizes() // recorded as each call leaves the gate, in no fixed order
+	sort.Ints(sizes)
+	if len(sizes) != 3 || sizes[2] != k {
+		t.Fatalf("batch sizes %v, want [1 1 %d]", sizes, k)
+	}
+	if st := e.Stats(); st.Batches != 3 || st.Rows != 2+k {
+		t.Fatalf("stats show %d rows in %d batches, want %d in 3 (%+v)", st.Rows, st.Batches, 2+k, st)
+	}
+}
+
+// TestIdleRouteDoesNotWait: on an idle engine with the default options a
+// routed request costs its two model calls and nothing else — no hop waits
+// for company. 200 sequential routes through trivial localizers finish in a
+// few milliseconds; any per-hop wait would put them far past the limit.
+func TestIdleRouteDoesNotWait(t *testing.T) {
+	const building = 3
+	reg := localizer.NewRegistry()
+	if _, err := reg.Register(localizer.FloorKey(building), &scripted{name: "floor", features: 2, classes: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for floor := 0; floor < 2; floor++ {
+		pos := &scripted{name: "pos", features: 2, classes: 64}
+		if _, err := reg.Register(localizer.Key{Building: building, Floor: floor, Backend: "pos"}, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := New(reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Localize(nil, key, []float64{float64(i)}); err != nil {
-				t.Errorf("Localize: %v", err)
-			}
-		}(i)
+	const n = 200
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		res, err := e.Route(nil, building, "pos", []float64{float64(i % 2), 0})
+		if err != nil || res.Floor != i%2 {
+			t.Fatalf("Route %d = (%+v, %v)", i, res, err)
+		}
 	}
-	// The worker gathers until the window fills (8 requests) because the
-	// gate only matters at dispatch time; release it once.
-	s.gate <- struct{}{}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("%d sequential routes on an idle engine took %v, want < 100ms", n, took)
+	}
+	if st := e.Stats(); st.Batches != 2*n || st.AvgBatch != 1 {
+		t.Fatalf("lone caller was batched: %+v", st)
+	}
+}
+
+// TestCrowdedLaneIsPaced: a lane that has shown concurrent callers spaces its
+// dispatches, so two callers that each send their next request the moment
+// they have an answer leave in the same batch. (One caller doing the same
+// alone is TestIdleRouteDoesNotWait: never held, never batched.)
+func TestCrowdedLaneIsPaced(t *testing.T) {
+	const each = 40
+	s := &scripted{name: "echo", features: 1, classes: 8, gate: make(chan struct{}), entered: make(chan struct{}, 2+2*each)}
+	reg, key := reg1(s)
+	e, err := New(reg, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Two model calls of one lane in flight at once is the sign of a crowd.
+	wg := wedge(t, e, key, s, 2)
+	close(s.gate)
 	wg.Wait()
-	sizes := s.sizes()
-	if len(sizes) != 1 || sizes[0] != 8 {
-		t.Fatalf("expected one coalesced batch of 8, got %v", sizes)
+	before := e.Stats().Batches
+
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := e.Localize(nil, key, []float64{1}); err != nil {
+					t.Errorf("Localize: %v", err)
+					return
+				}
+			}
+		}()
 	}
-	if st := e.Stats(); st.AvgBatch != 8 {
-		t.Fatalf("AvgBatch = %g, want 8 (%+v)", st.AvgBatch, st)
+	wg.Wait()
+	// Paired perfectly that is `each` batches; a caller descheduled past a
+	// holdoff now and then leaves a few singles.
+	if got := e.Stats().Batches - before; got > 2*each*2/3 {
+		t.Fatalf("%d rows from two concurrent callers left in %d batches, want them paired (about %d)", 2*each, got, each)
 	}
 }
 
@@ -183,7 +314,7 @@ func TestEngineMatchesPredictBatch(t *testing.T) {
 	if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +343,7 @@ func TestEngineMatchesPredictBatch(t *testing.T) {
 }
 
 // TestPerLaneBatching: two localizers share the worker budget but batch
-// separately — a window never mixes requests for different models.
+// separately — a batch never mixes requests for different models.
 func TestPerLaneBatching(t *testing.T) {
 	a := &scripted{name: "a", features: 1, classes: 64}
 	b := &scripted{name: "b", features: 2, classes: 64}
@@ -225,7 +356,7 @@ func TestPerLaneBatching(t *testing.T) {
 	if _, err := reg.Register(keyB, b); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: 200 * time.Microsecond, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +414,7 @@ func TestHierarchicalRouting(t *testing.T) {
 	if _, err := reg.Register(localizer.Key{Building: 3, Floor: 1, Backend: "pos"}, f1); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: 100 * time.Microsecond, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +523,7 @@ func TestCloseGraceful(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	s := &scripted{name: "echo", features: 1, classes: 64, gate: make(chan struct{}, 64)}
 	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1, QueueCap: 32})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 1, QueueCap: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +571,7 @@ func TestCloseOrderingDeterministic(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := &scripted{name: "echo", features: 1, classes: 1024}
 		reg, key := reg1(s)
-		e, err := New(reg, Options{MaxBatch: 4, MaxWait: 50 * time.Microsecond, Workers: 2})
+		e, err := New(reg, Options{MaxBatch: 4, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,28 +617,6 @@ func TestCloseOrderingDeterministic(t *testing.T) {
 		// Every accepted request was answered: accepted = served (+1 warmup).
 		if st := e.Stats(); st.Rows != served.Load()+1 {
 			t.Fatalf("round %d: accepted %d rows but served %d", round, st.Rows, served.Load()+1)
-		}
-	}
-}
-
-// TestImmediateDispatch: a negative MaxWait must never hold a request back
-// waiting for company — a lone sequential caller sees batches of exactly 1.
-func TestImmediateDispatch(t *testing.T) {
-	s := &scripted{name: "echo", features: 1, classes: 8}
-	reg, key := reg1(s)
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: -1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < 5; i++ {
-		if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
-			t.Fatalf("Localize %d = (%+v, %v)", i, res, err)
-		}
-	}
-	for _, sz := range s.sizes() {
-		if sz != 1 {
-			t.Fatalf("immediate dispatch coalesced a lone caller: sizes %v", s.sizes())
 		}
 	}
 }
@@ -625,7 +734,7 @@ func TestHotSwapUnderRoutedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2})
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,75 +813,6 @@ func TestHotSwapUnderRoutedTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentServeAndRefresh hammers the engine with concurrent clients
-// while weights and memory keys are mutated IN PLACE through Engine.Refresh
-// — the serving-layer contract for mutating (rather than swapping) a live
-// model. Run with -race (CI does): the read/write lock must fully order
-// packed-view invalidation against batch dispatch.
-func TestConcurrentServeAndRefresh(t *testing.T) {
-	m, x := testModel(t, 10, 4, 30)
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: 1, Floor: 0, Backend: "calloc"}
-	if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const clients = 4
-	const perClient = 100
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				res, err := e.Localize(nil, key, x.Row((c*perClient+i)%x.Rows))
-				if err != nil {
-					t.Errorf("client %d: %v", c, err)
-					return
-				}
-				if res.Class < 0 || res.Class >= 4 {
-					t.Errorf("client %d: out-of-range class %d", c, res.Class)
-					return
-				}
-			}
-		}(c)
-	}
-
-	stop := make(chan struct{})
-	go func() {
-		rng := rand.New(rand.NewSource(77))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e.Refresh(func() {
-				// An online weight update: perturb a parameter in place,
-				// note it, and rebuild the memory-key caches.
-				p := m.Params()[rng.Intn(len(m.Params()))]
-				for i := range p.W.Data {
-					p.W.Data[i] += rng.NormFloat64() * 1e-3
-				}
-				p.NoteUpdate()
-				m.RefreshMemoryKeys()
-			})
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	wg.Wait()
-	close(stop)
-	e.Close()
-	if st := e.Stats(); st.Rows != clients*perClient {
-		t.Fatalf("served %d rows, want %d (%+v)", st.Rows, clients*perClient, st)
-	}
-}
-
 // TestRouteMisroute: an out-of-range prediction from the floor classifier
 // must surface as ErrMisroute (counted), not as a confusing ErrUnknownModel
 // from the second stage.
@@ -790,7 +830,7 @@ func TestRouteMisroute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: -1, Workers: 1})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,7 +878,7 @@ func TestShadowDispatch(t *testing.T) {
 	if _, err := reg.Register(key, live); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: -1, Workers: 2, ABFraction: 2})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 2, ABFraction: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -962,7 +1002,7 @@ func TestShadowNeverFailsLive(t *testing.T) {
 	if _, err := reg.Stage(key, &scripted{name: "cand", features: 1, classes: 8}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 1, MaxWait: -1, Workers: 1, QueueCap: 1, ABFraction: 1})
+	e, err := New(reg, Options{MaxBatch: 1, Workers: 1, QueueCap: 1, ABFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1006,7 +1046,7 @@ func TestShadowSamplingPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(reg, Options{MaxBatch: 4, MaxWait: -1, Workers: 2, ABFraction: 2})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 2, ABFraction: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

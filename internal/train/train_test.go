@@ -189,7 +189,7 @@ func TestFineTuneSwapsUnderRoutedTraffic(t *testing.T) {
 	}
 	defer tr.Close()
 
-	engine, err := serve.New(reg, serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2})
+	engine, err := serve.New(reg, serve.Options{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +810,7 @@ func TestABGateUnderRoutedTraffic(t *testing.T) {
 	incumbent := weakIncumbent(t, reg, key, ds)
 
 	engine, err := serve.New(reg, serve.Options{
-		MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2, ABFraction: 2,
+		MaxBatch: 8, Workers: 2, ABFraction: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
