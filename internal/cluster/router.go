@@ -128,6 +128,7 @@ type Router struct {
 	coalesced         atomic.Int64 // localizes that entered a coalesce window
 	coalescedBatches  atomic.Int64 // upstream /v1/localize/batch calls
 	coalesceFallbacks atomic.Int64 // windows served as singles (no-batch shard)
+	fastPunts         atomic.Int64 // bodies the fast decoder handed to encoding/json
 }
 
 // NewRouter builds a router over the shard map. Call Start to begin health
@@ -225,25 +226,10 @@ func (r *Router) owner(w http.ResponseWriter, building, floor int) (string, bool
 	return name, true
 }
 
-// proxyQ is the pooled decode target of the router's localize hop. Same
-// reset discipline as the node's pooled structs: json.Unmarshal leaves
-// absent fields untouched, so every field clears between uses.
-type proxyQ struct {
-	RSS      []float64   `json:"rss"`
-	Floor    wire.OptInt `json:"floor"`
-	Building wire.OptInt `json:"building"`
-}
-
-func (q *proxyQ) reset() {
-	q.RSS = q.RSS[:0]
-	q.Floor = wire.OptInt{}
-	q.Building = wire.OptInt{}
-}
-
 // proxyBuf carries one proxied request's body buffer and decode target.
 type proxyBuf struct {
 	body []byte
-	q    proxyQ
+	q    wire.Query
 }
 
 var proxyPool = sync.Pool{
@@ -258,6 +244,18 @@ func putProxyBuf(b *proxyBuf) {
 		b.body = nil
 	}
 	proxyPool.Put(b)
+}
+
+// decode reads the shard-picking fields off a proxied body — a localize
+// query, or a feedback/swap/override body, which carry the same "floor" and
+// "building" among scalar fields the decoder skips — counting the bodies that
+// needed encoding/json.
+func (r *Router) decode(body []byte, q *wire.Query) error {
+	punted, err := wire.DecodeQuery(body, q)
+	if punted {
+		r.fastPunts.Add(1)
+	}
+	return err
 }
 
 // handleLocalize proxies one localization to the owning shard. The original
@@ -281,8 +279,7 @@ func (r *Router) handleLocalize(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	q := &b.q
-	q.reset()
-	if err := json.Unmarshal(body, q); err != nil {
+	if err := r.decode(body, q); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		putProxyBuf(b)
 		return
@@ -363,8 +360,7 @@ func (r *Router) handleByFloor(path string) http.HandlerFunc {
 			return
 		}
 		q := &b.q
-		q.reset()
-		if err := json.Unmarshal(body, q); err != nil {
+		if err := r.decode(body, q); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -568,6 +564,9 @@ type RouterStats struct {
 	Coalesced         int64 `json:"coalesced"`
 	CoalescedBatches  int64 `json:"coalesced_batches"`
 	CoalesceFallbacks int64 `json:"coalesce_fallbacks"`
+	// FastPunts counts proxied bodies the fast decoder handed to
+	// encoding/json (see node.WireStats.FastPunts).
+	FastPunts int64 `json:"fast_punts"`
 }
 
 // Stats snapshots the router's counters.
@@ -583,6 +582,7 @@ func (r *Router) Stats() RouterStats {
 		Coalesced:         r.coalesced.Load(),
 		CoalescedBatches:  r.coalescedBatches.Load(),
 		CoalesceFallbacks: r.coalesceFallbacks.Load(),
+		FastPunts:         r.fastPunts.Load(),
 	}
 }
 

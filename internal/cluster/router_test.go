@@ -204,6 +204,57 @@ func TestRouterResolveHook(t *testing.T) {
 	}
 }
 
+// TestRouterDecodeVerdicts: the router reads bodies through the decoder the
+// nodes use, so a numeral that is not JSON gets its 400 here and never
+// reaches a shard; a body outside the fast grammar is routed like its plain
+// spelling and counted; swap- and feedback-shaped bodies stay inside it.
+func TestRouterDecodeVerdicts(t *testing.T) {
+	a, b := fakeShard(t, "a"), fakeShard(t, "b")
+	r := newTestRouter(t, staticTwoShards(t, a.URL, b.URL), RouterOptions{})
+	h := r.Handler()
+
+	for _, num := range []string{"01", ".5", "1.", "-.5", "1.e3", "-01.5", "1e999"} {
+		if w := postLocalize(t, h, `{"rss":[-1,`+num+`],"floor":1}`); w.Code != http.StatusBadRequest {
+			t.Errorf("rss value %s: status %d (%s), want 400", num, w.Code, w.Body)
+		}
+	}
+	if st := r.Stats(); st.Proxied != 0 || st.FastPunts != 7 {
+		t.Fatalf("after 7 malformed bodies: proxied %d, fast_punts %d", st.Proxied, st.FastPunts)
+	}
+
+	servedBy := func(path, body string) string {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var resp struct {
+			ServedBy string `json:"served_by"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s %s: status %d (%s): %v", path, body, w.Code, w.Body, err)
+		}
+		return resp.ServedBy
+	}
+	for _, tc := range []struct {
+		path, body, want string
+		punts            int64
+	}{
+		{"/v1/localize", `{"rss":[-0,1E+2],"floor":1,"backend":"knn"}`, "b", 0},
+		{"/v1/localize", `{"rss":[-1],"floor":1,"backend":"k\u006en"}`, "b", 1},
+		{"/v1/localize", `{"rss":[-1],"floor":0,"meta":{"trace":[1,2]}}`, "a", 1},
+		{"/v1/feedback", `{"rss":[-60.5,-71],"rp":12,"floor":1}`, "b", 0},
+		{"/v1/feedback", `{"floor":0,"stage":true,"weights":"QUJD+/8=","backend":"calloc"}`, "a", 0},
+	} {
+		before := r.Stats().FastPunts
+		if got := servedBy(tc.path, tc.body); got != tc.want {
+			t.Errorf("%s %s served by %q, want %q", tc.path, tc.body, got, tc.want)
+		}
+		if got := r.Stats().FastPunts - before; got != tc.punts {
+			t.Errorf("%s %s: fast_punts moved by %d, want %d", tc.path, tc.body, got, tc.punts)
+		}
+	}
+}
+
 func TestRouterByFloorRequiresFloor(t *testing.T) {
 	a, b := fakeShard(t, "a"), fakeShard(t, "b")
 	r := newTestRouter(t, staticTwoShards(t, a.URL, b.URL), RouterOptions{})

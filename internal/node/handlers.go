@@ -1,49 +1,49 @@
 package node
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
 	"calloc/internal/localizer"
 	"calloc/internal/serve"
 	"calloc/internal/train"
+	"calloc/internal/wire"
 )
 
 // handleLocalize is the single-fingerprint hot path. Everything it touches —
 // body buffer, decode target, response buffer — comes from one pooled
-// wireBuf, so the steady-state wire cost is the json.Unmarshal number
-// parsing and nothing else. The engine copies the RSS row into its own
-// request buffer before returning, so recycling the wireBuf on return is
-// safe.
+// wireBuf, and the body decodes through wire.DecodeQuery, so the steady-state
+// wire cost is net/http's own request parsing and nothing else. The engine
+// copies the RSS row into its own request buffer before returning, so
+// recycling the wireBuf on return is safe.
 func (n *Node) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	b := bufPool.Get().(*wireBuf)
-	defer bufPool.Put(b)
+	defer putWireBuf(b)
 	if !n.readWireBody(w, r, b, maxLocalizeBody) {
 		return
 	}
 	req := &b.req
-	req.reset()
-	if !parseLocalizeFast(b.body, req) {
-		// The fast parse may have filled fields before punting (an escaped
-		// string, a nested unknown value) — reset before the full decoder.
-		req.reset()
-		if err := json.Unmarshal(b.body, req); err != nil {
-			n.wire.clientErrors.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	punted, err := wire.DecodeQuery(b.body, req)
+	if punted {
+		n.wire.fastPunts.Add(1)
 	}
-	backend := req.Backend
-	if backend == "" {
-		backend = n.deflt
+	if err != nil {
+		n.wire.clientErrors.Add(1)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	backend := n.deflt
+	if len(req.Backend) > 0 {
+		backend = internBackend(req.Backend)
 	}
 	var res serve.Result
-	var err error
 	if req.Floor.Set {
 		key := localizer.Key{Building: n.building, Floor: req.Floor.V, Backend: backend}
 		res, err = n.engine.Localize(r.Context(), key, req.RSS)
@@ -63,15 +63,20 @@ func (n *Node) handleLocalize(w http.ResponseWriter, r *http.Request) {
 // enters the engine as ONE pre-formed batch (one lane slot, one worker
 // wakeup, one model call when it fits MaxBatch); results come back in
 // request order with per-row errors, so one bad row never fails its batch.
+// The grouping scratch lives on the pooled wireBuf with everything else; the
+// engine copies every row before it returns.
 func (n *Node) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 	b := bufPool.Get().(*wireBuf)
-	defer bufPool.Put(b)
+	defer putWireBuf(b)
 	if !n.readWireBody(w, r, b, maxBatchBody) {
 		return
 	}
 	req := &b.batch
-	req.reset()
-	if err := json.Unmarshal(b.body, req); err != nil {
+	punted, err := wire.DecodeBatch(b.body, req)
+	if punted {
+		n.wire.fastPunts.Add(1)
+	}
+	if err != nil {
 		n.wire.clientErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -87,85 +92,86 @@ func (n *Node) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve each row's target. Rows with an explicit floor dispatch via
 	// LocalizeBatch; floor-less rows go through the batched floor classifier
-	// in RouteBatch. The routed flag keeps {floor 0} distinct from
-	// {no floor}.
-	type gkey struct {
-		backend string
-		floor   int
-		routed  bool
+	// in RouteBatch.
+	deflt := n.deflt
+	if len(req.Backend) > 0 {
+		deflt = internBackend(req.Backend)
 	}
-	groups := make(map[gkey][]int, 1)
+	clear(b.groupOf)
+	b.groups = b.groups[:0]
 	for i := range qs {
-		backend := qs[i].Backend
-		if backend == "" {
-			backend = req.Backend
+		k := gkey{backend: deflt}
+		if len(qs[i].Backend) > 0 {
+			k.backend = internBackend(qs[i].Backend)
 		}
-		if backend == "" {
-			backend = n.deflt
-		}
-		k := gkey{backend: backend}
 		if qs[i].Floor.Set {
 			k.floor = qs[i].Floor.V
 		} else {
 			k.routed = true
 		}
-		groups[k] = append(groups[k], i)
+		gi, ok := b.groupOf[k]
+		if !ok {
+			// A new group takes the next slot and the capacity an earlier
+			// request left in it.
+			gi = len(b.groups)
+			b.groupOf[k] = gi
+			b.groups = slices.Grow(b.groups, 1)[:gi+1]
+			b.groups[gi] = batchGroup{key: k, idx: b.groups[gi].idx[:0], rows: b.groups[gi].rows[:0]}
+		}
+		g := &b.groups[gi]
+		g.idx = append(g.idx, i)
+		g.rows = append(g.rows, qs[i].RSS)
 	}
-	results := make([]serve.Result, len(qs))
-	run := func(k gkey, idx []int) {
-		rows := make([][]float64, len(idx))
-		for j, i := range idx {
-			rows[j] = qs[i].RSS
-		}
-		var got []serve.Result
-		var err error
-		if k.routed {
-			got, err = n.engine.RouteBatch(r.Context(), n.building, k.backend, rows)
-		} else {
-			key := localizer.Key{Building: n.building, Floor: k.floor, Backend: k.backend}
-			got, err = n.engine.LocalizeBatch(r.Context(), key, rows)
-		}
-		if err != nil {
-			// A group-level failure (unknown key, engine closed, context
-			// done) fails only this group's rows.
-			for _, i := range idx {
-				results[i] = serve.Result{Err: err}
-			}
-			return
-		}
-		for j, i := range idx {
-			results[i] = got[j]
-		}
-	}
-	if len(groups) == 1 {
-		for k, idx := range groups {
-			run(k, idx)
-		}
+	// Every row is in exactly one group, so every slot is overwritten.
+	b.results = slices.Grow(b.results[:0], len(qs))[:len(qs)]
+	if len(b.groups) == 1 {
+		n.runGroup(r.Context(), &b.groups[0], b.results)
 	} else {
 		var wg sync.WaitGroup
-		for k, idx := range groups {
+		for gi := range b.groups {
 			wg.Add(1)
-			go func(k gkey, idx []int) {
+			go func(g *batchGroup) {
 				defer wg.Done()
-				run(k, idx)
-			}(k, idx)
+				n.runGroup(r.Context(), g, b.results)
+			}(&b.groups[gi])
 		}
 		wg.Wait()
 	}
 
 	out := append(b.out[:0], `{"results":[`...)
-	for i := range results {
+	for i := range b.results {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		if err := results[i].Err; err != nil {
+		if err := b.results[i].Err; err != nil {
 			out = appendRowError(out, err)
 		} else {
-			out = appendResult(out, results[i])
+			out = appendResult(out, b.results[i])
 		}
 	}
 	b.out = append(out, ']', '}')
 	n.writeWire(w, b.out)
+}
+
+// runGroup sends one group's rows through the engine and files the answers
+// under the rows' request positions. A group-level failure (unknown key,
+// engine closed, context done) fails only this group's rows.
+func (n *Node) runGroup(ctx context.Context, g *batchGroup, results []serve.Result) {
+	var got []serve.Result
+	var err error
+	if g.key.routed {
+		got, err = n.engine.RouteBatch(ctx, n.building, g.key.backend, g.rows)
+	} else {
+		key := localizer.Key{Building: n.building, Floor: g.key.floor, Backend: g.key.backend}
+		got, err = n.engine.LocalizeBatch(ctx, key, g.rows)
+	}
+	for j, i := range g.idx {
+		if err != nil {
+			results[i] = serve.Result{Err: err}
+		} else {
+			results[i] = got[j]
+		}
+	}
 }
 
 // handleFeedback accepts one labelled online fingerprint — a client that
@@ -176,7 +182,7 @@ func (n *Node) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 // The trainer copies the RSS row, so the pooled buffer is safe to recycle.
 func (n *Node) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	b := bufPool.Get().(*wireBuf)
-	defer bufPool.Put(b)
+	defer putWireBuf(b)
 	if !n.readWireBody(w, r, b, maxLocalizeBody) {
 		return
 	}

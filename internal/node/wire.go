@@ -28,54 +28,6 @@ const (
 // (server fault) dashboards.
 const statusClientClosedRequest = 499
 
-// localizeReq is the pooled decode target of /v1/localize. Fields must be
-// reset between uses: json.Unmarshal leaves absent fields untouched, so a
-// stale Floor or Backend from the previous request on this buffer would
-// silently leak into the next one.
-type localizeReq struct {
-	RSS     []float64   `json:"rss"`
-	Backend string      `json:"backend"`
-	Floor   wire.OptInt `json:"floor"`
-}
-
-//calloc:noalloc
-func (q *localizeReq) reset() {
-	q.RSS = q.RSS[:0]
-	q.Backend = ""
-	q.Floor = wire.OptInt{}
-}
-
-// batchQuery is one row of a /v1/localize/batch request. Backend and Floor
-// are per-row overrides of the batch-level defaults.
-type batchQuery struct {
-	RSS     []float64   `json:"rss"`
-	Backend string      `json:"backend"`
-	Floor   wire.OptInt `json:"floor"`
-}
-
-// batchReq is the pooled decode target of /v1/localize/batch.
-type batchReq struct {
-	Backend string       `json:"backend"`
-	Queries []batchQuery `json:"queries"`
-}
-
-// reset clears every slot up to capacity, not just length: decoding a JSON
-// array into a reused slice re-fills old slots without zeroing fields the new
-// element omits, so a row that skips "floor" would otherwise inherit the
-// floor of whatever row sat in that slot last request.
-//
-//calloc:noalloc
-func (b *batchReq) reset() {
-	b.Backend = ""
-	qs := b.Queries[:cap(b.Queries)]
-	for i := range qs {
-		qs[i].RSS = qs[i].RSS[:0]
-		qs[i].Backend = ""
-		qs[i].Floor = wire.OptInt{}
-	}
-	b.Queries = b.Queries[:0]
-}
-
 // feedbackReq is the pooled decode target of /v1/feedback.
 type feedbackReq struct {
 	RSS   []float64 `json:"rss"`
@@ -90,25 +42,92 @@ func (q *feedbackReq) reset() {
 	q.Floor = 0
 }
 
+// gkey is the engine target a batch row resolves to. The routed flag keeps
+// {floor 0} distinct from {no floor}.
+type gkey struct {
+	backend string
+	floor   int
+	routed  bool
+}
+
+// batchGroup is the rows of one batch request bound for one engine target.
+type batchGroup struct {
+	key  gkey
+	idx  []int       // positions of the rows in the request
+	rows [][]float64 // their RSS vectors, in idx order
+}
+
 // wireBuf carries everything one request on the hot wire path needs: the
-// body read buffer, the response emit buffer, and the decode targets. One
-// pool entry serves one request at a time, so the slices inside amortise to
-// zero steady-state allocations.
+// body read buffer, the response emit buffer, the decode targets, and the
+// batch handler's grouping scratch. One pool entry serves one request at a
+// time, so the slices inside amortise to zero steady-state allocations.
 type wireBuf struct {
 	body  []byte
 	out   []byte
-	req   localizeReq
-	batch batchReq
+	req   wire.Query
+	batch wire.Batch
 	fb    feedbackReq
+
+	groupOf map[gkey]int // engine target → index into groups
+	groups  []batchGroup
+	results []serve.Result
 }
 
 var bufPool = sync.Pool{
 	New: func() any {
 		return &wireBuf{
-			body: make([]byte, 0, 4096),
-			out:  make([]byte, 0, 256),
+			body:    make([]byte, 0, 4096),
+			out:     make([]byte, 0, 256),
+			groupOf: make(map[gkey]int, 1),
 		}
 	},
+}
+
+// Retention caps of a recycled wireBuf. One 32 MB batch (maxBatchBody)
+// leaves a 32 MB body and more than that in decoded rows behind; kept, the
+// pool would pin that high-water mark for as long as traffic recycles the
+// entry. A 256-row batch of 520-AP fingerprints stays under both caps.
+const (
+	maxRetainedBody  = 1 << 20 // bytes of body capacity
+	maxRetainedWords = 1 << 19 // 8-byte words of decoded-row capacity (4 MiB)
+	// rowWords is what one batch row holds besides its RSS values: its
+	// wire.Query, result slot and group entries.
+	rowWords = 24
+)
+
+// putWireBuf recycles b, first dropping whatever an outsized request grew
+// past the retention caps.
+func putWireBuf(b *wireBuf) {
+	if cap(b.body) > maxRetainedBody {
+		b.body = nil
+	}
+	qs := b.batch.Queries[:cap(b.batch.Queries)]
+	words := len(qs) * rowWords
+	for i := range qs {
+		words += cap(qs[i].RSS)
+	}
+	if words > maxRetainedWords {
+		// The grouping scratch is sized by, and points into, the rows.
+		b.batch = wire.Batch{}
+		b.groups, b.results = nil, nil
+	}
+	bufPool.Put(b)
+}
+
+// internBackend returns the canonical spelling of a known backend name so
+// the hot path never allocates a string for a valid request; unknown names
+// take the one-time allocation and fail model lookup downstream with the
+// name intact for the error message. The copy matters beyond the error text:
+// s is a view into the pooled request body.
+//
+//calloc:noalloc
+func internBackend(s wire.Str) string {
+	for _, name := range KnownBackends {
+		if string(s) == name { // alloc-free comparison
+			return name
+		}
+	}
+	return string(s) //calloc:allow unknown backend names are rare; one copy beats holding the request buffer
 }
 
 // wireCounters tracks wire-level failures the engine never sees — malformed
@@ -120,6 +139,7 @@ type wireCounters struct {
 	overflow     atomic.Int64
 	batches      atomic.Int64
 	batchRows    atomic.Int64
+	fastPunts    atomic.Int64
 }
 
 // WireStats is the snapshot of the node's wire-level counters, reported
@@ -140,6 +160,11 @@ type WireStats struct {
 	// they carried.
 	Batches   int64 `json:"batches"`
 	BatchRows int64 `json:"batch_rows"`
+	// FastPunts counts localize and batch bodies the fast decoder handed to
+	// encoding/json (escapes, nested unknown values, malformed input). The
+	// answer is the same either way; a rising share means some client's
+	// bodies are paying the slow decode.
+	FastPunts int64 `json:"fast_punts"`
 }
 
 func (c *wireCounters) snapshot() WireStats {
@@ -150,6 +175,7 @@ func (c *wireCounters) snapshot() WireStats {
 		Overflow:         c.overflow.Load(),
 		Batches:          c.batches.Load(),
 		BatchRows:        c.batchRows.Load(),
+		FastPunts:        c.fastPunts.Load(),
 	}
 }
 

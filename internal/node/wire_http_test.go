@@ -181,3 +181,101 @@ func TestBatchEmptyAndMalformed(t *testing.T) {
 		t.Fatalf("malformed batch: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// postRaw posts a hand-written body and returns the status and response.
+func postRaw(t testing.TB, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
+}
+
+// rssJSON renders a fingerprint as a JSON array with its first value
+// replaced by the literal token first.
+func rssJSON(rss []float64, first string) string {
+	var sb strings.Builder
+	sb.WriteString("[" + first)
+	for _, v := range rss[1:] {
+		fmt.Fprintf(&sb, ",%v", v)
+	}
+	sb.WriteString("]")
+	return sb.String()
+}
+
+// TestNonJSONNumeralsRejected: numerals strconv.ParseFloat takes and JSON
+// does not used to pass the fast parser and fail encoding/json, so one body
+// had two verdicts. Both endpoints now answer 400 whichever decoder meets
+// them, and the spellings JSON does allow still answer.
+func TestNonJSONNumeralsRejected(t *testing.T) {
+	floors := testFloors(t)
+	_, srv := wireTestNode(t, floors[:1])
+	rss := floors[0].Test["OP3"][0].RSS
+	good := fmt.Sprintf(`{"rss":%s,"floor":0}`, rssJSON(rss, fmt.Sprint(rss[0])))
+
+	for _, num := range []string{"01", ".5", "1.", "-.5", "1.e3", "-01.5", "1e999"} {
+		single := fmt.Sprintf(`{"rss":%s,"floor":0}`, rssJSON(rss, num))
+		if status, out := postRaw(t, srv.URL+"/v1/localize", single); status != http.StatusBadRequest {
+			t.Errorf("/v1/localize with rss[0]=%s: status %d (%s), want 400", num, status, out)
+		}
+		batch := fmt.Sprintf(`{"queries":[%s,%s]}`, good, single)
+		if status, out := postRaw(t, srv.URL+"/v1/localize/batch", batch); status != http.StatusBadRequest {
+			t.Errorf("/v1/localize/batch with a row's rss[0]=%s: status %d (%s), want 400", num, status, out)
+		}
+	}
+	for _, num := range []string{"-0", "1E+2", "-6.05e1"} {
+		single := fmt.Sprintf(`{"rss":%s,"floor":0}`, rssJSON(rss, num))
+		if status, out := postRaw(t, srv.URL+"/v1/localize", single); status != http.StatusOK {
+			t.Errorf("/v1/localize with rss[0]=%s: status %d (%s), want 200", num, status, out)
+		}
+	}
+}
+
+// TestFastPuntsCounted: a body outside the fast grammar (here an escaped
+// backend name) is answered exactly like its plain spelling, and the detour
+// through encoding/json shows up in the wire stats.
+func TestFastPuntsCounted(t *testing.T) {
+	floors := testFloors(t)
+	n, srv := wireTestNode(t, floors[:1])
+	rss := rssJSON(floors[0].Test["OP3"][0].RSS, fmt.Sprint(floors[0].Test["OP3"][0].RSS[0]))
+
+	plain := fmt.Sprintf(`{"rss":%s,"floor":0,"backend":"knn"}`, rss)
+	escaped := fmt.Sprintf(`{"rss":%s,"floor":0,"backend":"k\u006en"}`, rss)
+	for _, path := range []string{"/v1/localize", "/v1/localize/batch"} {
+		wrap := func(q string) string {
+			if path == "/v1/localize" {
+				return q
+			}
+			return `{"queries":[` + q + `,` + q + `]}`
+		}
+		before := n.WireStats().FastPunts
+		wantStatus, want := postRaw(t, srv.URL+path, wrap(plain))
+		if got := n.WireStats().FastPunts; wantStatus != http.StatusOK || got != before {
+			t.Fatalf("%s plain body: status %d, fast_punts %d -> %d", path, wantStatus, before, got)
+		}
+		status, out := postRaw(t, srv.URL+path, wrap(escaped))
+		if status != wantStatus || out != want {
+			t.Fatalf("%s escaped body answered %d %s, plain body %d %s", path, status, out, wantStatus, want)
+		}
+		if got := n.WireStats().FastPunts; got != before+1 {
+			t.Fatalf("%s: fast_punts %d -> %d after one punted body", path, before, got)
+		}
+	}
+
+	// The counter is on the stats wire under its documented name.
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stats, err := io.ReadAll(resp.Body)
+	if err != nil || !bytes.Contains(stats, []byte(`"fast_punts":2`)) {
+		t.Fatalf("/v1/stats lacks fast_punts=2 (read error %v): %s", err, stats)
+	}
+}

@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"unsafe"
 
 	"calloc/internal/serve"
+	"calloc/internal/wire"
 )
 
 // TestLocalizeStatusMapping: engine errors keep their PR-4 statuses; context
@@ -44,47 +46,59 @@ func TestWireErrorAccounting(t *testing.T) {
 	}
 }
 
-// TestBatchReqResetNoAliasing: decoding a second, smaller batch into a
-// pooled batchReq must not inherit floors, backends, or RSS tails from the
-// slots the first batch left behind — the exact hazard reset() exists for.
-func TestBatchReqResetNoAliasing(t *testing.T) {
-	var b batchReq
-	first := `{"backend":"knn","queries":[
-		{"rss":[1,2,3],"floor":4,"backend":"gbdt"},
-		{"rss":[5,6,7],"floor":2},
-		{"rss":[8,9,10],"floor":1}]}`
-	b.reset()
-	if err := json.Unmarshal([]byte(first), &b); err != nil {
-		t.Fatal(err)
+// The canonical spellings must intern to the registry's strings so a valid
+// request never allocates for its backend name; an unknown name comes back as
+// a copy, not as a view into the (pooled) body it was decoded from.
+func TestInternBackend(t *testing.T) {
+	for _, name := range KnownBackends {
+		got := internBackend(wire.Str(name))
+		if got != name || unsafe.StringData(got) != unsafe.StringData(name) {
+			t.Fatalf("internBackend(%q) = %q, not the registry's string", name, got)
+		}
 	}
-	if len(b.Queries) != 3 || !b.Queries[0].Floor.Set || b.Queries[0].Backend != "gbdt" {
-		t.Fatalf("first decode = %+v", b)
+	body := []byte("svm")
+	got := internBackend(body)
+	body[0] = 'x'
+	if got != "svm" {
+		t.Fatalf("internBackend(svm) = %q after the body was reused", got)
+	}
+}
+
+// TestWireBufDropsOversized: one maxBatchBody-sized request must not leave
+// its body buffer, or the rows decoded from it, pinned in the pool entry it
+// rode on; an ordinary batch's buffers are kept.
+func TestWireBufDropsOversized(t *testing.T) {
+	fill := func(b *wireBuf, rows, width, body int) {
+		b.body = make([]byte, 0, body)
+		b.batch.Queries = make([]wire.Query, rows)
+		for i := range b.batch.Queries {
+			b.batch.Queries[i].RSS = make([]float64, width)
+		}
+		b.groups = make([]batchGroup, 1)
+		b.results = make([]serve.Result, rows)
 	}
 
-	b.reset()
-	second := `{"queries":[{"rss":[40,50]},{"rss":[60]}]}`
-	if err := json.Unmarshal([]byte(second), &b); err != nil {
-		t.Fatal(err)
+	var b wireBuf
+	fill(&b, 256, 520, 900<<10) // the router's largest coalesced window
+	putWireBuf(&b)
+	if cap(b.body) == 0 || cap(b.batch.Queries) != 256 || b.groups == nil || b.results == nil {
+		t.Fatalf("an ordinary batch's buffers were dropped: body %d, rows %d", cap(b.body), cap(b.batch.Queries))
 	}
-	if b.Backend != "" {
-		t.Fatalf("batch backend leaked: %q", b.Backend)
-	}
-	if len(b.Queries) != 2 {
-		t.Fatalf("second decode has %d queries", len(b.Queries))
-	}
-	for i, q := range b.Queries {
-		if q.Floor.Set {
-			t.Fatalf("row %d inherited floor %d from the previous batch", i, q.Floor.V)
+
+	for _, tc := range []struct {
+		name              string
+		rows, width, body int
+	}{
+		{"few wide rows", 4, 1 << 20, 32 << 20},
+		{"many empty rows", 1 << 20, 0, 4 << 20},
+	} {
+		var b wireBuf
+		fill(&b, tc.rows, tc.width, tc.body)
+		putWireBuf(&b)
+		if b.body != nil || b.batch.Queries != nil || b.groups != nil || b.results != nil {
+			t.Fatalf("%s: pool entry keeps body %d B, %d rows, %d results", tc.name,
+				cap(b.body), cap(b.batch.Queries), cap(b.results))
 		}
-		if q.Backend != "" {
-			t.Fatalf("row %d inherited backend %q", i, q.Backend)
-		}
-	}
-	if got := b.Queries[0].RSS; len(got) != 2 || got[0] != 40 || got[1] != 50 {
-		t.Fatalf("row 0 rss = %v", got)
-	}
-	if got := b.Queries[1].RSS; len(got) != 1 || got[0] != 60 {
-		t.Fatalf("row 1 rss = %v (stale tail?)", got)
 	}
 }
 

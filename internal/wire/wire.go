@@ -1,8 +1,9 @@
 // Package wire holds the small, allocation-conscious JSON/HTTP helpers the
 // serving wire path (internal/node handlers, internal/cluster router) shares:
 // pooled body reading behind http.MaxBytesReader, an option-int that decodes
-// without the per-request pointer allocation of *int fields, and append-style
-// JSON string emission for hand-built responses.
+// without the per-request pointer allocation of *int fields, append-style
+// JSON string emission for hand-built responses, and (decode.go) the one
+// decoder of every RSS-carrying request body.
 //
 // The helpers exist because the high-rate endpoints decode and encode the
 // same few fixed schemas millions of times: the generic
@@ -36,28 +37,9 @@ func (o *OptInt) UnmarshalJSON(b []byte) error {
 		*o = OptInt{}
 		return nil
 	}
-	neg := false
-	i := 0
-	if i < len(b) && (b[i] == '-' || b[i] == '+') {
-		neg = b[i] == '-'
-		i++
-	}
-	if i == len(b) {
-		return errors.New("wire: empty integer") //calloc:allow malformed-input error path, off the hot path
-	}
-	v := 0
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return errors.New("wire: not an integer: " + string(b)) //calloc:allow malformed-input error path, off the hot path
-		}
-		v = v*10 + int(c-'0')
-		if v < 0 {
-			return errors.New("wire: integer overflow: " + string(b)) //calloc:allow malformed-input error path, off the hot path
-		}
-	}
-	if neg {
-		v = -v
+	v, ok := parseInt(b)
+	if !ok {
+		return errors.New("wire: not an integer that fits an int: " + string(b)) //calloc:allow malformed-input error path, off the hot path
 	}
 	*o = OptInt{Set: true, V: v}
 	return nil
