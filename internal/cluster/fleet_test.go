@@ -369,6 +369,12 @@ func TestFleetEndToEnd(t *testing.T) {
 		if len(v.Stats) == 0 {
 			t.Fatalf("shard %q stats missing from fleet view", name)
 		}
+		var nodeStats struct {
+			Float32Kernel string `json:"float32_kernel"`
+		}
+		if err := json.Unmarshal(v.Stats, &nodeStats); err != nil || nodeStats.Float32Kernel != mat.Float32Kernel() {
+			t.Fatalf("shard %q float32_kernel = %q (%v), want %q", name, nodeStats.Float32Kernel, err, mat.Float32Kernel())
+		}
 	}
 	if stats.Router.Resolved == 0 || stats.Router.Proxied == 0 {
 		t.Fatalf("router stats empty: %+v", stats.Router)

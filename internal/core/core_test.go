@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -535,6 +537,58 @@ func TestModelWeightsRoundTrip(t *testing.T) {
 	}
 	if err := other.UnmarshalWeights(blob); err == nil {
 		t.Fatal("expected shape mismatch error")
+	}
+}
+
+// corruptWeights decodes a MarshalWeights blob, lets corrupt edit the tensor
+// list, and re-encodes it. The local type mirrors the gob wire form (gob
+// matches fields by name).
+func corruptWeights(t testing.TB, blob []byte, corrupt func(ts []wireTensor)) []byte {
+	t.Helper()
+	var ts []wireTensor
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&ts); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(ts)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+type wireTensor struct {
+	Name       string
+	Rows, Cols int
+	Data       []float64
+}
+
+// TestModelUnmarshalRejectsCorruptWeights: a weight blob with a truncated
+// tensor or a NaN is refused before any tensor is copied, so the model keeps
+// serving its previous weights and logits unchanged.
+func TestModelUnmarshalRejectsCorruptWeights(t *testing.T) {
+	m, x := syntheticModel(t, 12, 5, 40)
+	donor, _ := syntheticModel(t, 12, 5, 40)
+	donor.Params()[0].W.Data[0] += 1
+	donor.Params()[0].NoteUpdate()
+	good, err := donor.MarshalWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Logits(x).Clone()
+	for name, corrupt := range map[string]func(ts []wireTensor){
+		"short third tensor":  func(ts []wireTensor) { ts[2].Data = ts[2].Data[:1] },
+		"nan in third tensor": func(ts []wireTensor) { ts[2].Data[0] = math.NaN() },
+	} {
+		if err := m.UnmarshalWeights(corruptWeights(t, good, corrupt)); err == nil {
+			t.Fatalf("%s: corrupt weights accepted", name)
+		}
+		got := m.Logits(x)
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%s: logit %d changed from %g to %g after a rejected load", name, i, v, got.Data[i])
+			}
+		}
 	}
 }
 

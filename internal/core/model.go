@@ -28,17 +28,17 @@ type Model struct {
 	reluC                  *nn.ReLU
 
 	// Attention memory: the offline fingerprint database.
-	memX    *mat.Matrix // clean fingerprints (M×NumAPs)
-	memV    *mat.Matrix // one-hot RP labels (M×NumRPs)
-	memKeys *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
-	memKpT  *mat.Matrix // cached key projection memKeys·Wk, transposed (dk×M) for the axpy-kernel scores GEMM
+	memX      *mat.Matrix // clean fingerprints (M×NumAPs)
+	memLabels []int       // RP label of each memory row
+	memV      *mat.Matrix // one-hot RP labels (M×NumRPs), for the training forward pass
+	memKeys   *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
+	memKpT    *mat.Matrix // cached key projection memKeys·Wk, transposed (dk×M) for the axpy-kernel scores GEMM
 
-	// Packed snapshots of memKpT and memV at Cfg.Precision, rebuilt by
-	// RefreshMemoryKeys. With these (plus the per-Param packed views) all
-	// three attention GEMMs of the serving path stream snapshot-precision
-	// panels; memV's one-hot labels quantize exactly at every precision.
+	// memKpTP is memKpT packed at Cfg.Precision, rebuilt by
+	// RefreshMemoryKeys. With it (plus the per-Param packed views) both
+	// weight-side attention GEMMs of the serving path stream
+	// snapshot-precision panels; the value mix scatters over memLabels.
 	memKpTP *mat.Packed
-	memVP   *mat.Packed
 
 	// predPool recycles Predictor handles (and their workspaces) for the
 	// pooled Predict/PredictBatch entry points and batch shard workers.
@@ -92,7 +92,8 @@ func (m *Model) SetMemory(db []fingerprint.Sample) error {
 		return fmt.Errorf("core: memory has %d features, model expects %d", len(samples[0].RSS), m.Cfg.NumAPs)
 	}
 	m.memX = fingerprint.X(samples)
-	m.memV = nn.OneHot(fingerprint.Labels(samples), m.Cfg.NumRPs)
+	m.memLabels = fingerprint.Labels(samples)
+	m.memV = nn.OneHot(m.memLabels, m.Cfg.NumRPs)
 	m.RefreshMemoryKeys()
 	return nil
 }
@@ -115,10 +116,8 @@ func (m *Model) RefreshMemoryKeys() {
 	m.memKpT = m.attn.ProjectKeys(m.memKeys).Transpose()
 	if m.memKpTP == nil {
 		m.memKpTP = mat.PackPrec(m.memKpT, m.Cfg.Precision)
-		m.memVP = mat.PackPrec(m.memV, m.Cfg.Precision)
 	} else {
 		m.memKpTP.Repack(m.memKpT)
-		m.memVP.Repack(m.memV)
 	}
 }
 
@@ -152,8 +151,9 @@ func (m *Model) ModelSizeKB() float64 { return float64(m.NumParams()) * 4 / 1024
 // Footprint reports the serving precision and the resident byte size of the
 // packed snapshots the inference path actually streams per query: the three
 // weight-side GEMM operands (embedC.W, attn.Wq, fc.W) plus the packed memory
-// key projection and value matrix. Biases and training-only tensors (embedO,
-// Wk, gradients) are excluded — this is the per-query bandwidth footprint
+// key projection. Biases, the memory labels the value mix scatters over, and
+// training-only tensors (embedO, Wk, gradients, the one-hot memV) are
+// excluded — this is the per-query bandwidth footprint
 // that decides how many {floor, backend} models stay hot in cache, surfaced
 // through /v1/models via localizer.FootprintReporter.
 func (m *Model) Footprint() (precision string, weightBytes int64) {
@@ -162,7 +162,7 @@ func (m *Model) Footprint() (precision string, weightBytes int64) {
 		m.attn.Wq.PackedPrec(prec).WeightBytes() +
 		m.denseF.W.PackedPrec(prec).WeightBytes()
 	if m.memKpTP != nil {
-		weightBytes += m.memKpTP.WeightBytes() + m.memVP.WeightBytes()
+		weightBytes += m.memKpTP.WeightBytes()
 	}
 	return prec.String(), weightBytes
 }

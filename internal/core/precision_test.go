@@ -1,6 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"calloc/internal/attack"
@@ -87,5 +92,82 @@ func TestReducedPrecisionMetersBudget(t *testing.T) {
 				t.Errorf("FGSM mean error %.3f m regresses >1 m over float64's %.3f m", advErr, advBase)
 			}
 		})
+	}
+}
+
+// servedShapeModel builds an untrained float32 model at the served shape
+// (156 APs → 128 → 64, 320 memory rows, 64 RPs) with synthetic memory, and
+// a 67-row query batch: 64 rows fill the 4-row kernel tiles, the last three
+// take the remainder path.
+func servedShapeModel(t testing.TB, prec mat.Precision) (*Model, *mat.Matrix) {
+	t.Helper()
+	cfg := DefaultConfig(156, 64)
+	cfg.Precision = prec
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	db := make([]fingerprint.Sample, 320)
+	for i := range db {
+		rss := make([]float64, cfg.NumAPs)
+		for j := range rss {
+			if rng.Intn(3) > 0 { // a third of the APs unheard: ReLU-sparse activations
+				rss[j] = rng.Float64()
+			}
+		}
+		db[i] = fingerprint.Sample{RSS: rss, RP: rng.Intn(cfg.NumRPs)}
+	}
+	if err := m.SetMemory(db); err != nil {
+		t.Fatal(err)
+	}
+	x := mat.New(67, cfg.NumAPs)
+	for i := range x.Data {
+		x.Data[i] = rng.Float64()
+	}
+	return m, x
+}
+
+// logitsHash is the FNV-64a hash of every logit's float64 bit pattern.
+func logitsHash(logits *mat.Matrix) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range logits.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFloat32LogitsPinned pins the float32 serving path's logits bit for bit.
+// The register-blocked kernel tile and the one-hot value-mix scatter both
+// keep every float32 sum in ascending inner-dimension order with one rounding
+// per product and per add, so the logits of a fixed-seed model must hash to
+// the value recorded before either existed.
+func TestFloat32LogitsPinned(t *testing.T) {
+	const want uint64 = 0x43e83a77b044b7dc
+	m, x := servedShapeModel(t, mat.PrecFloat32)
+	if got := logitsHash(m.Predictor().logits(x)); got != want {
+		t.Fatalf("float32 logits hash %#x, want %#x", got, want)
+	}
+}
+
+// BenchmarkPredictServedShape times one sequential predict at the served
+// shape, per precision: a lone query (never enters the 4-row float32 tile)
+// and a 64-row wire batch.
+func BenchmarkPredictServedShape(b *testing.B) {
+	for _, prec := range []mat.Precision{mat.PrecFloat32, mat.PrecFloat64, mat.PrecInt8} {
+		m, x := servedShapeModel(b, prec)
+		for _, rows := range []int{1, 64} {
+			b.Run(fmt.Sprintf("%s/r%d", prec, rows), func(b *testing.B) {
+				q := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
+				p := m.Predictor()
+				dst := make([]int, rows)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.PredictInto(dst, q)
+				}
+			})
+		}
 	}
 }

@@ -45,7 +45,7 @@ func (p *Predictor) logits(x *mat.Matrix) *mat.Matrix {
 	}
 	p.ws.Reset()
 	hc := m.embedC.InferInto(p.ws, x)
-	att := m.attn.InferPackedTInto(p.ws, hc, m.memKpTP, m.memVP)
+	att := m.attn.InferPackedTInto(p.ws, hc, m.memKpTP, m.memLabels, m.Cfg.NumRPs)
 	return m.fc.InferInto(p.ws, att)
 }
 

@@ -56,9 +56,29 @@ func growI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
+// Float32Kernel names the instruction-set path float32 snapshots multiply
+// through on this machine: "avx2" (the register-blocked tile, SSE2 for the
+// remainders), "sse2", or "generic" (the portable scalar loop). Nodes report
+// it in /v1/stats so a benchmark figure can be tied to the kernel that
+// produced it.
+func Float32Kernel() string {
+	switch {
+	case useTileF32:
+		return "avx2"
+	case haveAxpy4F32SSE:
+		return "sse2"
+	default:
+		return "generic"
+	}
+}
+
 // fusedMulRowsF32 computes rows [lo, hi) of dst = act(a·P + bias) for a
 // float32 snapshot P: activations converted to float32 once, products
-// accumulated in float32, widened to float64 in the fused epilogue.
+// accumulated in float32, widened to float64 in the fused epilogue. With
+// AVX2 the rows&^3 × n&^15 block runs through the register-blocked 4×16 tile;
+// the remainder rows and columns (everything, without AVX2) take the
+// cache-blocked axpy4F32 passes. Both sum each element in ascending k with
+// the same roundings, so the split never changes a bit of the result.
 //
 //calloc:noalloc
 func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, lo, hi int) {
@@ -78,33 +98,54 @@ func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, 
 			frow[k] = float32(v)
 		}
 	}
-	for i := range acc {
-		acc[i] = 0
+	tileRows, tileCols := 0, 0
+	if useTileF32 && kDim > 0 {
+		tileRows, tileCols = rows&^3, n&^15
 	}
-	for j0 := 0; j0 < n; j0 += blockN {
-		j1 := min(j0+blockN, n)
-		for k0 := 0; k0 < kDim; k0 += blockK {
-			k1 := min(k0+blockK, kDim)
-			for r := 0; r < rows; r++ {
-				axpy4F32(acc[r*n+j0:r*n+j1], aw[r*kDim:(r+1)*kDim], p.f32, n, k0, k1, j0)
-			}
+	for r := 0; r < tileRows; r += 4 {
+		for j := 0; j < tileCols; j += 16 {
+			tileF32AVX2(&acc[r*n+j], n, &aw[r*kDim], kDim, &p.f32[j], n, kDim)
 		}
-		for r := 0; r < rows; r++ {
-			orow := dst.Data[(lo+r)*n+j0 : (lo+r)*n+j1]
-			crow := acc[r*n+j0 : r*n+j1]
-			if bias != nil {
-				brow := bias[j0:j1]
-				for j := range orow {
-					orow[j] = activate(float64(crow[j])+brow[j], act)
-				}
-			} else {
-				for j := range orow {
-					orow[j] = activate(float64(crow[j]), act)
-				}
+	}
+	axpyRowsF32(acc, aw, p.f32, n, kDim, 0, tileRows, tileCols)
+	axpyRowsF32(acc, aw, p.f32, n, kDim, tileRows, rows, 0)
+	for r := 0; r < rows; r++ {
+		orow := dst.Data[(lo+r)*n : (lo+r+1)*n]
+		crow := acc[r*n : (r+1)*n]
+		if bias != nil {
+			for j := range orow {
+				orow[j] = activate(float64(crow[j])+bias[j], act)
+			}
+		} else {
+			for j := range orow {
+				orow[j] = activate(float64(crow[j]), act)
 			}
 		}
 	}
 	quantScratchPool.Put(s)
+}
+
+// axpyRowsF32 computes columns [jStart, n) of accumulator rows [r0, r1)
+// outright: acc[r][j] = Σ_k aw[r][k]·panel[k][j], through axpy4F32 over
+// cache-blocked (blockK × blockN) panels reused across the rows.
+//
+//calloc:noalloc
+func axpyRowsF32(acc, aw, panel []float32, n, kDim, r0, r1, jStart int) {
+	for r := r0; r < r1; r++ {
+		crow := acc[r*n+jStart : (r+1)*n]
+		for j := range crow {
+			crow[j] = 0
+		}
+	}
+	for j0 := jStart; j0 < n; j0 += blockN {
+		j1 := min(j0+blockN, n)
+		for k0 := 0; k0 < kDim; k0 += blockK {
+			k1 := min(k0+blockK, kDim)
+			for r := r0; r < r1; r++ {
+				axpy4F32(acc[r*n+j0:r*n+j1], aw[r*kDim:(r+1)*kDim], panel, n, k0, k1, j0)
+			}
+		}
+	}
 }
 
 // axpy4F32 is axpy4 over float32 panels: orow[j] += Σ_k arow[k]·panel[k][j0+j]

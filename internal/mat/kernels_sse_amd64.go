@@ -9,11 +9,13 @@ const haveAxpy4F32SSE = true
 // x[3]·w[3·stride+j] for j in [0, n). stride is the panel's full column
 // count in elements; the caller guarantees all four rows are in bounds.
 //
-// This is the only assembly in the repository, and it exists for one reason:
-// the gc compiler does not auto-vectorize, so scalar float32 math retires at
-// the same rate as float64 and packing weights in float32 would buy nothing
-// on compute-bound shapes. Four lanes per MULPS/ADDPS is what turns the
-// halved weight stream into halved single-query latency (see BENCH_pr7).
+// It exists because the gc compiler does not auto-vectorize, so scalar
+// float32 math retires at the same rate as float64 and packing weights in
+// float32 would buy nothing on compute-bound shapes. Four lanes per
+// MULPS/ADDPS is what turns the halved weight stream into halved
+// single-query latency (see BENCH_pr7). It is the whole float32 product
+// without AVX2, and the remainder rows and columns beside the AVX2 tile
+// (kernels_avx2_amd64.s) with it.
 //
 //go:noescape
 //calloc:noalloc

@@ -215,9 +215,8 @@ func TestPackedWeightBytes(t *testing.T) {
 }
 
 // Per-output-channel symmetric quantization must be exact on exact-fit
-// inputs: a one-hot matrix (the CALLOC memV value operand) has column scales
-// of 1/127 and quantizes without rounding error, so an int8 value mix
-// introduces no label-space noise beyond the activation row quantization.
+// inputs: a one-hot matrix has column scales of 1/127 and quantizes without
+// rounding error.
 func TestInt8QuantizesOneHotExactly(t *testing.T) {
 	b := New(6, 3)
 	for i := 0; i < 6; i++ {

@@ -179,21 +179,22 @@ func (ca *CrossAttention) InferProjectedTInto(ws *Workspace, q, kpT, v *mat.Matr
 	return ca.attendInto(ws, scores, v)
 }
 
-// InferPackedTInto is InferProjectedTInto with the memory operands supplied
-// as Packed snapshots — kpT = ProjectKeys(k)ᵀ and the value matrix v, both
-// packed at the caller's serving precision (core.Model.RefreshMemoryKeys
-// rebuilds them per weight update). With Wq drawn at the workspace precision
-// too, all three GEMMs of the attention pass (query projection, scores,
-// value mix) stream reduced-precision panels; the softmax and every
-// activation row stay float64. Cache-free and safe for concurrent use as
-// long as each goroutine owns its workspace.
-func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT, v *mat.Packed) *mat.Matrix {
+// InferPackedTInto is InferProjectedTInto with the key projection supplied
+// as a Packed snapshot — kpT = ProjectKeys(k)ᵀ, packed at the caller's
+// serving precision (core.Model.RefreshMemoryKeys rebuilds it per weight
+// update) — and the value matrix given by its class labels: the memory's V
+// is one-hot, so the value mix is the scatter mixOneHotInto instead of a
+// GEMM. With Wq drawn at the workspace precision too, both weight-side GEMMs
+// of the attention pass (query projection, scores) stream reduced-precision
+// panels; the softmax and every activation row stay float64. Cache-free and
+// safe for concurrent use as long as each goroutine owns its workspace.
+func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT *mat.Packed, labels []int, classes int) *mat.Matrix {
 	if q.Cols != ca.Wq.W.Rows || kpT.Rows() != ca.DK {
 		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kpT%dx%d vs W %dx%d",
 			q.Rows, q.Cols, kpT.Rows(), kpT.Cols(), ca.Wq.W.Rows, ca.Wq.W.Cols))
 	}
-	if kpT.Cols() != v.Rows() {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs V rows %d", kpT.Cols(), v.Rows()))
+	if kpT.Cols() != len(labels) {
+		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs %d labels", kpT.Cols(), len(labels)))
 	}
 	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.PackedPrec(ws.Precision()))
 	scores := mat.MulPackedInto(ws.Take(q.Rows, kpT.Cols()), qp, kpT)
@@ -201,7 +202,41 @@ func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT, v 
 	for i := 0; i < scores.Rows; i++ {
 		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
 	}
-	return mat.MulPackedInto(ws.Take(scores.Rows, v.Cols()), scores, v)
+	return mixOneHotInto(ws.Take(scores.Rows, classes), scores, labels, ws.Precision() == mat.PrecFloat32)
+}
+
+// mixOneHotInto computes dst = w·V for the one-hot value matrix V whose row
+// m is the unit vector of class labels[m], and returns dst: a product with a
+// one-hot panel is exactly the scatter dst[r][labels[m]] += w[r][m], with m
+// ascending. With f32 set each sum is rounded to float32 at every add, which
+// reproduces bit for bit the float32 packed GEMM it replaces (every product
+// with a one-hot entry is exact, and that kernel adds in ascending m too);
+// otherwise it accumulates in float64. dst must be w.Rows × (max label + 1)
+// or wider and must not alias w.
+//
+//calloc:noalloc
+func mixOneHotInto(dst, w *mat.Matrix, labels []int, f32 bool) *mat.Matrix {
+	if len(labels) != w.Cols || dst.Rows != w.Rows {
+		panic("nn: mixOneHotInto shape mismatch") //calloc:allow the message boxes only on the caller-bug panic path
+	}
+	for r := 0; r < w.Rows; r++ {
+		orow := dst.Data[r*dst.Cols : (r+1)*dst.Cols]
+		wrow := w.Data[r*w.Cols : (r+1)*w.Cols]
+		for j := range orow {
+			orow[j] = 0
+		}
+		if f32 {
+			// orow holds float32 values exactly, so narrowing it back is exact.
+			for m, l := range labels {
+				orow[l] = float64(float32(orow[l]) + float32(wrow[m]))
+			}
+		} else {
+			for m, l := range labels {
+				orow[l] += wrow[m]
+			}
+		}
+	}
+	return dst
 }
 
 // Backward takes dL/d(output) (B×C) and returns (dL/dq, dL/dk). Parameter

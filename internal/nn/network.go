@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"calloc/internal/mat"
 )
@@ -157,7 +158,9 @@ func (n *Network) MarshalWeights() ([]byte, error) {
 }
 
 // UnmarshalWeights loads weights previously produced by MarshalWeights into a
-// network with an identical architecture.
+// network with an identical architecture. Every tensor is validated — shape,
+// element count, finiteness — before any is copied, so a rejected blob leaves
+// the network exactly as it was.
 func (n *Network) UnmarshalWeights(data []byte) error {
 	var sp []savedParam
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sp); err != nil {
@@ -173,7 +176,17 @@ func (n *Network) UnmarshalWeights(data []byte) error {
 			return fmt.Errorf("nn: tensor %q shape mismatch: file %dx%d, network %dx%d",
 				s.Name, s.Rows, s.Cols, p.W.Rows, p.W.Cols)
 		}
-		copy(p.W.Data, s.Data)
+		if len(s.Data) != len(p.W.Data) {
+			return fmt.Errorf("nn: tensor %q has %d values, want %d", s.Name, len(s.Data), len(p.W.Data))
+		}
+		for j, v := range s.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: tensor %q value %d is %v", s.Name, j, v)
+			}
+		}
+	}
+	for i, p := range ps {
+		copy(p.W.Data, sp[i].Data)
 		p.NoteUpdate()
 	}
 	return nil

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -269,6 +271,48 @@ func TestUnmarshalWeightsShapeMismatch(t *testing.T) {
 	other := NewNetwork(NewDense("l1", 4, 9, rng))
 	if err := other.UnmarshalWeights(data); err == nil {
 		t.Fatal("expected shape-mismatch error")
+	}
+}
+
+// TestUnmarshalWeightsRejectsCorruptTensors: a blob with a short tensor or a
+// non-finite value is refused, and refused whole — no tensor before the bad
+// one has been overwritten when the error comes back.
+func TestUnmarshalWeightsRejectsCorruptTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	src := NewNetwork(NewDense("l1", 4, 8, rng), &ReLU{}, NewDense("l2", 8, 3, rng))
+	cases := []struct {
+		name    string
+		corrupt func(sp []savedParam)
+	}{
+		{"short", func(sp []savedParam) { sp[2].Data = sp[2].Data[:len(sp[2].Data)-1] }},
+		{"long", func(sp []savedParam) { sp[2].Data = append(sp[2].Data, 1) }},
+		{"nan", func(sp []savedParam) { sp[2].Data[5] = math.NaN() }},
+		{"inf", func(sp []savedParam) { sp[3].Data[0] = math.Inf(-1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sp []savedParam
+			for _, p := range src.Params() {
+				sp = append(sp, savedParam{p.Name, p.W.Rows, p.W.Cols, append([]float64(nil), p.W.Data...)})
+			}
+			tc.corrupt(sp)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(sp); err != nil {
+				t.Fatal(err)
+			}
+			dst := NewNetwork(NewDense("l1", 4, 8, rng), &ReLU{}, NewDense("l2", 8, 3, rng))
+			before := dst.Snapshot()
+			if err := dst.UnmarshalWeights(buf.Bytes()); err == nil {
+				t.Fatal("corrupt blob accepted")
+			}
+			for i, p := range dst.Params() {
+				for j, v := range p.W.Data {
+					if v != before[i][j] {
+						t.Fatalf("tensor %d element %d overwritten by a rejected blob", i, j)
+					}
+				}
+			}
+		})
 	}
 }
 

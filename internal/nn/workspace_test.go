@@ -172,3 +172,75 @@ func TestInferProjectedIntoMatches(t *testing.T) {
 		t.Fatalf("steady-state InferProjectedTInto allocates %.0f objects/op, want 0", allocs)
 	}
 }
+
+// TestInferLabelsMatchesForward: the serving attention path — packed key
+// projection, value mix scattered over the memory labels — agrees with the
+// training Forward over the one-hot value matrix: to 1e-9 at float64, 1e-4
+// at float32, and on every row's argmax class at int8.
+func TestInferLabelsMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const classes = 5
+	ca := NewCrossAttention("att", 12, 16, rng)
+	q := randMat(rng, 9, 12)
+	k := randMat(rng, 40, 12)
+	labels := make([]int, k.Rows)
+	for i := range labels {
+		labels[i] = rng.Intn(classes)
+	}
+	want := ca.Forward(q, k, OneHot(labels, classes))
+	kpT := ca.ProjectKeys(k).Transpose()
+	for _, tc := range []struct {
+		prec mat.Precision
+		tol  float64 // 0: argmax agreement only
+	}{{mat.PrecFloat64, 1e-9}, {mat.PrecFloat32, 1e-4}, {mat.PrecInt8, 0}} {
+		t.Run(tc.prec.String(), func(t *testing.T) {
+			ws := NewWorkspace()
+			ws.SetPrecision(tc.prec)
+			got := ca.InferPackedTInto(ws, q, mat.PackPrec(kpT, tc.prec), labels, classes)
+			if got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for r := 0; r < want.Rows; r++ {
+				if tc.tol == 0 {
+					if g, w := mat.ArgMax(got.Row(r)), mat.ArgMax(want.Row(r)); g != w {
+						t.Fatalf("row %d: argmax %d, want %d", r, g, w)
+					}
+					continue
+				}
+				for j, w := range want.Row(r) {
+					if g := got.Row(r)[j]; math.Abs(g-w) > tc.tol {
+						t.Fatalf("row %d class %d: %g, want %g (tol %g)", r, j, g, w, tc.tol)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMixOneHotMatchesProduct: the scatter equals the GEMM against the
+// one-hot matrix — exactly at float64 when every class has at most one
+// memory row, and bit for bit against the float32 rounding sequence.
+func TestMixOneHotMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	w := randMat(rng, 6, 9)
+	labels := []int{3, 0, 5, 1, 8, 2, 7, 4, 6} // a permutation: one row per class
+	got := mixOneHotInto(mat.New(6, 9), w, labels, false)
+	closeEnough(t, got, mat.Mul(w, OneHot(labels, 9)), "permutation")
+
+	labels = []int{2, 2, 0, 1, 2, 0, 1, 1, 2}
+	got = mixOneHotInto(mat.New(6, 3), w, labels, true)
+	for r := 0; r < w.Rows; r++ {
+		var acc [3]float32
+		for m, l := range labels {
+			acc[l] += float32(w.At(r, m))
+		}
+		for j, v := range acc {
+			if got.At(r, j) != float64(v) {
+				t.Fatalf("row %d class %d: %v, want float32 sum %v", r, j, got.At(r, j), v)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { mixOneHotInto(got, w, labels, true) }); allocs != 0 {
+		t.Fatalf("mixOneHotInto allocates %.0f objects/op, want 0", allocs)
+	}
+}

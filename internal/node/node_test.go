@@ -3,7 +3,9 @@ package node_test
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/gob"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -581,5 +583,69 @@ func TestModelsReportPrecisionAndWeightBytes(t *testing.T) {
 	if ratio := float64(f64.WeightBytes) / float64(i8.WeightBytes); ratio < 4 {
 		t.Fatalf("int8 snapshots only %.2f× smaller than float64 (f64=%d, int8=%d), want ≥4×",
 			ratio, f64.WeightBytes, i8.WeightBytes)
+	}
+}
+
+// TestSwapRejectsCorruptWeights: POST /v1/swap with a weight blob whose
+// third tensor is truncated or holds a NaN answers 400 and leaves the live
+// model on its old version; a well-formed blob still swaps.
+func TestSwapRejectsCorruptWeights(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)[:1]
+	blob := untrainedWeights(t, datasets[0])
+	n, err := node.New(datasets, node.Config{
+		Backends:       []string{"calloc"},
+		WeightBlobs:    [][]byte{blob},
+		Precision:      "float32",
+		Engine:         serve.Options{MaxBatch: 4, Workers: 1},
+		DisableTrainer: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ts := httptest.NewServer(n.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	key := localizer.Key{Building: datasets[0].BuildingID, Floor: 0, Backend: "calloc"}
+	v0 := liveVersion(t, client, ts.URL, key)
+
+	type tensor struct {
+		Name       string
+		Rows, Cols int
+		Data       []float64
+	}
+	swap := func(corrupt func(ts []tensor)) int {
+		t.Helper()
+		var tensors []tensor
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&tensors); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(tensors)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tensors); err != nil {
+			t.Fatal(err)
+		}
+		status, _ := postJSON(t, client, ts.URL+"/v1/swap", map[string]any{
+			"floor": 0, "weights": base64.StdEncoding.EncodeToString(buf.Bytes()),
+		})
+		return status
+	}
+	for name, corrupt := range map[string]func(ts []tensor){
+		"short": func(ts []tensor) { ts[2].Data = ts[2].Data[:len(ts[2].Data)/2] },
+		"nan":   func(ts []tensor) { ts[2].Data[3] = math.NaN() },
+	} {
+		if status := swap(corrupt); status != http.StatusBadRequest {
+			t.Fatalf("%s: /v1/swap answered %d, want 400", name, status)
+		}
+		if v := liveVersion(t, client, ts.URL, key); v != v0 {
+			t.Fatalf("%s: rejected swap moved the live version %d -> %d", name, v0, v)
+		}
+	}
+	if status := swap(func([]tensor) {}); status != http.StatusOK {
+		t.Fatalf("well-formed swap answered %d", status)
+	}
+	if v := liveVersion(t, client, ts.URL, key); v <= v0 {
+		t.Fatalf("well-formed swap left the version at %d", v)
 	}
 }

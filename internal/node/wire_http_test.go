@@ -12,6 +12,7 @@ import (
 
 	"calloc/internal/fingerprint"
 	"calloc/internal/leakcheck"
+	"calloc/internal/mat"
 	"calloc/internal/node"
 	"calloc/internal/serve"
 )
@@ -148,13 +149,17 @@ func TestBatchOverHTTPMatchesSingles(t *testing.T) {
 	}
 	defer sresp.Body.Close()
 	var stats struct {
-		Wire node.WireStats `json:"wire"`
+		Wire          node.WireStats `json:"wire"`
+		Float32Kernel string         `json:"float32_kernel"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Wire.Batches != 1 || stats.Wire.BatchRows != int64(len(queries)) {
 		t.Fatalf("wire stats = %+v, want batches=1 batch_rows=%d", stats.Wire, len(queries))
+	}
+	if stats.Float32Kernel != mat.Float32Kernel() {
+		t.Fatalf("/v1/stats float32_kernel = %q, want %q", stats.Float32Kernel, mat.Float32Kernel())
 	}
 }
 
