@@ -586,7 +586,7 @@ var servePrecisions = []mat.Precision{mat.PrecFloat64, mat.PrecFloat32, mat.Prec
 
 // BenchmarkSteadyStateSingleQuery is the tentpole acceptance bench: the
 // single-query Predictor path at paper shapes must report 0 allocs/op once
-// the workspace and packed weight views are warm — at every serving
+// the workspace and the quantized kernels' scratch are warm — at every serving
 // precision — and the float32 variant must beat float64 by ≥1.5×
 // (min-of-N interleaved via scripts/benchmin.sh).
 func BenchmarkSteadyStateSingleQuery(b *testing.B) {
@@ -597,7 +597,7 @@ func BenchmarkSteadyStateSingleQuery(b *testing.B) {
 			x := mat.FromSlice(1, len(q[0]), q[0])
 			p := m.Predictor()
 			dst := make([]int, 1)
-			p.PredictInto(dst, x) // warm workspace, packed views, quant scratch
+			p.PredictInto(dst, x) // warm workspace and quant scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -714,7 +714,7 @@ func BenchmarkRegistryDispatch(b *testing.B) {
 
 	b.Run("direct_predictor", func(b *testing.B) {
 		p := m.Predictor()
-		p.PredictInto(dst, x) // warm workspace and packed views
+		p.PredictInto(dst, x) // warm the workspace
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -565,17 +565,25 @@ type wireTensor struct {
 
 // TestModelUnmarshalRejectsCorruptWeights: a weight blob with a truncated
 // tensor or a NaN is refused before any tensor is copied, so the model keeps
-// serving its previous weights and logits unchanged.
+// its previous weights and serves exactly the logits it served before.
 func TestModelUnmarshalRejectsCorruptWeights(t *testing.T) {
 	m, x := syntheticModel(t, 12, 5, 40)
 	donor, _ := syntheticModel(t, 12, 5, 40)
 	donor.Params()[0].W.Data[0] += 1
-	donor.Params()[0].NoteUpdate()
 	good, err := donor.MarshalWeights()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unchanged := func(name, path string, got, want *mat.Matrix) {
+		t.Helper()
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%s: %s logit %d changed from %g to %g after a rejected load", name, path, i, v, got.Data[i])
+			}
+		}
+	}
 	want := m.Logits(x).Clone()
+	wantServed := m.Predictor().logits(x).Clone()
 	for name, corrupt := range map[string]func(ts []wireTensor){
 		"short third tensor":  func(ts []wireTensor) { ts[2].Data = ts[2].Data[:1] },
 		"nan in third tensor": func(ts []wireTensor) { ts[2].Data[0] = math.NaN() },
@@ -583,12 +591,8 @@ func TestModelUnmarshalRejectsCorruptWeights(t *testing.T) {
 		if err := m.UnmarshalWeights(corruptWeights(t, good, corrupt)); err == nil {
 			t.Fatalf("%s: corrupt weights accepted", name)
 		}
-		got := m.Logits(x)
-		for i, v := range want.Data {
-			if got.Data[i] != v {
-				t.Fatalf("%s: logit %d changed from %g to %g after a rejected load", name, i, v, got.Data[i])
-			}
-		}
+		unchanged(name, "Logits", m.Logits(x), want)
+		unchanged(name, "served", m.Predictor().logits(x), wantServed)
 	}
 }
 

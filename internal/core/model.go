@@ -32,13 +32,10 @@ type Model struct {
 	memLabels []int       // RP label of each memory row
 	memV      *mat.Matrix // one-hot RP labels (M×NumRPs), for the training forward pass
 	memKeys   *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
-	memKpT    *mat.Matrix // cached key projection memKeys·Wk, transposed (dk×M) for the axpy-kernel scores GEMM
 
-	// memKpTP is memKpT packed at Cfg.Precision, rebuilt by
-	// RefreshMemoryKeys. With it (plus the per-Param packed views) both
-	// weight-side attention GEMMs of the serving path stream
-	// snapshot-precision panels; the value mix scatters over memLabels.
-	memKpTP *mat.Packed
+	// served is what predictors run, compiled by RefreshMemoryKeys; nil
+	// until the model has memory.
+	served *served
 
 	// predPool recycles Predictor handles (and their workspaces) for the
 	// pooled Predict/PredictBatch entry points and batch shard workers.
@@ -107,18 +104,13 @@ func (m *Model) MemorySize() int {
 }
 
 // RefreshMemoryKeys recomputes the eval-mode key embeddings of the memory
-// database and their attention projection; call after every weight update
-// that should be visible at inference (the trainer does this
-// automatically). The cache-free Infer pass leaves the training caches of
-// embedO untouched.
+// database and hands the current weights over to serving: it compiles the
+// snapshot every predictor of the model runs. SetMemory, UnmarshalWeights and
+// the end of Train call it; after an in-place weight update the model keeps
+// serving its previous snapshot until it is called.
 func (m *Model) RefreshMemoryKeys() {
-	m.memKeys = m.embedO.Infer(m.memX)
-	m.memKpT = m.attn.ProjectKeys(m.memKeys).Transpose()
-	if m.memKpTP == nil {
-		m.memKpTP = mat.PackPrec(m.memKpT, m.Cfg.Precision)
-	} else {
-		m.memKpTP.Repack(m.memKpT)
-	}
+	m.memKeys = m.embedO.Forward(m.memX, false)
+	m.served = m.compile()
 }
 
 // Params returns every trainable parameter of the model.
@@ -155,16 +147,15 @@ func (m *Model) ModelSizeKB() float64 { return float64(m.NumParams()) * 4 / 1024
 // training-only tensors (embedO, Wk, gradients, the one-hot memV) are
 // excluded — this is the per-query bandwidth footprint
 // that decides how many {floor, backend} models stay hot in cache, surfaced
-// through /v1/models via localizer.FootprintReporter.
+// through /v1/models via localizer.FootprintReporter. A model without memory
+// serves nothing and reports 0 bytes.
 func (m *Model) Footprint() (precision string, weightBytes int64) {
-	prec := m.Cfg.Precision
-	weightBytes = m.denseC.W.PackedPrec(prec).WeightBytes() +
-		m.attn.Wq.PackedPrec(prec).WeightBytes() +
-		m.denseF.W.PackedPrec(prec).WeightBytes()
-	if m.memKpTP != nil {
-		weightBytes += m.memKpTP.WeightBytes()
+	if s := m.served; s != nil {
+		for _, p := range []*mat.Packed{s.embedW, s.wq, s.fcW, s.kpT} {
+			weightBytes += p.WeightBytes()
+		}
 	}
-	return prec.String(), weightBytes
+	return m.Cfg.Precision.String(), weightBytes
 }
 
 // Logits runs the inference path of Fig 3's online phase: embed the unknown
@@ -189,14 +180,13 @@ const predictShardRows = 16
 
 // PredictBatch evaluates every row of x and returns its RP class. It
 // delegates to a pooled Predictor handle: the forward pass draws all
-// temporaries from the handle's workspace and multiplies against
-// lazily-packed weight views, and large batches are row-sharded across up to
+// temporaries from the handle's workspace and multiplies against the model's
+// compiled serving snapshot, and large batches are row-sharded across up to
 // mat.Parallelism() worker goroutines (one shared worker budget with the
 // parallel kernels, so batch-level and kernel-level sharding never
-// oversubscribe the scheduler). The inference path is cache-free, the
-// model's weights and memory keys are read-only during evaluation, and each
-// worker owns a disjoint slice of the output, so the fan-out is race-free
-// and the result is identical to sequential evaluation. Callers that
+// oversubscribe the scheduler). The snapshot is immutable and each worker
+// owns a disjoint slice of the output, so the fan-out is race-free and the
+// result is identical to sequential evaluation. Callers that
 // localise repeatedly should hold their own Predictor and use
 // PredictInto/PredictBatchInto to avoid the per-call result allocation.
 func (m *Model) PredictBatch(x *mat.Matrix) []int { return m.PredictBatchInto(nil, x) }
@@ -310,7 +300,6 @@ func (m *Model) restore(snap [][]float64) {
 	ps := m.Params()
 	for i, p := range ps {
 		copy(p.W.Data, snap[i])
-		p.NoteUpdate()
 	}
 }
 

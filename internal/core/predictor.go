@@ -10,43 +10,35 @@ import (
 // Predictor is a reusable inference handle over a model: it owns the scratch
 // workspace of the allocation-free forward pass, so the steady-state
 // single-query path (PredictInto on a stable shape) performs zero heap
-// allocations. The underlying weights and attention memory are shared with
-// the model and read-only during prediction.
+// allocations. Each call runs the model's current serving snapshot, which
+// RefreshMemoryKeys compiles at hand-over and nothing mutates afterwards:
+// training the model in place changes what a predictor serves only at the
+// next RefreshMemoryKeys, which must not run concurrently with prediction (a
+// served model is replaced whole, through localizer.Registry.Swap).
 //
 // A Predictor is NOT safe for concurrent use — it exists precisely to hold
-// the mutable scratch state that the cache-free inference path keeps out of
-// the model. Create one per goroutine (they are cheap: buffers grow lazily),
-// or use the model's pooled Predict/PredictBatch entry points. Weight or
-// memory updates (training steps, RefreshMemoryKeys, UnmarshalWeights) must
-// not run concurrently with prediction: a served model is never mutated in
-// place — the update is built on a clone and hot-swapped in through
-// localizer.Registry.Swap.
+// the mutable scratch state that the snapshot keeps out of the model. Create
+// one per goroutine (they are cheap: buffers grow lazily), or use the
+// model's pooled Predict/PredictBatch entry points.
 type Predictor struct {
 	m  *Model
 	ws *nn.Workspace
 }
 
-// Predictor returns a new inference handle for the model. The handle's
-// workspace is pinned to the model's serving precision (Cfg.Precision), so
-// every fused product it issues draws packed views of that format.
+// Predictor returns a new inference handle for the model.
 func (m *Model) Predictor() *Predictor {
-	ws := nn.NewWorkspace()
-	ws.SetPrecision(m.Cfg.Precision)
-	return &Predictor{m: m, ws: ws}
+	return &Predictor{m: m, ws: nn.NewWorkspace()}
 }
 
-// logits runs the workspace forward pass: embed the query fingerprints into
-// H^C, attend over the cached projected memory keys, classify. The result is
-// valid until the next call on this predictor.
+// logits runs the serving snapshot over x. The result is valid until the
+// next call on this predictor.
 func (p *Predictor) logits(x *mat.Matrix) *mat.Matrix {
-	m := p.m
-	if m.memKeys == nil {
+	s := p.m.served
+	if s == nil {
 		panic("core: model has no memory; call SetMemory first")
 	}
 	p.ws.Reset()
-	hc := m.embedC.InferInto(p.ws, x)
-	att := m.attn.InferPackedTInto(p.ws, hc, m.memKpTP, m.memLabels, m.Cfg.NumRPs)
-	return m.fc.InferInto(p.ws, att)
+	return s.logits(p.ws, x)
 }
 
 // maxRetainedRows is the largest PredictInto call whose workspace buffers a
@@ -60,9 +52,9 @@ const maxRetainedRows = 128
 // PredictInto localises every row of x into dst and returns it, running
 // inline on the calling goroutine (no batch fan-out). A nil dst is
 // allocated; otherwise len(dst) must equal x.Rows. This is the steady-state
-// serving path: after the first call warms the workspace and packed weight
-// views, it performs zero heap allocations. A call of more than
-// maxRetainedRows rows gives its workspace buffers back when it is done.
+// serving path: after the first call warms the workspace, it performs zero
+// heap allocations. A call of more than maxRetainedRows rows gives its
+// workspace buffers back when it is done.
 func (p *Predictor) PredictInto(dst []int, x *mat.Matrix) []int {
 	dst = prepPredictDst(dst, x.Rows)
 	logits := p.logits(x)

@@ -7,6 +7,7 @@ import (
 
 	"calloc/internal/fingerprint"
 	"calloc/internal/mat"
+	"calloc/internal/nn"
 )
 
 // syntheticModel builds an untrained model with synthetic attention memory —
@@ -80,17 +81,58 @@ func TestPredictorReusedAcrossBatchSizes(t *testing.T) {
 }
 
 // TestPredictorZeroAllocSteadyState is the tentpole acceptance check at unit
-// scope: after warm-up, the single-query PredictInto path must not allocate.
+// scope: after warm-up, the single-query PredictInto path must not allocate,
+// at any serving precision.
 func TestPredictorZeroAllocSteadyState(t *testing.T) {
-	m, x := syntheticModel(t, 12, 5, 40)
-	p := m.Predictor()
-	q := mat.FromSlice(1, x.Cols, x.Row(0))
-	dst := make([]int, 1)
-	p.PredictInto(dst, q) // warm workspace and packed views
-	if allocs := testing.AllocsPerRun(50, func() {
-		p.PredictInto(dst, q)
-	}); allocs != 0 {
-		t.Fatalf("steady-state PredictInto allocates %.0f objects/op, want 0", allocs)
+	for _, prec := range []mat.Precision{mat.PrecFloat64, mat.PrecFloat32, mat.PrecInt8} {
+		if raceEnabled && prec != mat.PrecFloat64 {
+			continue // the float32 and int8 kernels draw pooled row scratch
+		}
+		m, x := servedShapeModel(t, prec)
+		p := m.Predictor()
+		q := mat.FromSlice(1, x.Cols, x.Row(0))
+		dst := make([]int, 1)
+		p.PredictInto(dst, q) // warm the workspace
+		if allocs := testing.AllocsPerRun(50, func() {
+			p.PredictInto(dst, q)
+		}); allocs != 0 {
+			t.Fatalf("%s: steady-state PredictInto allocates %.0f objects/op, want 0", prec, allocs)
+		}
+	}
+}
+
+// TestMixOneHotMatchesProduct: the scatter equals the GEMM against the
+// one-hot matrix — exactly at float64 when every class has at most one
+// memory row, and bit for bit against the float32 rounding sequence.
+func TestMixOneHotMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	w := mat.New(6, 9)
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64()
+	}
+	labels := []int{3, 0, 5, 1, 8, 2, 7, 4, 6} // a permutation: one row per class
+	got := mixOneHotInto(mat.New(6, 9), w, labels, false)
+	for i, v := range mat.Mul(w, nn.OneHot(labels, 9)).Data {
+		if got.Data[i] != v {
+			t.Fatalf("permutation: element %d = %g, want %g", i, got.Data[i], v)
+		}
+	}
+
+	labels = []int{2, 2, 0, 1, 2, 0, 1, 1, 2}
+	got = mixOneHotInto(mat.New(6, 3), w, labels, true)
+	for r := 0; r < w.Rows; r++ {
+		var acc [3]float32
+		for m, l := range labels {
+			acc[l] += float32(w.At(r, m))
+		}
+		for j, v := range acc {
+			if got.At(r, j) != float64(v) {
+				t.Fatalf("row %d class %d: %v, want float32 sum %v", r, j, got.At(r, j), v)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { mixOneHotInto(got, w, labels, true) }); allocs != 0 {
+		t.Fatalf("mixOneHotInto allocates %.0f objects/op, want 0", allocs)
 	}
 }
 

@@ -11,18 +11,15 @@ import (
 // L1-resident destination tile), and on the target hardware that formulation
 // beats a column-major dot-product formulation at every CALLOC batch size,
 // single queries included (see BenchmarkMatMulPackedShapes) — so Packed
-// stores the weights as row-major panels and the win comes from (a) the
-// bias+activation epilogue fused into the kernel's tile loop and (b) the
-// snapshot's stable identity, which lets nn.Param cache one per weight
-// version instead of re-validating the live matrix. A Packed view goes stale
-// when its source matrix changes — refresh it with Repack (nn.Param does
-// this lazily, keyed on a version counter).
+// stores the weights as row-major panels and the win comes from the
+// bias+activation epilogue fused into the kernel's tile loop. A snapshot is
+// never written after PackPrec returns: it does not follow later changes to
+// its source, and any number of goroutines may multiply against it.
 //
 // A snapshot carries a Precision fixed at construction: float64 keeps a
 // plain copy, float32 and int8 quantize once at pack time (per-output-channel
 // symmetric scales for int8), so only the serving path ever sees reduced
 // precision — the source matrix, training, and checkpoints stay float64.
-// Repack requantizes from the (float64) source at the same precision.
 type Packed struct {
 	prec       Precision
 	rows, cols int
@@ -37,60 +34,36 @@ type Packed struct {
 func Pack(b *Matrix) *Packed { return PackPrec(b, PrecFloat64) }
 
 // PackPrec returns a packed copy of b at the given precision, quantizing
-// once now for int8/float32. The snapshot's precision is fixed for its
-// lifetime; Repack refreshes the values at the same precision.
+// once now for int8/float32.
 func PackPrec(b *Matrix, prec Precision) *Packed {
 	if !prec.Valid() {
 		panic(fmt.Sprintf("mat: PackPrec: invalid precision %d", prec))
 	}
-	p := &Packed{prec: prec}
-	p.Repack(b)
-	return p
-}
-
-// ensureCap returns buf resized to n, reallocating when the capacity is too
-// small — or more than 2× too large. The shrink matters for long-lived
-// snapshots that are repacked across model versions: without it a swap from
-// a large model to a small one kept the large backing array alive for the
-// lifetime of the view.
-func ensureCap[T float64 | float32 | int8](buf []T, n int) []T {
-	if cap(buf) < n || cap(buf) > 2*n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
-// Repack refreshes p from b at p's precision, reusing p's storage when the
-// capacity fits (and is not oversized beyond 2× — see ensureCap).
-func (p *Packed) Repack(b *Matrix) {
 	n := b.Rows * b.Cols
-	p.rows, p.cols = b.Rows, b.Cols
-	switch p.prec {
+	p := &Packed{prec: prec, rows: b.Rows, cols: b.Cols}
+	switch prec {
 	case PrecFloat64:
-		p.m.Data = ensureCap(p.m.Data, n)
-		p.m.Rows, p.m.Cols = b.Rows, b.Cols
+		p.m = Matrix{Rows: b.Rows, Cols: b.Cols, Data: make([]float64, n)}
 		copy(p.m.Data, b.Data)
 	case PrecFloat32:
-		p.f32 = ensureCap(p.f32, n)
+		p.f32 = make([]float32, n)
 		for i, v := range b.Data {
 			p.f32[i] = float32(v)
 		}
 	case PrecInt8:
-		p.q8 = ensureCap(p.q8, n)
-		if cap(p.scale) < b.Cols || cap(p.scale) > 2*b.Cols {
-			p.scale = make([]float32, b.Cols)
-		}
-		p.scale = p.scale[:b.Cols]
+		p.q8 = make([]int8, n)
+		p.scale = make([]float32, b.Cols)
 		quantizeColumns(p.q8, p.scale, b)
 	}
+	return p
 }
 
 // quantizeColumns fills q (row-major, b's shape) with per-output-channel
 // symmetric int8 weights and scale with one float32 scale per column:
 // scale[j] = maxabs(column j)/127, q[k][j] = round(b[k][j]/scale[j]). An
 // all-zero column gets scale 0 and zero weights. Two row-major passes keep
-// the pack cache-friendly; packing runs once per weight version, off the
-// serving path.
+// the pack cache-friendly; packing runs once per hand-over, off the serving
+// path.
 func quantizeColumns(q []int8, scale []float32, b *Matrix) {
 	for j := range scale {
 		scale[j] = 0

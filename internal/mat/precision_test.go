@@ -128,66 +128,6 @@ func TestPackPrecEquivalence(t *testing.T) {
 	}
 }
 
-// Repack must reuse fitting storage, refresh values at the pack precision,
-// and — the regression this PR fixes — release oversized storage when the
-// capacity exceeds 2× the need, so a swap from a large model to a small one
-// does not pin the large backing arrays for the lifetime of the snapshot.
-func TestRepackShrinksOversizedStorage(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	big := sparseMatrix(64, 64, rng)
-	small := sparseMatrix(8, 8, rng)
-	for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecInt8} {
-		t.Run(prec.String(), func(t *testing.T) {
-			p := PackPrec(big, prec)
-			p.Repack(small)
-			if p.Rows() != 8 || p.Cols() != 8 {
-				t.Fatalf("shape %dx%d after Repack, want 8x8", p.Rows(), p.Cols())
-			}
-			need := small.Rows * small.Cols
-			var capNow int
-			switch prec {
-			case PrecFloat64:
-				capNow = cap(p.m.Data)
-			case PrecFloat32:
-				capNow = cap(p.f32)
-			case PrecInt8:
-				capNow = cap(p.q8)
-				if cap(p.scale) > 2*small.Cols {
-					t.Fatalf("scale row capacity %d retained for %d columns", cap(p.scale), small.Cols)
-				}
-			}
-			if capNow > 2*need {
-				t.Fatalf("Repack kept capacity %d for %d elements (>2×)", capNow, need)
-			}
-			// Same-shape repacks must keep reusing the (rightsized) storage.
-			switch prec {
-			case PrecFloat64:
-				prev := &p.m.Data[0]
-				p.Repack(small)
-				if &p.m.Data[0] != prev {
-					t.Fatal("same-shape Repack reallocated float64 storage")
-				}
-			case PrecFloat32:
-				prev := &p.f32[0]
-				p.Repack(small)
-				if &p.f32[0] != prev {
-					t.Fatal("same-shape Repack reallocated float32 storage")
-				}
-			case PrecInt8:
-				prev := &p.q8[0]
-				p.Repack(small)
-				if &p.q8[0] != prev {
-					t.Fatal("same-shape Repack reallocated int8 storage")
-				}
-			}
-			// The refreshed values must match a fresh pack of the new source.
-			fresh := PackPrec(small, prec)
-			x := sparseMatrix(3, 8, rng)
-			expectClose(t, MulPackedInto(nil, x, p), MulPackedInto(nil, x, fresh), "repacked vs fresh")
-		})
-	}
-}
-
 // Snapshot footprints: float32 halves the float64 bytes, int8 is ≥4× smaller
 // even with its float32 scale row (≈8× for any realistically wide matrix).
 func TestPackedWeightBytes(t *testing.T) {

@@ -81,164 +81,6 @@ func (ca *CrossAttention) Forward(q, k, v *mat.Matrix) *mat.Matrix {
 	return mat.Mul(ca.lastS, v)
 }
 
-// AttentionWeights returns the most recent softmax weights (B×M), useful for
-// interpretability and tests.
-func (ca *CrossAttention) AttentionWeights() *mat.Matrix { return ca.lastS }
-
-// Infer computes the same attention output as Forward in eval mode but
-// touches no caches, so it is safe to call concurrently (e.g. from the
-// row-sharded batch predictor). All temporaries come from the scratch pool.
-func (ca *CrossAttention) Infer(q, k, v *mat.Matrix) *mat.Matrix {
-	if k.Cols != ca.Wk.W.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention dims k%dx%d vs W %dx%d",
-			k.Rows, k.Cols, ca.Wk.W.Rows, ca.Wk.W.Cols))
-	}
-	kp := mat.MulInto(mat.GetScratch(k.Rows, ca.DK), k, ca.Wk.W)
-	out := ca.InferProjected(q, kp, v)
-	mat.PutScratch(kp)
-	return out
-}
-
-// ProjectKeys returns k·Wk, the key projection of Infer, as a standalone
-// step. The memory keys of a deployed model are fixed between weight
-// updates, so callers evaluating many query batches against one memory
-// (core.Model.PredictBatch) project once and reuse the result with
-// InferProjected instead of re-projecting per batch shard.
-func (ca *CrossAttention) ProjectKeys(k *mat.Matrix) *mat.Matrix {
-	return mat.Mul(k, ca.Wk.W)
-}
-
-// InferProjected is Infer with the key projection kp = ProjectKeys(k)
-// precomputed. Cache-free and safe for concurrent use.
-func (ca *CrossAttention) InferProjected(q, kp, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kp.Cols != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kp%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kp.Rows, kp.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kp.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", kp.Rows, v.Rows))
-	}
-	qp := mat.MulInto(mat.GetScratch(q.Rows, ca.DK), q, ca.Wq.W)
-	scores := mat.MulTInto(mat.GetScratch(q.Rows, kp.Rows), qp, kp)
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	for i := 0; i < scores.Rows; i++ {
-		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
-	}
-	out := mat.Mul(scores, v)
-	mat.PutScratch(qp)
-	mat.PutScratch(scores)
-	return out
-}
-
-// InferProjectedInto is InferProjected with every temporary drawn from ws
-// instead of the scratch pool, making the steady-state pass allocation-free.
-// The query projection multiplies against the lazily-packed Wq view. The
-// result is valid until ws is Reset; cache-free and safe for concurrent use
-// as long as each goroutine owns its workspace.
-func (ca *CrossAttention) InferProjectedInto(ws *Workspace, q, kp, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kp.Cols != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kp%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kp.Rows, kp.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kp.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", kp.Rows, v.Rows))
-	}
-	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.Packed())
-	scores := mat.MulTInto(ws.Take(q.Rows, kp.Rows), qp, kp)
-	return ca.attendInto(ws, scores, v)
-}
-
-// attendInto finishes an attention pass over precomputed raw scores: scale
-// by 1/√dk, softmax each row in place, and mix the value matrix. Shared by
-// the projected-key inference variants.
-func (ca *CrossAttention) attendInto(ws *Workspace, scores, v *mat.Matrix) *mat.Matrix {
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	for i := 0; i < scores.Rows; i++ {
-		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
-	}
-	return mat.MulInto(ws.Take(scores.Rows, v.Cols), scores, v)
-}
-
-// InferProjectedTInto is InferProjectedInto with the key projection supplied
-// transposed: kpT = ProjectKeys(k)ᵀ, a dk×M row-major matrix. The scores
-// product Qp·Kpᵀ then runs through the row-streaming axpy kernel instead of
-// the dot-product kernel, which measures markedly faster at CALLOC memory
-// sizes (the kernel streams kpT's rows contiguously and keeps each score
-// tile L1-resident). Deployed models cache kpT once per weight refresh
-// (core.Model.RefreshMemoryKeys), so the transpose is off the hot path.
-func (ca *CrossAttention) InferProjectedTInto(ws *Workspace, q, kpT, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kpT.Rows != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kpT%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kpT.Rows, kpT.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kpT.Cols != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs V rows %d", kpT.Cols, v.Rows))
-	}
-	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.Packed())
-	scores := mat.MulInto(ws.Take(q.Rows, kpT.Cols), qp, kpT)
-	return ca.attendInto(ws, scores, v)
-}
-
-// InferPackedTInto is InferProjectedTInto with the key projection supplied
-// as a Packed snapshot — kpT = ProjectKeys(k)ᵀ, packed at the caller's
-// serving precision (core.Model.RefreshMemoryKeys rebuilds it per weight
-// update) — and the value matrix given by its class labels: the memory's V
-// is one-hot, so the value mix is the scatter mixOneHotInto instead of a
-// GEMM. With Wq drawn at the workspace precision too, both weight-side GEMMs
-// of the attention pass (query projection, scores) stream reduced-precision
-// panels; the softmax and every activation row stay float64. Cache-free and
-// safe for concurrent use as long as each goroutine owns its workspace.
-func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT *mat.Packed, labels []int, classes int) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kpT.Rows() != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kpT%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kpT.Rows(), kpT.Cols(), ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kpT.Cols() != len(labels) {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs %d labels", kpT.Cols(), len(labels)))
-	}
-	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.PackedPrec(ws.Precision()))
-	scores := mat.MulPackedInto(ws.Take(q.Rows, kpT.Cols()), qp, kpT)
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	for i := 0; i < scores.Rows; i++ {
-		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
-	}
-	return mixOneHotInto(ws.Take(scores.Rows, classes), scores, labels, ws.Precision() == mat.PrecFloat32)
-}
-
-// mixOneHotInto computes dst = w·V for the one-hot value matrix V whose row
-// m is the unit vector of class labels[m], and returns dst: a product with a
-// one-hot panel is exactly the scatter dst[r][labels[m]] += w[r][m], with m
-// ascending. With f32 set each sum is rounded to float32 at every add, which
-// reproduces bit for bit the float32 packed GEMM it replaces (every product
-// with a one-hot entry is exact, and that kernel adds in ascending m too);
-// otherwise it accumulates in float64. dst must be w.Rows × (max label + 1)
-// or wider and must not alias w.
-//
-//calloc:noalloc
-func mixOneHotInto(dst, w *mat.Matrix, labels []int, f32 bool) *mat.Matrix {
-	if len(labels) != w.Cols || dst.Rows != w.Rows {
-		panic("nn: mixOneHotInto shape mismatch") //calloc:allow the message boxes only on the caller-bug panic path
-	}
-	for r := 0; r < w.Rows; r++ {
-		orow := dst.Data[r*dst.Cols : (r+1)*dst.Cols]
-		wrow := w.Data[r*w.Cols : (r+1)*w.Cols]
-		for j := range orow {
-			orow[j] = 0
-		}
-		if f32 {
-			// orow holds float32 values exactly, so narrowing it back is exact.
-			for m, l := range labels {
-				orow[l] = float64(float32(orow[l]) + float32(wrow[m]))
-			}
-		} else {
-			for m, l := range labels {
-				orow[l] += wrow[m]
-			}
-		}
-	}
-	return dst
-}
-
 // Backward takes dL/d(output) (B×C) and returns (dL/dq, dL/dk). Parameter
 // gradients accumulate into Wq.G and Wk.G. V is treated as constant.
 func (ca *CrossAttention) Backward(gradOut *mat.Matrix) (dq, dk *mat.Matrix) {

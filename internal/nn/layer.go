@@ -18,8 +18,7 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Package-level activation functions, shared by the Forward/Infer paths and
-// the workspace inference fallbacks.
+// relu is the element-wise rectifier ReLU.Forward applies.
 //
 //calloc:noalloc
 func relu(v float64) float64 {
@@ -28,9 +27,6 @@ func relu(v float64) float64 {
 	}
 	return 0
 }
-
-//calloc:noalloc
-func tanh(v float64) float64 { return math.Tanh(v) }
 
 // Dense is a fully connected layer: y = x·W + b, with W of shape in×out.
 type Dense struct {
@@ -68,36 +64,8 @@ func (d *Dense) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 	return y
 }
 
-// Infer computes x·W + b without caching the input, so it is safe to call
-// concurrently. Backward must not follow an Infer call.
-func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
-	y := mat.Mul(x, d.W.W)
-	y.AddRowVector(d.B.W.Data)
-	return y
-}
-
-// InferActInto computes act(x·W + b) into a workspace buffer using the
-// layer's lazily-packed weights at the workspace's precision, with the bias
-// add and activation fused into the product pass. Zero steady-state
-// allocations; the result is valid until ws is Reset. Backward must not
-// follow.
-func (d *Dense) InferActInto(ws *Workspace, x *mat.Matrix, act mat.Activation) *mat.Matrix {
-	y := ws.Take(x.Rows, d.W.W.Cols)
-	return mat.MulPackedBiasActInto(y, x, d.W.PackedPrec(ws.Precision()), d.B.W.Data, act)
-}
-
 // Backward accumulates ∂L/∂W and ∂L/∂b and returns ∂L/∂x.
-func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	gw := mat.TMulInto(mat.GetScratch(d.W.W.Rows, d.W.W.Cols), d.lastX, gradOut)
-	d.W.G.AddInPlace(gw)
-	mat.PutScratch(gw)
-	for i := 0; i < gradOut.Rows; i++ {
-		for j, v := range gradOut.Row(i) {
-			d.B.G.Data[j] += v
-		}
-	}
-	return mat.MulT(gradOut, d.W.W)
-}
+func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix { return d.BackwardInto(gradOut, nil) }
 
 // BackwardInto is Backward with the input gradient written into dst instead
 // of a fresh matrix (nil dst allocates). Parameter gradients accumulate as in
@@ -127,21 +95,8 @@ func (r *ReLU) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 	return x.Apply(relu)
 }
 
-// Infer applies max(0, x) without caching, safe for concurrent use.
-func (r *ReLU) Infer(x *mat.Matrix) *mat.Matrix {
-	return x.Apply(relu)
-}
-
 // Backward zeroes the gradient where the input was non-positive.
-func (r *ReLU) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	out := mat.New(gradOut.Rows, gradOut.Cols)
-	for i, v := range r.lastX.Data {
-		if v > 0 {
-			out.Data[i] = gradOut.Data[i]
-		}
-	}
-	return out
-}
+func (r *ReLU) Backward(gradOut *mat.Matrix) *mat.Matrix { return r.BackwardInto(gradOut, nil) }
 
 // BackwardInto is Backward with the masked gradient written into dst (nil
 // allocates); dst may alias gradOut for an in-place mask.
@@ -171,9 +126,6 @@ func (t *Tanh) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 	return t.lastY
 }
 
-// Infer applies tanh without caching, safe for concurrent use.
-func (t *Tanh) Infer(x *mat.Matrix) *mat.Matrix { return x.Apply(math.Tanh) }
-
 // Backward multiplies by 1−tanh².
 func (t *Tanh) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	out := mat.New(gradOut.Rows, gradOut.Cols)
@@ -196,12 +148,6 @@ type Sigmoid struct{ lastY *mat.Matrix }
 func (s *Sigmoid) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 	s.lastY = x.Apply(mat.Sigmoid)
 	return s.lastY
-}
-
-// Infer applies the logistic function without caching, safe for concurrent
-// use.
-func (s *Sigmoid) Infer(x *mat.Matrix) *mat.Matrix {
-	return x.Apply(mat.Sigmoid)
 }
 
 // Backward multiplies by y(1−y).
@@ -250,9 +196,6 @@ func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	return out
 }
 
-// Infer is the identity: dropout is disabled at eval time.
-func (d *Dropout) Infer(x *mat.Matrix) *mat.Matrix { return x }
-
 // Backward applies the same mask to the gradient.
 func (d *Dropout) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	if d.mask == nil {
@@ -288,9 +231,6 @@ func (g *GaussianNoise) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	}
 	return out
 }
-
-// Infer is the identity: noise is disabled at eval time.
-func (g *GaussianNoise) Infer(x *mat.Matrix) *mat.Matrix { return x }
 
 // Backward passes the gradient through unchanged (noise is additive).
 func (g *GaussianNoise) Backward(gradOut *mat.Matrix) *mat.Matrix { return gradOut }

@@ -26,39 +26,6 @@ func (n *Network) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	return x
 }
 
-// Inferencer is implemented by layers whose eval-mode forward pass writes no
-// layer state, making it safe to run concurrently with other Infer calls on
-// the same layer. Backward must never follow an Infer call: inference leaves
-// the training caches untouched.
-type Inferencer interface {
-	Infer(x *mat.Matrix) *mat.Matrix
-}
-
-// Infer runs an eval-mode forward pass without disturbing any training
-// caches. Layers that do not implement Inferencer fall back to Forward(x,
-// false); see ConcurrentSafe for whether the whole stack is cache-free.
-func (n *Network) Infer(x *mat.Matrix) *mat.Matrix {
-	for _, l := range n.Layers {
-		if inf, ok := l.(Inferencer); ok {
-			x = inf.Infer(x)
-		} else {
-			x = l.Forward(x, false)
-		}
-	}
-	return x
-}
-
-// ConcurrentSafe reports whether every layer implements Inferencer, i.e.
-// whether Infer may be called from multiple goroutines simultaneously.
-func (n *Network) ConcurrentSafe() bool {
-	for _, l := range n.Layers {
-		if _, ok := l.(Inferencer); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Backward propagates gradOut through the stack in reverse, accumulating
 // parameter gradients, and returns the gradient with respect to the network
 // input (used by the white-box attacks).
@@ -111,32 +78,6 @@ func (n *Network) InputGradient(x *mat.Matrix, labels []int) *mat.Matrix {
 	return g
 }
 
-// Snapshot returns a deep copy of all parameter values, used by the adaptive
-// curriculum to revert to the best-performing weights.
-func (n *Network) Snapshot() [][]float64 {
-	ps := n.Params()
-	out := make([][]float64, len(ps))
-	for i, p := range ps {
-		out[i] = append([]float64(nil), p.W.Data...)
-	}
-	return out
-}
-
-// Restore copies a snapshot back into the parameters.
-func (n *Network) Restore(snap [][]float64) {
-	ps := n.Params()
-	if len(snap) != len(ps) {
-		panic(fmt.Sprintf("nn: Restore snapshot has %d tensors, network has %d", len(snap), len(ps)))
-	}
-	for i, p := range ps {
-		if len(snap[i]) != len(p.W.Data) {
-			panic(fmt.Sprintf("nn: Restore tensor %d size %d != %d", i, len(snap[i]), len(p.W.Data)))
-		}
-		copy(p.W.Data, snap[i])
-		p.NoteUpdate()
-	}
-}
-
 // savedParam is the gob wire form of one parameter.
 type savedParam struct {
 	Name       string
@@ -187,7 +128,6 @@ func (n *Network) UnmarshalWeights(data []byte) error {
 	}
 	for i, p := range ps {
 		copy(p.W.Data, sp[i].Data)
-		p.NoteUpdate()
 	}
 	return nil
 }

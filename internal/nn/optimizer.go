@@ -5,41 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters in place from their accumulated gradients and
-// clears the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD creates an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies one SGD update: v ← μv − η·g; w ← w + v.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, len(p.W.Data))
-			s.velocity[p] = v
-		}
-		for i := range p.W.Data {
-			v[i] = s.Momentum*v[i] - s.LR*p.G.Data[i]
-			p.W.Data[i] += v[i]
-		}
-		p.NoteUpdate()
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -76,7 +41,6 @@ func (a *Adam) Step(params []*Param) {
 			vh := v[i] / c2
 			p.W.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
-		p.NoteUpdate()
 		p.ZeroGrad()
 	}
 }

@@ -28,8 +28,8 @@
 // Everything runs off the request path: fine-tuning happens on the trainer's
 // own goroutine, candidate models shadow but never answer until the
 // promotion, and validation against the live incumbent only uses paths that
-// are safe under concurrent serving (the pooled cache-free predictors for
-// inference; the caching gradient path is exercised under the trainer's
+// are safe under concurrent serving (the pooled predictors over the model's
+// immutable serving snapshot for inference; the caching gradient path is exercised under the trainer's
 // round lock alone, and serving never touches the training caches).
 package train
 
@@ -927,8 +927,8 @@ func (t *Trainer) scoreOf(m *core.Model, salt int64) Scores {
 
 // score evaluates a model on the holdout split: clean predictions plus an
 // FGSM attack crafted white-box against the scored model itself, the same
-// threat the curriculum trains for. Prediction uses the pooled cache-free
-// path, so scoring the live incumbent is safe under concurrent serving; the
+// threat the curriculum trains for. Prediction runs the immutable serving
+// snapshot, so scoring the live incumbent is safe under concurrent serving; the
 // gradient pass for crafting touches only training-side state that serving
 // never reads, and every score call runs under runMu so two gradient passes
 // never overlap on the same model.
