@@ -815,7 +815,7 @@ func BenchmarkMatMulPackedShapes(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
 		x := randDense(rng, sh.m, sh.k)
 		y := randDense(rng, sh.k, sh.n)
-		p := mat.Pack(y)
+		p := mat.PackPrec(y, mat.PrecFloat64)
 		pf := mat.PackPrec(y, mat.PrecFloat32)
 		pq := mat.PackPrec(y, mat.PrecInt8)
 		bias := make([]float64, sh.n)

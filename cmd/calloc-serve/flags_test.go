@@ -18,14 +18,18 @@ func baseFlags() serveFlags {
 	}
 }
 
+// The backend, precision and shadow-fraction rules live in node.Config.Validate
+// (TestConfigValidate); the next three tests pin only that each flag reaches
+// the config validate checks, before any dataset loads.
+
 // Regression: a negative -ab-fraction used to silently disable the shadow
 // lane (the promotion gate then never saw exposure) instead of failing.
 func TestValidateRejectsNegativeABFraction(t *testing.T) {
 	f := baseFlags()
 	f.abFraction = -1
 	err := f.validate()
-	if err == nil || !strings.Contains(err.Error(), "-ab-fraction") {
-		t.Fatalf("want -ab-fraction error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "ABFraction") {
+		t.Fatalf("want ABFraction error, got %v", err)
 	}
 }
 
@@ -64,6 +68,16 @@ func TestValidateRejectsMismatchedFloorCount(t *testing.T) {
 	}
 }
 
+// A -floors list that names one floor twice must fail at flag validation,
+// not after every dataset has loaded.
+func TestValidateRejectsDuplicateFloors(t *testing.T) {
+	f := baseFlags()
+	f.floors = "3,3"
+	if err := f.validate(); err == nil || !strings.Contains(err.Error(), "duplicate floor") {
+		t.Fatalf("want duplicate-floor error, got %v", err)
+	}
+}
+
 // An unknown -precision must fail at flag validation, before any dataset
 // loads or quick-training starts; the known spellings (and the empty string,
 // which means the float64 default) must pass.
@@ -71,8 +85,8 @@ func TestValidateRejectsUnknownPrecision(t *testing.T) {
 	f := baseFlags()
 	f.precision = "fp16"
 	err := f.validate()
-	if err == nil || !strings.Contains(err.Error(), "-precision") || !strings.Contains(err.Error(), `"fp16"`) {
-		t.Fatalf("want -precision error naming fp16, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `"fp16"`) {
+		t.Fatalf("want precision error naming fp16, got %v", err)
 	}
 	for _, ok := range []string{"", "float64", "float32", "int8", " int8 "} {
 		f.precision = ok

@@ -8,14 +8,15 @@ import (
 	"strings"
 
 	"calloc/internal/fingerprint"
-	"calloc/internal/mat"
 	"calloc/internal/node"
 	"calloc/internal/serve"
 )
 
 // validate catches flag misconfigurations at startup — an unknown backend,
 // a negative shadow fraction, or mismatched per-floor file counts used to
-// surface as a late error (after minutes of quick-training) or a panic.
+// surface as a late error (after minutes of quick-training) or a panic. It
+// checks here only what a node.Config cannot see, then runs node.Config's
+// own rules on the config buildNode would build, before any dataset loads.
 func (f *serveFlags) validate() error {
 	if f.router {
 		if f.shards == "" {
@@ -35,29 +36,46 @@ func (f *serveFlags) validate() error {
 	if f.data == "" {
 		return errors.New("-data is required")
 	}
-	if f.abFraction < 0 {
-		return fmt.Errorf("-ab-fraction must be >= 0 (0 disables the shadow lane), got %d", f.abFraction)
-	}
-	for _, b := range splitList(f.backends) {
-		if !node.ValidBackend(b) {
-			return fmt.Errorf("unknown backend %q in -backends (known: %s)", b, strings.Join(node.KnownBackends, ", "))
-		}
-	}
-	if _, err := mat.ParsePrecision(strings.TrimSpace(f.precision)); err != nil {
-		return fmt.Errorf("-precision: %w", err)
-	}
 	nData := len(splitList(f.data))
 	if f.weights != "" {
 		if n := len(splitList(f.weights)); n != nData {
 			return fmt.Errorf("-weights names %d files for %d -data floors", n, nData)
 		}
 	}
-	if f.floors != "" {
-		if _, err := parseFloors(f.floors, nData); err != nil {
-			return err
-		}
+	cfg, err := f.nodeConfig()
+	if err != nil {
+		return err
 	}
-	return nil
+	_, err = cfg.Validate(nData)
+	return err
+}
+
+// nodeConfig maps the node-mode flags onto the node.Config that buildNode
+// deploys, all but the weight blobs (buildNode reads those files).
+func (f *serveFlags) nodeConfig() (node.Config, error) {
+	cfg := node.Config{
+		Backends:    splitList(f.backends),
+		TrainEpochs: f.trainEpochs,
+		Precision:   strings.TrimSpace(f.precision),
+		Engine: serve.Options{
+			MaxBatch: f.maxBatch, Workers: f.workers,
+			QueueCap: f.queueCap, ABFraction: f.abFraction,
+		},
+		DisableTrainer: f.noTrainer, FeedbackMin: f.feedbackMin,
+		TrainerInterval: f.trainerInterval, FineTuneEpochs: f.fineTuneEpochs,
+		FineTuneLR: f.fineTuneLR, MinDelta: f.minDelta, StageAfter: f.stageAfter,
+		PromoteAfter: f.promoteAfter, MinAgreement: f.minAgreement,
+		RegretWindow: f.regretWindow, RegretDelta: f.regretDelta,
+		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+	}
+	if f.floors != "" {
+		floors, err := parseFloors(f.floors, len(splitList(f.data)))
+		if err != nil {
+			return node.Config{}, err
+		}
+		cfg.Floors = floors
+	}
+	return cfg, nil
 }
 
 func splitList(s string) []string {
@@ -125,29 +143,13 @@ func runServe(f serveFlags) error {
 // datasets loaded from -data, flags mapped onto node.Config — without
 // starting it, so app tests can drive the real construction path.
 func buildNode(f serveFlags) (*node.Node, []*fingerprint.Dataset, error) {
-	datasets, err := loadDatasets(splitList(f.data))
+	cfg, err := f.nodeConfig()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := node.Config{
-		Backends:    splitList(f.backends),
-		TrainEpochs: f.trainEpochs,
-		Precision:   strings.TrimSpace(f.precision),
-		Engine: serve.Options{
-			MaxBatch: f.maxBatch, Workers: f.workers,
-			QueueCap: f.queueCap, ABFraction: f.abFraction,
-		},
-		DisableTrainer: f.noTrainer, FeedbackMin: f.feedbackMin,
-		TrainerInterval: f.trainerInterval, FineTuneEpochs: f.fineTuneEpochs,
-		FineTuneLR: f.fineTuneLR, MinDelta: f.minDelta, StageAfter: f.stageAfter,
-		PromoteAfter: f.promoteAfter, MinAgreement: f.minAgreement,
-		RegretWindow: f.regretWindow, RegretDelta: f.regretDelta,
-		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	}
-	if f.floors != "" {
-		if cfg.Floors, err = parseFloors(f.floors, len(datasets)); err != nil {
-			return nil, nil, err
-		}
+	datasets, err := loadDatasets(splitList(f.data))
+	if err != nil {
+		return nil, nil, err
 	}
 	if f.weights != "" {
 		for _, wf := range splitList(f.weights) {

@@ -366,43 +366,6 @@ func TestConcurrentGetAndSwap(t *testing.T) {
 	}
 }
 
-// TestSwapIfVersionConflict: SwapIf must refuse to replace a version the
-// caller never observed — the guard the online fine-tune loop relies on so
-// a concurrent manual push is not clobbered by a stale-derived candidate.
-func TestSwapIfVersionConflict(t *testing.T) {
-	reg := NewRegistry()
-	key := Key{Building: 1, Floor: 0, Backend: "stub"}
-	mk := func() Localizer {
-		return Wrap("stub", 4, 3, nil, func(dst []int, x *mat.Matrix) []int {
-			if dst == nil {
-				dst = make([]int, x.Rows)
-			}
-			return dst
-		})
-	}
-	if _, err := reg.Register(key, mk()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.SwapIf(key, mk(), 0); err == nil {
-		t.Fatal("SwapIf(0) must be rejected (versions start at 1)")
-	}
-	v, err := reg.SwapIf(key, mk(), 1)
-	if err != nil || v != 2 {
-		t.Fatalf("SwapIf at the observed version: v=%d err=%v", v, err)
-	}
-	// A concurrent push happened (v2): an expectation of v1 must conflict.
-	if _, err := reg.SwapIf(key, mk(), 1); !errors.Is(err, ErrVersionConflict) {
-		t.Fatalf("stale SwapIf returned %v, want ErrVersionConflict", err)
-	}
-	if snap, _ := reg.Get(key); snap.Version != 2 {
-		t.Fatalf("conflicting SwapIf mutated the registry: version %d", snap.Version)
-	}
-	// Unconditional Swap still advances.
-	if v, err := reg.Swap(key, mk()); err != nil || v != 3 {
-		t.Fatalf("Swap after conflict: v=%d err=%v", v, err)
-	}
-}
-
 // stubLoc builds a trivial localizer of the given shape for candidate-lane
 // tests.
 func stubLoc(name string, inputDim, classes int) Localizer {

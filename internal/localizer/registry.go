@@ -146,9 +146,9 @@ func (r *Registry) Register(key Key, loc Localizer) (uint64, error) {
 	return 1, nil
 }
 
-// ErrVersionConflict is returned by SwapIf when the key's current version
-// no longer matches the caller's expectation — someone else published a
-// version while the caller was preparing theirs.
+// ErrVersionConflict is returned by Promote when the key's live version no
+// longer matches the candidate's base — someone else published a version
+// while the candidate was shadowing.
 var ErrVersionConflict = errors.New("localizer: version changed since it was observed")
 
 // Swap atomically replaces key's localizer with loc and returns the new
@@ -158,23 +158,6 @@ var ErrVersionConflict = errors.New("localizer: version changed since it was obs
 // that loaded the previous snapshot finish on it; new batches observe the
 // new version immediately.
 func (r *Registry) Swap(key Key, loc Localizer) (uint64, error) {
-	return r.swap(key, loc, 0)
-}
-
-// SwapIf is Swap conditioned on the key still being at expectVersion: it
-// fails with ErrVersionConflict instead of replacing a version the caller
-// never saw. Writers that derive their new localizer from the current one —
-// the online fine-tune loop trains candidates from the incumbent's weights —
-// use it so a concurrent push (e.g. a manual weight upload) is never
-// silently overwritten by work based on stale state.
-func (r *Registry) SwapIf(key Key, loc Localizer, expectVersion uint64) (uint64, error) {
-	if expectVersion == 0 {
-		return 0, fmt.Errorf("localizer: SwapIf expects a version ≥ 1 (versions start at 1)")
-	}
-	return r.swap(key, loc, expectVersion)
-}
-
-func (r *Registry) swap(key Key, loc Localizer, expectVersion uint64) (uint64, error) {
 	if err := validateLocalizer(key, loc); err != nil {
 		return 0, err
 	}
@@ -185,10 +168,6 @@ func (r *Registry) swap(key Key, loc Localizer, expectVersion uint64) (uint64, e
 		return 0, fmt.Errorf("localizer: %s not registered (use Register first)", key)
 	}
 	cur := e.snap.Load()
-	if expectVersion != 0 && cur.Version != expectVersion {
-		return 0, fmt.Errorf("%w: %s at version %d, expected %d",
-			ErrVersionConflict, key, cur.Version, expectVersion)
-	}
 	if loc.InputDim() != cur.Localizer.InputDim() {
 		return 0, fmt.Errorf("localizer: swap of %s changes input dim %d→%d",
 			key, cur.Localizer.InputDim(), loc.InputDim())
@@ -305,8 +284,8 @@ func (r *Registry) Abort(key Key) bool {
 
 // AbortIf clears key's staged candidate only when it is still at version —
 // it lets an owner withdraw exactly the candidate it staged without stomping
-// a concurrent restage by someone else (the candidate-lane analogue of
-// SwapIf). Reports whether the candidate was aborted.
+// a concurrent restage by someone else. Reports whether the candidate was
+// aborted.
 func (r *Registry) AbortIf(key Key, version uint64) bool {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()

@@ -66,30 +66,3 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 	}
 	return x
 }
-
-// SolveSPD solves a·x = b for symmetric positive definite a, adding jitter to
-// the diagonal and retrying (up to a few orders of magnitude) if the
-// factorisation fails — the standard remedy for near-singular kernel
-// matrices in Gaussian-process models.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	jitter := 0.0
-	for attempt := 0; attempt < 8; attempt++ {
-		work := a
-		if jitter > 0 {
-			work = a.Clone()
-			for i := 0; i < work.Rows; i++ {
-				work.Data[i*work.Cols+i] += jitter
-			}
-		}
-		l, err := Cholesky(work)
-		if err == nil {
-			return SolveCholesky(l, b), nil
-		}
-		if jitter == 0 {
-			jitter = 1e-10
-		} else {
-			jitter *= 100
-		}
-	}
-	return nil, ErrNotPositiveDefinite
-}

@@ -106,53 +106,12 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix { return AddInto(nil, a, b) }
-
-// AddInto computes a+b into dst (allocating it when nil) and returns dst.
-// dst may alias a or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	sameShape(a, b, "Add")
-	dst = prepDst(dst, a.Rows, a.Cols, "AddInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
-}
-
-// Sub returns a−b.
-func Sub(a, b *Matrix) *Matrix { return SubInto(nil, a, b) }
-
-// SubInto computes a−b into dst (allocating it when nil) and returns dst.
-// dst may alias a or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	sameShape(a, b, "Sub")
-	dst = prepDst(dst, a.Rows, a.Cols, "SubInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-	return dst
-}
-
-// Hadamard returns the element-wise product a∘b.
-func Hadamard(a, b *Matrix) *Matrix { return HadamardInto(nil, a, b) }
-
-// HadamardInto computes a∘b into dst (allocating it when nil) and returns
-// dst. dst may alias a or b.
-func HadamardInto(dst, a, b *Matrix) *Matrix {
+// Hadamard returns the element-wise product a∘b as a new matrix.
+func Hadamard(a, b *Matrix) *Matrix {
 	sameShape(a, b, "Hadamard")
-	dst = prepDst(dst, a.Rows, a.Cols, "HadamardInto")
+	out := New(a.Rows, a.Cols)
 	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
-	}
-	return dst
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = s * v
+		out.Data[i] = v * b.Data[i]
 	}
 	return out
 }
@@ -185,35 +144,16 @@ func (m *Matrix) AddRowVector(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m as a length-Cols slice.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
+// Apply returns a new matrix with f applied to every element.
+func (m *Matrix) Apply(f func(float64) float64) *Matrix {
+	out := New(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = f(v)
 	}
 	return out
 }
 
-// Apply returns a new matrix with f applied to every element.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	return m.ApplyInto(nil, f)
-}
-
-// ApplyInto writes f applied to every element of m into dst (allocating it
-// when nil) and returns dst. dst may alias m.
-func (m *Matrix) ApplyInto(dst *Matrix, f func(float64) float64) *Matrix {
-	dst = prepDst(dst, m.Rows, m.Cols, "ApplyInto")
-	for i, v := range m.Data {
-		dst.Data[i] = f(v)
-	}
-	return dst
-}
-
-// AddScaledInPlace adds s·b into m (axpy), avoiding the temporary that
-// b.Scale(s) would allocate.
+// AddScaledInPlace adds s·b into m (axpy).
 func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) {
 	sameShape(m, b, "AddScaledInPlace")
 	for i, v := range b.Data {
@@ -230,13 +170,4 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

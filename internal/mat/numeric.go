@@ -77,18 +77,6 @@ func ArgMax(x []float64) int {
 	return bi
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // EuclideanDistance returns ‖a−b‖₂.
 func EuclideanDistance(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -111,9 +111,15 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// TestDot checks the unrolled dot kernel behind MulT, on a length that takes
+// both its four-wide body and its tail.
 func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %g, want 32", got)
+	if got := dot4([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+		t.Fatalf("dot4 = %g, want 32", got)
+	}
+	x := []float64{1, 2, 3, 4, 5, 6, 7}
+	if got := dot4(x, x); got != 140 {
+		t.Fatalf("dot4 = %g, want 140", got)
 	}
 }
 
@@ -161,22 +167,8 @@ func TestSolveCholeskyKnownSystem(t *testing.T) {
 	}
 }
 
-func TestSolveSPDJitterRecovery(t *testing.T) {
-	// Singular matrix (rank 1): SolveSPD should still return a finite answer
-	// after adding jitter.
-	a := FromRows([][]float64{{1, 1}, {1, 1}})
-	x, err := SolveSPD(a, []float64{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite solution %v", x)
-		}
-	}
-}
-
-// Property: SolveSPD(A, b) actually solves A·x = b for random SPD A.
+// Property: Cholesky then SolveCholesky — the GP classifier's solve —
+// actually solves A·x = b for random SPD A.
 func TestSolveSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -190,10 +182,11 @@ func TestSolveSPDProperty(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = r.NormFloat64()
 		}
-		x, err := SolveSPD(a, rhs)
+		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
+		x := SolveCholesky(l, rhs)
 		for i := 0; i < n; i++ {
 			var s float64
 			for j := 0; j < n; j++ {

@@ -30,9 +30,6 @@ type Packed struct {
 	scale []float32 // per-output-column symmetric scales (PrecInt8), len == cols
 }
 
-// Pack returns a full-precision (float64) packed copy of b.
-func Pack(b *Matrix) *Packed { return PackPrec(b, PrecFloat64) }
-
 // PackPrec returns a packed copy of b at the given precision, quantizing
 // once now for int8/float32.
 func PackPrec(b *Matrix, prec Precision) *Packed {
@@ -212,25 +209,6 @@ func mulPacked(dst, a *Matrix, p *Packed, bias []float64, act Activation, op str
 		} else {
 			fusedMulRows(dst, a, &p.m, bias, act, 0, a.Rows)
 		}
-	}
-	return dst
-}
-
-// MulBiasActInto is the unpacked fused product: act(a·b + bias) into dst
-// (allocating it when nil), with the epilogue fused into the kernel's tile
-// loop like MulPackedBiasActInto. bias may be nil. dst must not alias a or b.
-func MulBiasActInto(dst, a, b *Matrix, bias []float64, act Activation) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulBiasActInto inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if bias != nil && len(bias) != b.Cols {
-		panic(fmt.Sprintf("mat: MulBiasActInto bias length %d != cols %d", len(bias), b.Cols))
-	}
-	dst = prepDst(dst, a.Rows, b.Cols, "MulBiasActInto")
-	if useParallel(a.Rows*a.Cols*b.Cols, a.Rows) {
-		shardRows(a.Rows, func(lo, hi int) { fusedMulRows(dst, a, b, bias, act, lo, hi) })
-	} else {
-		fusedMulRows(dst, a, b, bias, act, 0, a.Rows)
 	}
 	return dst
 }

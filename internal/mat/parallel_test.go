@@ -220,22 +220,24 @@ func TestElementwiseInto(t *testing.T) {
 	a := sparseMatrix(4, 6, rng)
 	b := sparseMatrix(4, 6, rng)
 
-	expectEqual(t, AddInto(dirtyDst(4, 6), a, b), Add(a, b), "AddInto")
-	expectEqual(t, SubInto(dirtyDst(4, 6), a, b), Sub(a, b), "SubInto")
-	expectEqual(t, HadamardInto(dirtyDst(4, 6), a, b), Hadamard(a, b), "HadamardInto")
-	double := func(v float64) float64 { return 2 * v }
-	expectEqual(t, a.ApplyInto(dirtyDst(4, 6), double), a.Apply(double), "ApplyInto")
+	prod, doubled := New(4, 6), New(4, 6)
+	for i, v := range a.Data {
+		prod.Data[i] = v * b.Data[i]
+		doubled.Data[i] = 2 * v
+	}
+	expectEqual(t, Hadamard(a, b), prod, "Hadamard")
+	expectEqual(t, a.Apply(func(v float64) float64 { return 2 * v }), doubled, "Apply")
 
-	// Aliased destination: dst == a.
-	want := Add(a, b)
-	got := AddInto(a.Clone(), a, b)
-	_ = got // silence linters; compared below
-	expectEqual(t, got, want, "AddInto aliased")
-
-	// AddScaledInPlace against Scale+Add.
 	m := a.Clone()
+	m.AddInPlace(b)
+	expectEqual(t, m, add(a, b), "AddInPlace")
+
+	// AddScaledInPlace against a scaled copy added by the reference.
+	quarter := b.Clone()
+	quarter.ScaleInPlace(0.25)
+	m = a.Clone()
 	m.AddScaledInPlace(b, 0.25)
-	expectEqual(t, m, Add(a, b.Scale(0.25)), "AddScaledInPlace")
+	expectEqual(t, m, add(a, quarter), "AddScaledInPlace")
 }
 
 func TestParallelismKnobs(t *testing.T) {

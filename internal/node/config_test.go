@@ -33,7 +33,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate(tc.n)
+			_, err := tc.cfg.Validate(tc.n)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

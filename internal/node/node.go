@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,16 +41,6 @@ import (
 // KnownBackends lists every backend name Config.Backends accepts, in the
 // order the CLI documents them.
 var KnownBackends = []string{"calloc", "knn", "bayes", "gpc", "gbdt", "dnn"}
-
-// ValidBackend reports whether name is a known backend.
-func ValidBackend(name string) bool {
-	for _, b := range KnownBackends {
-		if name == b {
-			return true
-		}
-	}
-	return false
-}
 
 // Config collects everything a Node needs beyond the datasets; cmd/calloc-serve
 // fills it from flags, tests construct it directly.
@@ -98,42 +89,43 @@ type Config struct {
 // Validate checks the parts of the config that would otherwise surface as a
 // late panic or a silent misconfiguration deep inside New — after minutes of
 // quick-training, in the worst case. numDatasets is the dataset count the
-// config will be applied to.
-func (c *Config) Validate(numDatasets int) error {
+// config will be applied to. It returns the parsed serving precision.
+func (c *Config) Validate(numDatasets int) (mat.Precision, error) {
 	if numDatasets == 0 {
-		return errors.New("node: no datasets")
+		return 0, errors.New("node: no datasets")
 	}
 	for _, b := range c.Backends {
-		if !ValidBackend(strings.TrimSpace(b)) {
-			return fmt.Errorf("node: unknown backend %q (known: %s)",
+		if !slices.Contains(KnownBackends, strings.TrimSpace(b)) {
+			return 0, fmt.Errorf("node: unknown backend %q (known: %s)",
 				strings.TrimSpace(b), strings.Join(KnownBackends, ", "))
 		}
 	}
-	if _, err := mat.ParsePrecision(strings.TrimSpace(c.Precision)); err != nil {
-		return fmt.Errorf("node: %w", err)
+	prec, err := mat.ParsePrecision(strings.TrimSpace(c.Precision))
+	if err != nil {
+		return 0, fmt.Errorf("node: %w", err)
 	}
 	if c.WeightBlobs != nil && len(c.WeightBlobs) != numDatasets {
-		return fmt.Errorf("node: %d weight blobs for %d floor datasets", len(c.WeightBlobs), numDatasets)
+		return 0, fmt.Errorf("node: %d weight blobs for %d floor datasets", len(c.WeightBlobs), numDatasets)
 	}
 	if len(c.Floors) > 0 {
 		if len(c.Floors) != numDatasets {
-			return fmt.Errorf("node: %d floor indices for %d floor datasets", len(c.Floors), numDatasets)
+			return 0, fmt.Errorf("node: %d floor indices for %d floor datasets", len(c.Floors), numDatasets)
 		}
 		seen := make(map[int]bool, len(c.Floors))
 		for _, f := range c.Floors {
 			if f < 0 {
-				return fmt.Errorf("node: negative floor index %d", f)
+				return 0, fmt.Errorf("node: negative floor index %d", f)
 			}
 			if seen[f] {
-				return fmt.Errorf("node: duplicate floor index %d", f)
+				return 0, fmt.Errorf("node: duplicate floor index %d", f)
 			}
 			seen[f] = true
 		}
 	}
 	if c.Engine.ABFraction < 0 {
-		return fmt.Errorf("node: ABFraction must be >= 0 (0 disables the shadow lane), got %d", c.Engine.ABFraction)
+		return 0, fmt.Errorf("node: ABFraction must be >= 0 (0 disables the shadow lane), got %d", c.Engine.ABFraction)
 	}
-	return nil
+	return prec, nil
 }
 
 // Node owns the serving state of one process-worth of models: the registry
@@ -156,7 +148,8 @@ type Node struct {
 // the engine, and the per-floor trainers. Trainers are constructed but not
 // started; call Start.
 func New(datasets []*fingerprint.Dataset, cfg Config) (*Node, error) {
-	if err := cfg.Validate(len(datasets)); err != nil {
+	prec, err := cfg.Validate(len(datasets))
+	if err != nil {
 		return nil, err
 	}
 	if len(cfg.Backends) == 0 {
@@ -171,10 +164,6 @@ func New(datasets []*fingerprint.Dataset, cfg Config) (*Node, error) {
 		for i := range floors {
 			floors[i] = i
 		}
-	}
-	prec, err := mat.ParsePrecision(strings.TrimSpace(cfg.Precision))
-	if err != nil {
-		return nil, fmt.Errorf("node: %w", err)
 	}
 	n := &Node{
 		cfg:      cfg,
@@ -316,9 +305,6 @@ func (n *Node) Floors() []int {
 	sort.Ints(out)
 	return out
 }
-
-// DefaultBackend is the backend used when a request names none.
-func (n *Node) DefaultBackend() string { return n.deflt }
 
 // holdoutOf flattens the online-phase test fingerprints into the validation
 // split that gates fine-tune swaps.

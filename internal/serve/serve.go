@@ -9,15 +9,10 @@
 // and attention-memory working set from cache for one query's worth of
 // arithmetic. Batching amortises that traffic across every query in the
 // batch, so coalescing B concurrent requests into one batched call costs
-// less than B single-row calls. Waiting for company, though, is only worth
-// anything when there is company: a lane served one caller at a time — however
-// fast that caller is — dispatches every request the moment a worker picks it
-// up, so an idle engine answers a lone request at the cost of one model call.
-// A lane that has recently shown concurrent callers (two requests gathered
-// together, or a batch picked up while the lane's previous one was still
-// computing) is paced instead: its dispatches are spaced at least holdoff
-// apart, so what arrives in between leaves as one batch. The first request
-// after a quiet spell never waits either way, and a full batch never does.
+// less than B single-row calls. The engine never waits for company, though:
+// a worker takes what a lane holds when it gets there and dispatches it at
+// once, so an idle engine answers a lone request at the cost of one model
+// call, and batches form only from what queued while every worker was busy.
 //
 // Every registered localizer gets its own micro-batch lane (a bounded queue
 // that only ever coalesces requests for that localizer), and a shared pool
@@ -74,21 +69,6 @@ var ErrUnknownModel = errors.New("serve: no localizer registered for key")
 // a classifier bug or drift, not a client addressing error. Counted in
 // Stats.Misroutes.
 var ErrMisroute = errors.New("serve: floor classifier predicted an unregistered floor")
-
-// Pacing of a lane with concurrent callers (see gather). Constants, not
-// options: a Go timer shorter than a millisecond fires through the
-// netpoller's millisecond epoll_wait on an idle host, so a holdoff "tuned"
-// below that buys nothing, and one above it is latency nobody asked for.
-const (
-	// holdoff is the least spacing between two dispatches of a crowded lane.
-	holdoff = 500 * time.Microsecond
-	// crowdMemory is how long after its last sign of concurrent callers a
-	// lane still counts as crowded: long against one paced cycle, so a cycle
-	// that happens to gather a single request does not flip the lane back
-	// and forth; short against the gaps of sparse traffic, so two requests
-	// that once collided do not tax the thousands that follow alone.
-	crowdMemory = 50 * time.Millisecond
-)
 
 // Options configures an Engine.
 type Options struct {
@@ -233,15 +213,16 @@ type lane struct {
 	// wakeups), and that at most one worker gathers from a lane at a time
 	// (so a backlog leaves as one batch instead of fragmenting across
 	// workers). The hold ends when the gather does: model calls for one lane
-	// may overlap, and computing counts the ones running now.
+	// may overlap.
 	pending   atomic.Int64
 	scheduled atomic.Bool
-	computing atomic.Int32
+}
 
-	// Pacing state, owned by whichever worker holds the lane: when the last
-	// gather ended, and when the lane last showed concurrent callers.
-	lastGather time.Time
-	crowdSeen  time.Time
+// laneKey names a lane: the live lane of a position key, or (shadow) the
+// candidate lane of its A/B pair.
+type laneKey struct {
+	key    localizer.Key
+	shadow bool
 }
 
 // Engine coalesces concurrent localization requests into batched model
@@ -251,12 +232,10 @@ type Engine struct {
 	reg  *localizer.Registry
 	opts Options
 
-	// laneMu guards the lane maps (read-mostly; lanes are created once per
-	// key and never removed while the engine runs). shadowLanes holds the
-	// candidate lanes of A/B pairs, keyed by the same position key.
-	laneMu      sync.RWMutex
-	lanes       map[localizer.Key]*lane
-	shadowLanes map[localizer.Key]*lane
+	// laneMu guards the lane map (read-mostly; lanes are created once per
+	// key and never removed while the engine runs).
+	laneMu sync.RWMutex
+	lanes  map[laneKey]*lane
 
 	// runMu/cond protect the run queue of lanes with pending requests.
 	// draining tells idle workers to exit once the queue is empty.
@@ -303,11 +282,10 @@ func New(reg *localizer.Registry, opts Options) (*Engine, error) {
 	}
 	opts.setDefaults()
 	e := &Engine{
-		reg:         reg,
-		opts:        opts,
-		lanes:       make(map[localizer.Key]*lane),
-		shadowLanes: make(map[localizer.Key]*lane),
-		started:     time.Now(),
+		reg:     reg,
+		opts:    opts,
+		lanes:   make(map[laneKey]*lane),
+		started: time.Now(),
 	}
 	e.cond = sync.NewCond(&e.runMu)
 	e.reqPool.New = func() any {
@@ -352,7 +330,7 @@ func (e *Engine) Localize(ctx context.Context, key localizer.Key, rss []float64)
 	if ctx == nil {
 		ctx = context.Background() //calloc:bgctx nil ctx is documented to mean Background: the caller explicitly opted out of cancellation
 	}
-	l, err := e.lane(key)
+	l, err := e.lane(key, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -445,7 +423,7 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 	if len(rss) == 0 {
 		return out, nil
 	}
-	l, err := e.lane(key)
+	l, err := e.lane(key, false)
 	if err != nil {
 		return nil, err
 	}
@@ -531,50 +509,33 @@ func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, r
 	if len(rss) == 0 {
 		return out, nil
 	}
-	floors := make([]int, len(rss))
+	// Group rows by floor: the classifier's per-row prediction, each checked
+	// for a misroute exactly as Route checks it, or the building's only floor.
+	groups := make(map[int][]int)
 	if _, ok := e.reg.Get(localizer.FloorKey(building)); ok {
 		fres, err := e.LocalizeBatch(ctx, localizer.FloorKey(building), rss)
 		if err != nil {
 			return nil, err
 		}
 		for i, fr := range fres {
+			if fr.Err == nil {
+				fr.Err = e.checkFloor(building, backend, fr.Class)
+			}
 			if fr.Err != nil {
 				out[i].Err = fr.Err
-				floors[i] = -1
 				continue
 			}
-			floors[i] = fr.Class
+			groups[fr.Class] = append(groups[fr.Class], i)
 		}
 	} else {
-		fl := e.reg.Floors(building, backend)
-		switch len(fl) {
-		case 0:
-			return nil, fmt.Errorf("%w: building %d backend %q", ErrUnknownModel, building, backend)
-		case 1:
-			for i := range floors {
-				floors[i] = fl[0]
-			}
-		default:
-			return nil, fmt.Errorf("serve: building %d has %d floors for backend %q and no floor classifier",
-				building, len(fl), backend)
+		floor, err := e.onlyFloor(building, backend)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	// Group surviving rows by floor, validating each predicted floor against
-	// the registered keys (same misroute semantics as Route, counted per row).
-	groups := make(map[int][]int)
-	for i := range rss {
-		if out[i].Err != nil {
-			continue
+		groups[floor] = make([]int, len(rss))
+		for i := range rss {
+			groups[floor][i] = i
 		}
-		key := localizer.Key{Building: building, Floor: floors[i], Backend: backend}
-		if _, ok := e.reg.Get(key); !ok {
-			e.misroutes.Add(1)
-			out[i].Err = fmt.Errorf("%w: building %d backend %q predicted floor %d (registered floors %v)",
-				ErrMisroute, building, backend, floors[i], e.reg.Floors(building, backend))
-			continue
-		}
-		groups[floors[i]] = append(groups[floors[i]], i)
 	}
 
 	dispatchGroup := func(floor int, idxs []int) {
@@ -596,8 +557,10 @@ func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, r
 		}
 		for j, i := range idxs {
 			out[i] = res[j]
+			if res[j].Err == nil {
+				e.sample(key, rows[j], res[j].Class, start)
+			}
 		}
-		e.shadowRowsSample(key, rows, res, time.Since(start))
 	}
 	if len(groups) == 1 {
 		// The overwhelmingly common shape — a whole batch on one floor —
@@ -619,32 +582,6 @@ func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, r
 	return out, nil
 }
 
-// shadowRowsSample applies the per-key every-Nth shadow A/B cadence to the
-// successful rows of one routed batch group, enqueueing the sampled rows into
-// the key's candidate lane. Never blocks, never fails the caller.
-func (e *Engine) shadowRowsSample(key localizer.Key, rows [][]float64, res []Result, liveLatency time.Duration) {
-	if e.opts.ABFraction <= 0 {
-		return
-	}
-	cand, staged := e.reg.Candidate(key)
-	if !staged {
-		return
-	}
-	l, err := e.shadowLane(key)
-	if err != nil {
-		return
-	}
-	for i, row := range rows {
-		if res[i].Err != nil {
-			continue
-		}
-		if l.sampleSeq.Add(1)%int64(e.opts.ABFraction) != 0 {
-			continue
-		}
-		e.shadow(l, row, res[i].Class, liveLatency, cand.Version)
-	}
-}
-
 // Route localizes hierarchically: the building's floor classifier (if
 // registered under localizer.FloorKey) picks the floor, then the floor's
 // backend localizer predicts the position. Without a floor classifier the
@@ -652,77 +589,88 @@ func (e *Engine) shadowRowsSample(key localizer.Key, rows [][]float64, res []Res
 // used directly. Both stages are micro-batched: a routed request makes two
 // lane hops.
 func (e *Engine) Route(ctx context.Context, building int, backend string, rss []float64) (Result, error) {
-	floor := 0
+	var floor int
 	if _, ok := e.reg.Get(localizer.FloorKey(building)); ok {
 		fr, err := e.Localize(ctx, localizer.FloorKey(building), rss)
 		if err != nil {
 			return Result{}, err
 		}
 		floor = fr.Class
-		// The classifier's predicted class is an index into ITS label space,
-		// not necessarily a registered floor: a buggy or drifted classifier
-		// (or one trained for more floors than this deployment serves) would
-		// otherwise surface as a confusing ErrUnknownModel from the second
-		// stage. Validate before dispatching and report the misroute as what
-		// it is.
-		if _, ok := e.reg.Get(localizer.Key{Building: building, Floor: floor, Backend: backend}); !ok {
-			e.misroutes.Add(1)
-			return Result{}, fmt.Errorf("%w: building %d backend %q predicted floor %d (registered floors %v)",
-				ErrMisroute, building, backend, floor, e.reg.Floors(building, backend))
+		if err := e.checkFloor(building, backend, floor); err != nil {
+			return Result{}, err
 		}
 	} else {
-		floors := e.reg.Floors(building, backend)
-		switch len(floors) {
-		case 0:
-			return Result{}, fmt.Errorf("%w: building %d backend %q", ErrUnknownModel, building, backend)
-		case 1:
-			floor = floors[0]
-		default:
-			return Result{}, fmt.Errorf("serve: building %d has %d floors for backend %q and no floor classifier",
-				building, len(floors), backend)
+		var err error
+		if floor, err = e.onlyFloor(building, backend); err != nil {
+			return Result{}, err
 		}
 	}
 	key := localizer.Key{Building: building, Floor: floor, Backend: backend}
 
-	// Shadow A/B sampling: every ABFraction-th routed request whose position
-	// key has a staged candidate also goes through the candidate's shadow
-	// lane (per-key cadence — see lane.sampleSeq). The decision is taken
-	// before the live dispatch so the live arm's latency can be attributed;
-	// everything shadow-related stays off the non-sampled path (one
-	// lock-free Candidate lookup when enabled).
-	var shadowL *lane
-	var candVersion uint64
-	var liveStart time.Time
+	var start time.Time
 	if e.opts.ABFraction > 0 {
-		if cand, staged := e.reg.Candidate(key); staged {
-			if l, err := e.shadowLane(key); err == nil {
-				if l.sampleSeq.Add(1)%int64(e.opts.ABFraction) == 0 {
-					shadowL = l
-					candVersion = cand.Version
-					liveStart = time.Now()
-				}
-			}
-		}
+		start = time.Now() // the live arm's latency, for the A/B counters
 	}
-
 	res, err := e.Localize(ctx, key, rss)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Floor = floor
-	if shadowL != nil {
-		e.shadow(shadowL, rss, res.Class, time.Since(liveStart), candVersion)
-	}
+	e.sample(key, rss, res.Class, start)
 	return res, nil
 }
 
-// shadow enqueues one sampled routed request into the key's candidate lane.
-// It never blocks and never fails the caller: a full shadow queue, a
-// vanished candidate, or a closing engine just drops the sample (counted).
-func (e *Engine) shadow(l *lane, rss []float64, liveClass int, liveLatency time.Duration, candVersion uint64) {
-	l.ab.resetIfStale(candVersion)
+// onlyFloor is the floor a building without a floor classifier routes to:
+// the one floor registered for backend. None is ErrUnknownModel, and more
+// than one cannot be routed.
+func (e *Engine) onlyFloor(building int, backend string) (int, error) {
+	floors := e.reg.Floors(building, backend)
+	switch len(floors) {
+	case 0:
+		return 0, fmt.Errorf("%w: building %d backend %q", ErrUnknownModel, building, backend)
+	case 1:
+		return floors[0], nil
+	}
+	return 0, fmt.Errorf("serve: building %d has %d floors for backend %q and no floor classifier",
+		building, len(floors), backend)
+}
+
+// checkFloor validates a floor classifier's prediction before the second
+// stage dispatches. The predicted class is an index into the classifier's
+// own label space, not necessarily a registered floor: a buggy or drifted
+// classifier (or one trained for more floors than this deployment serves)
+// would otherwise surface as a confusing ErrUnknownModel from the second
+// stage. A floor with no localizer for backend is reported as what it is,
+// ErrMisroute, and counted.
+func (e *Engine) checkFloor(building int, backend string, floor int) error {
+	if _, ok := e.reg.Get(localizer.Key{Building: building, Floor: floor, Backend: backend}); ok {
+		return nil
+	}
+	e.misroutes.Add(1)
+	return fmt.Errorf("%w: building %d backend %q predicted floor %d (registered floors %v)",
+		ErrMisroute, building, backend, floor, e.reg.Floors(building, backend))
+}
+
+// sample is the shadow A/B cadence, applied to one routed row after its live
+// answer (liveClass, dispatched at liveStart): every ABFraction-th such row
+// of a key with a staged candidate is also enqueued into the candidate's
+// shadow lane (per-key cadence — see lane.sampleSeq). It never blocks and
+// never fails the caller: a full shadow queue or a closing engine just drops
+// the sample (counted). With ABFraction 0 it does nothing at all.
+func (e *Engine) sample(key localizer.Key, row []float64, liveClass int, liveStart time.Time) {
+	if e.opts.ABFraction <= 0 {
+		return
+	}
+	cand, staged := e.reg.Candidate(key)
+	if !staged {
+		return
+	}
+	l, err := e.lane(key, true)
+	if err != nil || l.sampleSeq.Add(1)%int64(e.opts.ABFraction) != 0 {
+		return
+	}
+	l.ab.resetIfStale(cand.Version)
 	l.ab.sampled.Add(1)
-	l.ab.liveNs.Add(liveLatency.Nanoseconds())
+	l.ab.liveNs.Add(time.Since(liveStart).Nanoseconds())
 	l.ab.liveRows.Add(1)
 
 	//calloc:handoff enqueued into the shadow lane; the worker recycles it (or the closed/full paths Put here)
@@ -731,7 +679,7 @@ func (e *Engine) shadow(l *lane, rss []float64, liveClass int, liveLatency time.
 		r.x = make([]float64, l.features)
 	}
 	r.x = r.x[:l.features]
-	copy(r.x, rss)
+	copy(r.x, row)
 	r.rn = 1
 	r.out = r.out[:0]
 	r.enq = time.Now()
@@ -756,12 +704,15 @@ func (e *Engine) shadow(l *lane, rss []float64, liveClass int, liveLatency time.
 	}
 }
 
-// lane returns (creating on first use) the micro-batch lane for key. Lane
-// creation requires the key to be registered; the lane's feature width is
-// pinned from the localizer's InputDim, which registry swaps preserve.
-func (e *Engine) lane(key localizer.Key) (*lane, error) {
+// lane returns (creating on first use) the micro-batch lane for key: its live
+// lane, or with shadow set the candidate lane of its A/B pair. Lane creation
+// requires the key to be registered; the lane's feature width is pinned from
+// the live localizer's InputDim, which registry swaps preserve and Stage
+// enforces for candidates.
+func (e *Engine) lane(key localizer.Key, shadow bool) (*lane, error) {
+	lk := laneKey{key, shadow}
 	e.laneMu.RLock()
-	l, ok := e.lanes[key]
+	l, ok := e.lanes[lk]
 	e.laneMu.RUnlock()
 	if ok {
 		return l, nil
@@ -772,44 +723,16 @@ func (e *Engine) lane(key localizer.Key) (*lane, error) {
 	}
 	e.laneMu.Lock()
 	defer e.laneMu.Unlock()
-	if l, ok := e.lanes[key]; ok {
+	if l, ok := e.lanes[lk]; ok {
 		return l, nil
 	}
 	l = &lane{
 		key:      key,
 		features: snap.Localizer.InputDim(),
 		reqs:     make(chan *request, e.opts.QueueCap),
+		shadow:   shadow,
 	}
-	e.lanes[key] = l
-	return l, nil
-}
-
-// shadowLane returns (creating on first use) the candidate shadow lane for
-// key. Its feature width is pinned from the live localizer — Stage enforces
-// that candidates preserve it, exactly like Swap does for the live lane.
-func (e *Engine) shadowLane(key localizer.Key) (*lane, error) {
-	e.laneMu.RLock()
-	l, ok := e.shadowLanes[key]
-	e.laneMu.RUnlock()
-	if ok {
-		return l, nil
-	}
-	snap, ok := e.reg.Get(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownModel, key)
-	}
-	e.laneMu.Lock()
-	defer e.laneMu.Unlock()
-	if l, ok := e.shadowLanes[key]; ok {
-		return l, nil
-	}
-	l = &lane{
-		key:      key,
-		features: snap.Localizer.InputDim(),
-		reqs:     make(chan *request, e.opts.QueueCap),
-		shadow:   true,
-	}
-	e.shadowLanes[key] = l
+	e.lanes[lk] = l
 	return l, nil
 }
 
@@ -840,10 +763,6 @@ func (e *Engine) run() {
 	// Worker-owned matrix header, refilled per dispatch: mat.FromSlice would
 	// heap-allocate one per batch (one per request at batch size 1).
 	xm := new(mat.Matrix)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		e.runMu.Lock()
 		for len(e.runq) == 0 && !e.draining {
@@ -864,10 +783,9 @@ func (e *Engine) run() {
 		l := e.runq[0]
 		copy(e.runq, e.runq[1:])
 		e.runq = e.runq[:len(e.runq)-1]
-		draining := e.draining
 		e.runMu.Unlock()
 
-		batch = e.gather(l, batch[:0], timer, draining)
+		batch = e.gather(l, batch[:0])
 
 		// Release the lane before the model call: decrement pending by what
 		// we took, clear the hold, then re-check — requests that arrived
@@ -904,67 +822,24 @@ func (e *Engine) run() {
 }
 
 // gather takes what l holds right now, up to MaxBatch ROWS (a pre-formed
-// batch request contributes all its rows at once). Not even the first receive
-// may block: a worker can consume a request from the lane channel before the
-// sender's pending increment lands, in which case the sender's subsequent
-// schedule re-queues an already-drained lane — such a spurious pop returns an
-// empty batch and the caller just releases the lane.
-//
-// A lane that shows concurrent callers — this gather found two requests, or
-// an earlier batch of the lane is still inside its model call — is crowded
-// for the next crowdMemory, and a crowded lane is paced: a batch that is not
-// full stays open until holdoff after the previous gather ended, taking in
-// what arrives meanwhile. A lane with one caller at a time is never crowded,
-// the first batch after a gap of holdoff or more leaves at once, and so does
-// everything while draining — Close should not pay a holdoff per residual
-// batch.
+// batch request contributes all its rows at once), and returns: a worker never
+// waits for company. Not even the first receive may block: a worker can
+// consume a request from the lane channel before the sender's pending
+// increment lands, in which case the sender's subsequent schedule re-queues an
+// already-drained lane — such a spurious pop returns an empty batch and the
+// caller just releases the lane.
 //
 //calloc:noalloc
-func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining bool) []*request {
-	maxB := e.opts.MaxBatch
-	rows := 0
-greedy:
-	for rows < maxB {
+func (e *Engine) gather(l *lane, batch []*request) []*request {
+	for rows := 0; rows < e.opts.MaxBatch; {
 		select {
 		case r := <-l.reqs:
 			batch = append(batch, r)
 			rows += r.rn
 		default:
-			break greedy
+			return batch
 		}
 	}
-	if len(batch) == 0 {
-		return batch
-	}
-	now := time.Now()
-	if len(batch) > 1 || l.computing.Load() > 0 {
-		l.crowdSeen = now
-	}
-	crowded := now.Sub(l.crowdSeen) < crowdMemory
-	if wait := holdoff - now.Sub(l.lastGather); crowded && wait > 0 && rows < maxB && !draining {
-		timer.Reset(wait)
-	paced:
-		for rows < maxB {
-			select {
-			case r := <-l.reqs:
-				batch = append(batch, r)
-				rows += r.rn
-			case <-timer.C:
-				break paced // holdoff over (timer drained)
-			}
-		}
-		if !timer.Stop() { //calloc:allow inlined Stop's panic-path message; never reached on an armed timer
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		now = time.Now()
-		if len(batch) > 1 {
-			l.crowdSeen = now
-		}
-	}
-	l.lastGather = now
 	return batch
 }
 
@@ -1004,12 +879,7 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		}
 		return
 	}
-	// computing falls before the results go out: a caller that sends its next
-	// request the moment it has this answer must not find its own previous
-	// batch still counted, or one sequential caller would look like two.
-	l.computing.Add(1)
 	snap.Localizer.PredictInto(dst[:rows], x)
-	l.computing.Add(-1)
 
 	// Counted before delivery, so a caller holding its answer finds its batch
 	// in Stats.
@@ -1122,7 +992,7 @@ func (l *lane) abStats() ABStats {
 // request has ever been sampled for it.
 func (e *Engine) ABStats(key localizer.Key) (ABStats, bool) {
 	e.laneMu.RLock()
-	l, ok := e.shadowLanes[key]
+	l, ok := e.lanes[laneKey{key, true}]
 	e.laneMu.RUnlock()
 	if !ok {
 		return ABStats{}, false
@@ -1177,7 +1047,8 @@ type Stats struct {
 	Rows int64 `json:"rows"`
 	// QueueFullWaits counts requests that hit backpressure (full lane queue).
 	QueueFullWaits int64 `json:"queue_full_waits"`
-	// Lanes is the number of micro-batch lanes created so far.
+	// Lanes is the number of live micro-batch lanes created so far (shadow
+	// lanes are not counted).
 	Lanes int `json:"lanes"`
 	// AvgBatch is Rows/Batches — the realised coalescing factor.
 	AvgBatch float64 `json:"avg_batch"`
@@ -1199,15 +1070,15 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's throughput and latency counters.
 func (e *Engine) Stats() Stats {
+	var ab []ABStats
+	var keys []KeyStats
 	e.laneMu.RLock()
-	lanes := len(e.lanes)
-	ab := make([]ABStats, 0, len(e.shadowLanes))
-	for _, l := range e.shadowLanes {
-		ab = append(ab, l.abStats())
-	}
-	keys := make([]KeyStats, 0, len(e.lanes))
 	for _, l := range e.lanes {
-		keys = append(keys, KeyStats{Key: l.key, Requests: l.requests.Load()})
+		if l.shadow {
+			ab = append(ab, l.abStats())
+		} else {
+			keys = append(keys, KeyStats{Key: l.key, Requests: l.requests.Load()})
+		}
 	}
 	e.laneMu.RUnlock()
 	sort.Slice(ab, func(i, j int) bool { return ab[i].Key.Less(ab[j].Key) })
@@ -1218,7 +1089,7 @@ func (e *Engine) Stats() Stats {
 		Batches:        e.batches.Load(),
 		Rows:           e.rows.Load(),
 		QueueFullWaits: e.fullWaits.Load(),
-		Lanes:          lanes,
+		Lanes:          len(keys),
 		Misroutes:      e.misroutes.Load(),
 		ShadowBatches:  e.shadowBatches.Load(),
 		ShadowRows:     e.shadowRows.Load(),

@@ -495,7 +495,7 @@ func (t *Trainer) FineTune() (Round, error) {
 			t.stats.Aborts++
 			t.mu.Unlock()
 			// Withdraw only OUR candidate: an operator may have restaged the
-			// lane since (AbortIf is the candidate-lane analogue of SwapIf).
+			// lane since.
 			t.reg.AbortIf(t.opts.Key, stagedVersion)
 			t.logf("train: live version moved to %d — aborting the staged candidate", snap.Version)
 			t.mu.Lock()
