@@ -877,9 +877,9 @@ func trainBenchDataset(b *testing.B) *fingerprint.Dataset {
 // BenchmarkTrainLesson measures one adversarial curriculum lesson (3 epochs
 // at ø=50, ε=0.1: craft FGSM lesson data, sharded forward/backward, Adam
 // step) at building scale, sequential vs maximum fan-out. The sharded
-// trainer's fixed partition + ordered reduction make the two bit-identical;
-// see TestTrainDeterministicAcrossParallelism and BENCH_pr4.json for
-// measured numbers and the single-vCPU caveat.
+// trainer's fixed partition + ordered reduction make the two bit-identical
+// (TestTrainDeterministicAcrossParallelism). On a single vCPU the fan-out
+// arm has nothing to spread over and cannot beat the sequential one.
 func BenchmarkTrainLesson(b *testing.B) {
 	ds := trainBenchDataset(b)
 	lessons := []curriculum.Lesson{{Number: 1, PhiPercent: 50, Epsilon: 0.1, OriginalFraction: 0.35}}

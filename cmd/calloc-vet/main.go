@@ -1,17 +1,20 @@
-// Command calloc-vet is the repo's vet suite: project-specific analyzers
-// that turn the serving stack's hand-maintained invariants — pool Get/Put
-// ownership, the //calloc:noalloc zero-allocation set, atomics discipline,
-// mutex release and ordering, goroutine lifecycle ties, and request-path
-// context propagation — into build failures.
+// Command calloc-vet is the repo's vet suite: five project-specific
+// analyzers that turn the serving stack's hand-maintained invariants — pool
+// Get/Put ownership (poolcheck), atomics discipline (atomiccheck), mutex
+// release and ordering (lockcheck), goroutine lifecycle ties (lifecycle), and
+// request-path context propagation (ctxcheck) — into build failures.
 //
 // Run it through the go command:
 //
 //	go build -o bin/calloc-vet ./cmd/calloc-vet
 //	go vet -vettool=bin/calloc-vet ./...
 //
-// scripts/escapecheck.sh additionally uses `calloc-vet -ranges` to gate the
-// annotated set on the compiler's escape analysis. See DESIGN.md "Enforced
-// invariants" for the rule each analyzer guards.
+// Two modes of its own serve the rest of the gate. `calloc-vet -directives`
+// audits every //calloc: annotation and exits non-zero on an unknown name or
+// a reason-less waiver. `calloc-vet -ranges` lists the //calloc:noalloc
+// functions for scripts/escapecheck.sh, which holds them to zero compiler
+// heap sites and to an allocation test that executes each one. See DESIGN.md
+// "Enforced invariants" for which gate owns which property.
 package main
 
 import (
@@ -19,7 +22,6 @@ import (
 	"calloc/internal/analysis/ctxcheck"
 	"calloc/internal/analysis/lifecycle"
 	"calloc/internal/analysis/lockcheck"
-	"calloc/internal/analysis/noalloc"
 	"calloc/internal/analysis/poolcheck"
 	"calloc/internal/analysis/unit"
 )
@@ -27,7 +29,6 @@ import (
 func main() {
 	unit.Main(
 		poolcheck.Analyzer,
-		noalloc.Analyzer,
 		atomiccheck.Analyzer,
 		lockcheck.Analyzer,
 		lifecycle.Analyzer,

@@ -6,10 +6,12 @@
 //
 // The real x/tools module is deliberately not imported — the repo builds
 // with a bare module cache — but the API mirrors it closely enough that the
-// analyzers in poolcheck/, noalloc/, and atomiccheck/ would port to the real
-// framework by changing imports. The deliberate omissions are facts
-// (cross-package analysis state) and sub-analyzer requirements: all three
-// calloc analyzers are package-local.
+// five analyzers (poolcheck, atomiccheck, lockcheck, lifecycle, ctxcheck)
+// would port to the real framework by changing imports. The deliberate
+// omissions are facts (cross-package analysis state) and sub-analyzer
+// requirements: every calloc analyzer is package-local. Each one is kept
+// because a regression patch under testdata/regress is caught by it and by
+// no other gate (scripts/vetscore.sh; DESIGN.md "Enforced invariants").
 package analysis
 
 import (

@@ -1,18 +1,20 @@
 // Package directive parses the repo's `//calloc:` source annotations — the
 // vocabulary through which code declares its allocation and ownership
-// contracts to the calloc-vet analyzers:
+// contracts to the calloc-vet analyzers and to scripts/escapecheck.sh:
 //
 //	//calloc:noalloc
 //	    On a function's doc comment: the function is part of the zero-
-//	    allocation hot set. The noalloc analyzer rejects allocating
-//	    constructs inside it, and scripts/escapecheck.sh gates CI on the
-//	    compiler's escape analysis finding no heap sites in its body.
+//	    allocation hot set. No analyzer reads it. scripts/escapecheck.sh
+//	    (through `calloc-vet -ranges`) holds its body to zero heap sites
+//	    in the compiler's escape analysis, and its coverage check requires
+//	    an allocation test (a *Alloc* test pinning testing.AllocsPerRun)
+//	    that executes it.
 //
 //	//calloc:allow <reason>
-//	    On (or immediately above) a line inside a noalloc function:
-//	    permit the allocating construct on that line. Reserved for
-//	    deliberately cold paths — one-time buffer growth, error paths —
-//	    and requires a reason.
+//	    On (or immediately above) a line inside a noalloc function: an
+//	    escape the compiler reports on that line is deliberate, and
+//	    escapecheck.sh skips it. Reserved for deliberately cold paths —
+//	    one-time buffer growth, error paths — and requires a reason.
 //
 //	//calloc:handoff <reason>
 //	    On (or immediately above) a sync.Pool Get line: ownership of the
@@ -72,9 +74,9 @@ const (
 )
 
 // Known maps every recognised directive name to whether it must carry a
-// reason. Markers (noalloc) tag code for an analyzer; waivers suppress a
-// diagnostic and owe the reader an explanation. scripts/directives.sh fails
-// CI on reason-less waivers and unknown names via `calloc-vet -directives`.
+// reason. Markers (noalloc) tag code for a check; waivers suppress a
+// finding and owe the reader an explanation. `calloc-vet -directives` exits
+// non-zero on a reason-less waiver or a name missing from this map.
 var Known = map[string]bool{
 	NoAlloc:   false,
 	Allow:     true,
@@ -126,8 +128,7 @@ func Index(fset *token.FileSet, file *ast.File) *FileIndex {
 }
 
 // All returns every directive of the file in source order, with its line —
-// the audit view scripts/directives.sh consumes through `calloc-vet
-// -directives`.
+// the audit view of `calloc-vet -directives`.
 func (ix *FileIndex) All() []Directive {
 	var out []Directive
 	for _, ds := range ix.byLine {
@@ -173,8 +174,8 @@ func FuncDirective(fn *ast.FuncDecl, name string) (Directive, bool) {
 }
 
 // Lines returns every line in file bearing (or directly under) a directive
-// named name — the form scripts/escapecheck.sh consumes via calloc-vet
-// -ranges.
+// named name — the form scripts/escapecheck.sh consumes via `calloc-vet
+// -ranges`.
 func (ix *FileIndex) Lines(name string) []int {
 	var out []int
 	for line, ds := range ix.byLine {

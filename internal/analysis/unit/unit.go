@@ -21,15 +21,16 @@
 //
 // parses the tree (no type-checking) and prints the file:line ranges of
 // every //calloc:noalloc function plus the //calloc:allow lines, the input
-// scripts/escapecheck.sh intersects with `go build -gcflags=-m` output.
+// scripts/escapecheck.sh intersects with `go build -gcflags=-m` output and
+// with the coverprofile of the allocation tests.
 //
 //	vettool -directives [dir...]
 //
-// parses the tree and prints one tab-separated `file:line  name  reason`
-// row per //calloc: annotation, the input scripts/directives.sh audits for
-// unknown names and reason-less waivers. Unlike -ranges it includes
-// _test.go files and testdata fixtures: a waiver owes its reason wherever
-// it appears.
+// parses the tree, prints one tab-separated `file:line  name  reason` row
+// per //calloc: annotation to stdout, and exits 1 (naming each offender on
+// stderr) on a name missing from directive.Known or a waiver with no
+// reason. Unlike -ranges it includes _test.go files and testdata fixtures:
+// a waiver owes its reason wherever it appears.
 package unit
 
 import (
@@ -52,7 +53,6 @@ import (
 
 	"calloc/internal/analysis"
 	"calloc/internal/analysis/directive"
-	"calloc/internal/analysis/noalloc"
 )
 
 // config mirrors the JSON the go command writes for each vet unit.
@@ -91,8 +91,8 @@ func Main(analyzers ...*analysis.Analyzer) {
 	}
 	jsonFlag := flag.Bool("json", false, "emit JSON diagnostics")
 	flagsFlag := flag.Bool("flags", false, "print flags in JSON (go vet protocol)")
-	rangesFlag := flag.Bool("ranges", false, "print //calloc:noalloc function ranges for escapecheck.sh")
-	directivesFlag := flag.Bool("directives", false, "print every //calloc: annotation for directives.sh")
+	rangesFlag := flag.Bool("ranges", false, "print //calloc:noalloc function ranges and //calloc:allow lines for escapecheck.sh")
+	directivesFlag := flag.Bool("directives", false, "audit every //calloc: annotation: exit 1 on an unknown name or a reason-less waiver")
 	vFlag := flag.String("V", "", "print version and exit (-V=full)")
 	flag.Parse()
 
@@ -106,8 +106,12 @@ func Main(analyzers ...*analysis.Analyzer) {
 			log.Fatal(err)
 		}
 	case *directivesFlag:
-		if err := printDirectives(flag.Args()); err != nil {
+		ok, err := printDirectives(flag.Args())
+		if err != nil {
 			log.Fatal(err)
+		}
+		if !ok {
+			os.Exit(1)
 		}
 	default:
 		args := flag.Args()
@@ -299,58 +303,70 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 //	range <file> <startline> <endline>   one //calloc:noalloc function body
 //	allow <file> <line>                  one //calloc:allow-blessed line
 func printRanges(roots []string) error {
-	if len(roots) == 0 {
-		roots = []string{"."}
-	}
-	for _, root := range roots {
-		root = strings.TrimSuffix(root, "/...")
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+	return walkGo(roots, false, func(fset *token.FileSet, f *ast.File) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			if d.IsDir() {
-				name := d.Name()
-				if name == "testdata" || strings.HasPrefix(name, ".") && name != "." && name != ".." {
-					return filepath.SkipDir
-				}
-				return nil
+			if _, ok := directive.FuncDirective(fd, directive.NoAlloc); ok {
+				start, end := fset.Position(fd.Body.Pos()), fset.Position(fd.Body.End())
+				fmt.Printf("range %s %d %d\n", start.Filename, start.Line, end.Line)
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return err
-			}
-			noalloc.Ranges(fset, []*ast.File{f}, func(kind, file string, start, end int) {
-				switch kind {
-				case "range":
-					fmt.Printf("range %s %d %d\n", file, start, end)
-				case "allow":
-					fmt.Printf("allow %s %d\n", file, start)
-				}
-			})
-			return nil
-		})
-		if err != nil {
-			return err
 		}
-	}
-	return nil
+		name := fset.Position(f.Pos()).Filename
+		for _, line := range directive.Index(fset, f).Lines(directive.Allow) {
+			fmt.Printf("allow %s %d\n", name, line)
+		}
+	})
 }
 
 // printDirectives parses the named directories (default ".") without
-// type-checking and emits one row per //calloc: annotation, for
-// scripts/directives.sh:
+// type-checking and prints one row per //calloc: annotation to stdout:
 //
 //	<file>:<line>\t<name>\t<reason>
 //
-// The proper parse is the point: grep over source also matches the prose
-// mentions of //calloc: in doc comments and in analyzer message strings,
-// which this walk never sees. Test files and testdata fixtures are
-// included — their waivers owe reasons like everyone else's.
-func printDirectives(roots []string) error {
+// It reports false when any row breaks the vocabulary in directive.Known —
+// an unknown name, or a waiver with no reason — after naming each such row
+// on stderr. The proper parse is the point: grep over source also matches
+// the prose mentions of //calloc: in doc comments, which this walk never
+// sees. Test files and testdata fixtures are included — their waivers owe
+// reasons like everyone else's.
+func printDirectives(roots []string) (bool, error) {
+	n, bad := 0, 0
+	err := walkGo(roots, true, func(fset *token.FileSet, f *ast.File) {
+		for _, dir := range directive.Index(fset, f).All() {
+			pos := fset.Position(dir.Pos)
+			n++
+			needsReason, known := directive.Known[dir.Name]
+			switch {
+			case !known:
+				bad++
+				log.Printf("unknown directive //calloc:%s at %s:%d", dir.Name, pos.Filename, pos.Line)
+			case needsReason && dir.Reason == "":
+				bad++
+				log.Printf("reason-less //calloc:%s at %s:%d", dir.Name, pos.Filename, pos.Line)
+			}
+			fmt.Printf("%s:%d\t%s\t%s\n", pos.Filename, pos.Line, dir.Name, dir.Reason)
+		}
+	})
+	if err != nil {
+		return false, err
+	}
+	if n == 0 {
+		log.Print("no //calloc: annotations found")
+		return false, nil
+	}
+	if bad == 0 {
+		log.Printf("%d annotations, every name known and every waiver with a reason", n)
+	}
+	return bad == 0, nil
+}
+
+// walkGo parses every .go file under roots (default "."), skipping hidden
+// directories, and hands each to visit. Test files and testdata fixtures are
+// included only with withTests.
+func walkGo(roots []string, withTests bool, visit func(*token.FileSet, *ast.File)) error {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
@@ -362,12 +378,12 @@ func printDirectives(roots []string) error {
 			}
 			if d.IsDir() {
 				name := d.Name()
-				if strings.HasPrefix(name, ".") && name != "." && name != ".." {
+				if name == "testdata" && !withTests || strings.HasPrefix(name, ".") && name != "." && name != ".." {
 					return filepath.SkipDir
 				}
 				return nil
 			}
-			if !strings.HasSuffix(path, ".go") {
+			if !strings.HasSuffix(path, ".go") || !withTests && strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
 			fset := token.NewFileSet()
@@ -375,10 +391,7 @@ func printDirectives(roots []string) error {
 			if err != nil {
 				return err
 			}
-			for _, dir := range directive.Index(fset, f).All() {
-				pos := fset.Position(dir.Pos)
-				fmt.Printf("%s:%d\t%s\t%s\n", pos.Filename, pos.Line, dir.Name, dir.Reason)
-			}
+			visit(fset, f)
 			return nil
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -326,5 +327,65 @@ func TestCoalesceShardDownMidWindow(t *testing.T) {
 	}
 	if got := batch.Load(); got != 2 {
 		t.Fatalf("shard saw %d batch calls across the restart, want 2 (sizes %v)", got, sizes)
+	}
+}
+
+// TestCoalesceAbandonedWaiterKeepsItsRow: a client that gives up while parked
+// in a coalesce window leaves its body in the window, so its handler must
+// abandon the proxy buffer rather than recycle it. Were the buffer recycled,
+// the next request on this goroutine would read its body into the same
+// bytes, and the window would send that body twice instead of both rows.
+func TestCoalesceAbandonedWaiterKeepsItsRow(t *testing.T) {
+	var mu sync.Mutex
+	var rows []float64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var q struct {
+			Queries []struct {
+				RSS []float64 `json:"rss"`
+			} `json:"queries"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		results := make([]map[string]any, len(q.Queries))
+		mu.Lock()
+		for i, row := range q.Queries {
+			rows = append(rows, row.RSS[0])
+			results[i] = map[string]any{"rp": int(row.RSS[0]), "floor": 0, "backend": "a", "version": 1}
+		}
+		mu.Unlock()
+		writeJSON(w, map[string]any{"results": results})
+	}))
+	t.Cleanup(shard.Close)
+	r := newTestRouter(t, oneShardMap(t, shard.URL), RouterOptions{
+		CoalesceBatch: 2, CoalesceWait: time.Minute,
+	})
+	h := r.Handler()
+
+	// The first request parks alone in the window until its client cancels.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for r.Stats().Coalesced < 1 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	req := httptest.NewRequest(http.MethodPost, "/v1/localize", strings.NewReader(`{"rss":[21,5],"floor":0}`))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req.WithContext(ctx))
+	if w.Code != statusClientClosedRequest {
+		t.Fatalf("canceled waiter: status %d, want %d", w.Code, statusClientClosedRequest)
+	}
+
+	// The second fills the window, which flushes both parked bodies.
+	if w := postLocalize(t, h, `{"rss":[34,5],"floor":0}`); w.Code != http.StatusOK {
+		t.Fatalf("second request: status %d: %s", w.Code, w.Body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(rows) != 2 || rows[0] != 21 || rows[1] != 34 {
+		t.Fatalf("the shard received rows %v, want [21 34]", rows)
 	}
 }

@@ -13,9 +13,9 @@ const haveAxpy4F32SSE = true
 // float32 math retires at the same rate as float64 and packing weights in
 // float32 would buy nothing on compute-bound shapes. Four lanes per
 // MULPS/ADDPS is what turns the halved weight stream into halved
-// single-query latency (see BENCH_pr7). It is the whole float32 product
-// without AVX2, and the remainder rows and columns beside the AVX2 tile
-// (kernels_avx2_amd64.s) with it.
+// single-query latency (BenchmarkPredictServedShape, internal/core). It is
+// the whole float32 product without AVX2, and the remainder rows and
+// columns beside the AVX2 tile (kernels_avx2_amd64.s) with it.
 //
 //go:noescape
 //calloc:noalloc

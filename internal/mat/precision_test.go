@@ -207,3 +207,28 @@ func TestMulPackedSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// The training-path products a·bᵀ and aᵀ·b and the sigmoid epilogue are
+// 0 allocs/op into a caller-owned destination.
+func TestTransposedProductsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items by design; alloc bounds only hold in normal builds")
+	}
+	rng := rand.New(rand.NewSource(27))
+	defer SetParallelism(SetParallelism(1))
+	a := sparseMatrix(8, 33, rng)
+	b := sparseMatrix(12, 33, rng)
+	c := sparseMatrix(8, 12, rng)
+	x := sparseMatrix(4, 8, rng)
+	p := PackPrec(c, PrecFloat64)
+	bias := make([]float64, 12)
+	abT, aTc, act := New(8, 12), New(33, 12), New(4, 12)
+	allocs := testing.AllocsPerRun(100, func() {
+		MulTInto(abT, a, b)
+		TMulInto(aTc, a, c)
+		MulPackedBiasActInto(act, x, p, bias, ActSigmoid)
+	})
+	if allocs != 0 {
+		t.Fatalf("transposed products and sigmoid epilogue allocate %.0f objects/op, want 0", allocs)
+	}
+}

@@ -267,6 +267,55 @@ func TestFeedbackValidationOverHTTP(t *testing.T) {
 	}
 }
 
+// TestFeedbackFloorlessBodyLandsOnFloorZero: /v1/feedback decodes into a
+// pooled struct, and a body with no "floor" means floor 0 — it must not
+// inherit the floor of whichever request used the struct before it.
+// Floor-1 bodies alternate with floor-less ones through one handler on one
+// goroutine, so the pool hands the same struct back each time.
+func TestFeedbackFloorlessBodyLandsOnFloorZero(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)
+	n, err := node.New(datasets, node.Config{
+		Backends:        []string{"calloc"},
+		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
+		Engine:          serve.Options{MaxBatch: 4, Workers: 1},
+		FeedbackMin:     1 << 30, // never fine-tune during this test
+		TrainerInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	h := n.Handler()
+	post := func(body map[string]any) {
+		t.Helper()
+		blob, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(blob)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("/v1/feedback %v: status %d (%s)", body["floor"], w.Code, w.Body)
+		}
+	}
+	const pairs = 8
+	for i := 0; i < pairs; i++ {
+		s1, s0 := datasets[1].Train[i], datasets[0].Train[i]
+		post(map[string]any{"rss": s1.RSS, "rp": s1.RP, "floor": 1})
+		post(map[string]any{"rss": s0.RSS, "rp": s0.RP})
+	}
+	for floor := 0; floor < 2; floor++ {
+		tr, ok := n.Trainer(floor)
+		if !ok {
+			t.Fatalf("no trainer for floor %d", floor)
+		}
+		if got := tr.Pending(); got != pairs {
+			t.Errorf("floor %d trainer holds %d samples, want %d", floor, got, pairs)
+		}
+	}
+}
+
 // abEntry mirrors the GET /v1/ab response shape.
 type abEntry struct {
 	Key              localizer.Key  `json:"key"`

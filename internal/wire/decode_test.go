@@ -402,7 +402,9 @@ func TestFastDecodeAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("fastBatch allocates %.1f times per body", n)
 	}
-	row := []byte(`{"rss":[-67.5,-80,-45.25,-71.48291015625,1e-7],"floor":1,"backend":"bayes"}`)
+	// An unknown scalar field is skipped in place (after foldsTo rules out a
+	// case-folded known key).
+	row := []byte(`{"rss":[-67.5,-80,-45.25,-71.48291015625,1e-7],"id":7,"floor":1,"backend":"bayes"}`)
 	var q Query
 	if n := testing.AllocsPerRun(50, func() {
 		q.Reset()
@@ -411,6 +413,16 @@ func TestFastDecodeAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("fastQuery allocates %.1f times per body", n)
+	}
+	// The encoding/json fallback decodes the optional ints through
+	// OptInt.UnmarshalJSON, which itself allocates nothing.
+	var o OptInt
+	if n := testing.AllocsPerRun(50, func() {
+		if o.UnmarshalJSON([]byte("12")) != nil || !o.Set || o.V != 12 {
+			t.Fatal("OptInt.UnmarshalJSON(12) failed")
+		}
+	}); n != 0 {
+		t.Fatalf("OptInt.UnmarshalJSON allocates %.1f times per value", n)
 	}
 }
 

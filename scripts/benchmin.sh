@@ -5,14 +5,13 @@
 # frequency drift and background noise hit every variant about equally
 # instead of biasing whichever bench ran last) and reports the minimum ns/op
 # per benchmark — the standard low-noise estimator for single-process CPU
-# benches. Speedup claims in BENCH_*.json are min-of-N numbers from this
-# script, not single runs.
+# benches.
 #
 # Usage:
 #   scripts/benchmin.sh                         # default: SteadyState benches, 3 runs
 #   scripts/benchmin.sh -n 5 -b 'MatMulPackedShapes' -t 100x
 #   scripts/benchmin.sh -b 'SteadyStateSingleQuery' -p . -- -benchmem
-#   scripts/benchmin.sh --check [BENCH.json]    # allocs/op regression gate
+#   scripts/benchmin.sh --check                 # allocs/op regression gate
 #
 #   -n N      complete interleaved runs (default 3)
 #   -b REGEX  -bench regex (default 'SteadyState')
@@ -20,55 +19,44 @@
 #   -p PKG    package to bench (default .)
 # Arguments after -- are passed through to `go test`.
 #
-# --check mode re-measures allocs/op for every benchmark recorded in the
-# baseline JSON (default BENCH_pr8.json) and exits non-zero if any arm
-# allocates more than its recorded allocs_op. Unlike ns/op, allocs/op is
-# noise-free on a quiet box, so this is a hard CI gate: the PR 8 wire-path
-# numbers (25 allocs direct, 45 batch64, 130 proxied) can only ratchet
-# down. Entries named *_pr6_baseline (worktree measurements of an older
-# tree) and qps-only parallel arms (coalescing ratio is timing-dependent)
-# are skipped. BENCH_ALLOC_TOLERANCE=N allows N extra allocs/op.
+# --check re-measures allocs/op for every arm pinned in scripts/allocs.json
+# (the min of -benchtime 1000x -count 3) and exits non-zero if any arm
+# allocates more than its pin. allocs/op is noise-free on a quiet box, so
+# this is a hard CI gate; the pins are what the tree measures, and only
+# ever move down.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--check" ]]; then
-	shift
-	baseline="${1:-BENCH_pr8.json}"
-	tol="${BENCH_ALLOC_TOLERANCE:-0}"
-	want=$(jq -r '
-		.benchmarks | to_entries[]
-		| select(.key | endswith("_pr6_baseline") | not)
-		| select(.value.ns_op != null and .value.allocs_op != null)
-		| "\(.key) \(.value.allocs_op)"' "$baseline")
-	[[ -n "$want" ]] || { echo "benchmin --check: no gated benchmarks in $baseline" >&2; exit 1; }
+	pins=scripts/allocs.json
+	bench=$(jq -r .benchmark "$pins")
+	want=$(jq -r '.allocs_op | to_entries[] | "\(.key) \(.value)"' "$pins")
+	subs=$(awk '{ print $1 }' <<<"$want" | paste -sd'|' -)
 
-	# One -bench regex matching exactly the gated arms: ^Func$/^(sub|...)$
-	func=$(awk '{ split($1, p, "/"); print p[1]; exit }' <<<"$want")
-	subs=$(awk '{ split($1, p, "/"); print p[2] }' <<<"$want" | paste -sd'|' -)
-	regex="^${func}\$/^(${subs})\$"
+	echo "benchmin --check: gating allocs/op against $pins" >&2
+	got=$(go test -run '^$' -bench "^${bench}\$/^(${subs})\$" -benchtime 1000x -count 3 -benchmem . |
+		tee /dev/stderr)
 
-	echo "benchmin --check: gating allocs/op against $baseline (tolerance $tol)" >&2
-	got=$(go test -run '^$' -bench "$regex" -benchtime 100x -benchmem . | tee /dev/stderr)
-
-	awk -v tol="$tol" '
-	NR == FNR { base[$1] = $2; next }
+	awk -v bench="$bench" '
+	NR == FNR { pin[bench "/" $1] = $2; next }
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
 		for (i = 2; i < NF; i++)
-			if ($(i + 1) == "allocs/op") { allocs[name] = $i; seen[name] = 1 }
+			if ($(i + 1) == "allocs/op" && (!(name in best) || $i + 0 < best[name]))
+				best[name] = $i + 0
 	}
 	END {
 		bad = 0
-		for (name in base) {
-			if (!(name in seen)) {
-				printf "benchmin --check: MISSING %s (baseline %d allocs/op, bench did not run)\n", name, base[name]
+		for (name in pin) {
+			if (!(name in best)) {
+				printf "benchmin --check: MISSING %s (pinned at %d allocs/op, bench did not run)\n", name, pin[name]
 				bad = 1
-			} else if (allocs[name] + 0 > base[name] + tol) {
-				printf "benchmin --check: REGRESSION %s: %d allocs/op, baseline %d\n", name, allocs[name], base[name]
+			} else if (best[name] > pin[name]) {
+				printf "benchmin --check: REGRESSION %s: %d allocs/op, pinned at %d\n", name, best[name], pin[name]
 				bad = 1
 			} else {
-				printf "benchmin --check: ok %s: %d allocs/op (baseline %d)\n", name, allocs[name], base[name]
+				printf "benchmin --check: ok %s: %d allocs/op (pinned at %d)\n", name, best[name], pin[name]
 			}
 		}
 		exit bad
