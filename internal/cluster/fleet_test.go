@@ -370,10 +370,10 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("shard %q stats missing from fleet view", name)
 		}
 		var nodeStats struct {
-			Float32Kernel string `json:"float32_kernel"`
+			Kernel string `json:"kernel"`
 		}
-		if err := json.Unmarshal(v.Stats, &nodeStats); err != nil || nodeStats.Float32Kernel != mat.Float32Kernel() {
-			t.Fatalf("shard %q float32_kernel = %q (%v), want %q", name, nodeStats.Float32Kernel, err, mat.Float32Kernel())
+		if err := json.Unmarshal(v.Stats, &nodeStats); err != nil || nodeStats.Kernel != mat.Kernel() {
+			t.Fatalf("shard %q kernel = %q (%v), want %q", name, nodeStats.Kernel, err, mat.Kernel())
 		}
 	}
 	if stats.Router.Resolved == 0 || stats.Router.Proxied == 0 {
@@ -395,5 +395,72 @@ func fleetResolver(fc localizer.Localizer) func([]float64) (int, error) {
 		row := make([]float64, len(rss))
 		copy(row, rss)
 		return fc.PredictInto(nil, mat.FromSlice(1, len(row), row))[0], nil
+	}
+}
+
+// TestRouterOutOfDomainRSS: through the router — direct and coalesced, with
+// and without a floor — a fingerprint value outside the normalised range
+// [0, 1] comes back as the owning shard's 400 instead of a confident class,
+// and so does labelled feedback carrying one.
+func TestRouterOutOfDomainRSS(t *testing.T) {
+	datasets := fleetFloors(t)
+	building := datasets[0].BuildingID
+	var urls []string
+	for floor, ds := range datasets {
+		n, err := node.New([]*fingerprint.Dataset{ds}, node.Config{
+			Backends:        []string{"calloc"},
+			Floors:          []int{floor},
+			WeightBlobs:     [][]byte{fleetUntrainedWeights(t, ds)},
+			Engine:          serve.Options{MaxBatch: 8, Workers: 1},
+			FeedbackMin:     1 << 30, // never fine-tune during this test
+			TrainerInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(n.Handler())
+		t.Cleanup(func() { srv.Close(); n.Close() })
+		urls = append(urls, srv.URL)
+	}
+	fc, err := node.FitFloorClassifier(datasets, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardMap, err := cluster.NewStaticMap(
+		map[string]string{"a": urls[0], "b": urls[1]},
+		map[cluster.ShardKey]string{{Building: building, Floor: 0}: "a", {Building: building, Floor: 1}: "b"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := datasets[1].Test["OP3"][0].RSS
+	for _, coalesce := range []int{0, 8} {
+		router, err := cluster.NewRouter(shardMap, cluster.RouterOptions{
+			Building: building, Resolve: fleetResolver(fc), ProbeInterval: -1, CoalesceBatch: coalesce,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(router.Handler())
+		client := front.Client()
+		if status, out := fleetPost(t, client, front.URL+"/v1/localize", map[string]any{"rss": good}); status != http.StatusOK {
+			t.Fatalf("coalesce %d: in-domain query answered %d (%v)", coalesce, status, out)
+		}
+		for _, v := range []float64{5, -3, 1e300} {
+			rss := append([]float64(nil), good...)
+			rss[2] = v
+			for _, body := range []map[string]any{{"rss": rss}, {"rss": rss, "floor": 1}} {
+				if status, out := fleetPost(t, client, front.URL+"/v1/localize", body); status != http.StatusBadRequest {
+					t.Fatalf("coalesce %d: rss[2]=%g (floor set %t) answered %d (%v), want 400",
+						coalesce, v, body["floor"] != nil, status, out)
+				}
+			}
+			if status, out := fleetPost(t, client, front.URL+"/v1/feedback",
+				map[string]any{"rss": rss, "rp": 0, "floor": 1}); status != http.StatusBadRequest {
+				t.Fatalf("coalesce %d: feedback with rss[2]=%g answered %d (%v), want 400", coalesce, v, status, out)
+			}
+		}
+		front.Close()
+		router.Close()
 	}
 }

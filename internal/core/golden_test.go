@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"calloc/internal/device"
 	"calloc/internal/fingerprint"
+	"calloc/internal/floorplan"
 	"calloc/internal/mat"
 	"calloc/internal/nn"
 )
@@ -20,7 +22,10 @@ import (
 //
 // Elsewhere the float32 and int8 kernels take portable paths with their own
 // rounding, so the hashes are asserted on amd64 only;
-// TestServedMatchesLogits checks the served path on every target.
+// TestServedMatchesLogits checks the served path on every target. On a CPU
+// with AVX2 every test here runs twice, on the kernels the CPU selects and
+// in a "noavx2" subtest with the AVX2 gate forced off, so one set of hashes
+// pins both paths.
 
 // servedShapeModel builds an untrained model at the served shape (156 APs →
 // 128 → 64, 320 memory rows, 64 RPs) with synthetic memory, and a 67-row
@@ -78,11 +83,28 @@ func requireAMD64(t *testing.T) {
 	}
 }
 
+// bothKernels runs check on the kernels this CPU selects, then again with
+// the AVX2 gate forced off as the "noavx2" subtest.
+func bothKernels(t *testing.T, check func(t *testing.T)) {
+	check(t)
+	t.Run("noavx2", func(t *testing.T) {
+		if mat.Kernel() != "avx2" {
+			t.Skip("the run above already took the portable kernels")
+		}
+		defer mat.SetAVX2(mat.SetAVX2(false))
+		check(t)
+	})
+}
+
 // TestGoldenServedShape pins the served logits and the resident footprint
 // of an untrained served-shape model at every precision, and checks that a
 // weight blob carries them to a model whose own weights differ.
 func TestGoldenServedShape(t *testing.T) {
 	requireAMD64(t)
+	bothKernels(t, checkGoldenServedShape)
+}
+
+func checkGoldenServedShape(t *testing.T) {
 	for _, tc := range []struct {
 		prec   mat.Precision
 		logits uint64
@@ -130,6 +152,10 @@ func TestGoldenServedShape(t *testing.T) {
 // precision.
 func TestGoldenTrained(t *testing.T) {
 	requireAMD64(t)
+	bothKernels(t, checkGoldenTrained)
+}
+
+func checkGoldenTrained(t *testing.T) {
 	ds := testDataset(t)
 	cfg := smallConfig(ds)
 	m, err := NewModel(cfg)
@@ -182,6 +208,10 @@ func TestGoldenTrained(t *testing.T) {
 // compiled at hand-over. An optimizer step on its parameters stays invisible
 // to the predictor until RefreshMemoryKeys publishes it.
 func TestServedSnapshotIgnoresTrainingUntilRefresh(t *testing.T) {
+	bothKernels(t, checkServedSnapshotIgnoresTrainingUntilRefresh)
+}
+
+func checkServedSnapshotIgnoresTrainingUntilRefresh(t *testing.T) {
 	m, x := servedShapeModel(t, mat.PrecFloat32)
 	before := servedHash(m, x)
 	rng := rand.New(rand.NewSource(29))
@@ -205,6 +235,10 @@ func TestServedSnapshotIgnoresTrainingUntilRefresh(t *testing.T) {
 // with the training-side Logits: to 1e-9 at float64, 1e-4 at float32, and on
 // every row's argmax class at int8.
 func TestServedMatchesLogits(t *testing.T) {
+	bothKernels(t, checkServedMatchesLogits)
+}
+
+func checkServedMatchesLogits(t *testing.T) {
 	for _, tc := range []struct {
 		prec mat.Precision
 		tol  float64 // 0: argmax agreement only
@@ -230,5 +264,65 @@ func TestServedMatchesLogits(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGoldenTrainedServedShape pins quick-training at the served shape: one
+// floor of Building 1 as the benchmark world collects it (156 APs × 64 RPs,
+// five training fingerprints per RP, so 320 memory rows), trained with the
+// default curriculum at five epochs per lesson. The weights, the loss trace
+// and the float64 logits on every test device in device.Acronyms() order
+// are hashed.
+func TestGoldenTrainedServedShape(t *testing.T) {
+	requireAMD64(t)
+	if testing.Short() {
+		t.Skip("served-shape training takes seconds")
+	}
+	bothKernels(t, checkGoldenTrainedServedShape)
+}
+
+func checkGoldenTrainedServedShape(t *testing.T) {
+	spec, err := floorplan.SpecByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := fingerprint.Collect(floorplan.Build(spec, 1), device.Registry(), fingerprint.CollectConfig{
+		TrainPerRP: 5, TestPerRP: 4, TrainDevice: device.TrainingDevice, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(DefaultConfig(ds.NumAPs, ds.NumRPs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMemory(ds.Train); err != nil {
+		t.Fatal(err)
+	}
+	tc := DefaultTrainConfig()
+	tc.EpochsPerLesson = 5
+	res, err := m.Train(ds.Train, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var weights []float64
+	for _, p := range m.Params() {
+		weights = append(weights, p.W.Data...)
+	}
+	var test []fingerprint.Sample
+	for _, dev := range device.Acronyms() {
+		test = append(test, ds.Test[dev]...)
+	}
+	for _, h := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"weights", floatsHash(weights), 0x8938fc2b6333ece6},
+		{"loss trace", floatsHash(res.LossHistory), 0x12a7673bcfcc1d78},
+		{"test logits", servedHash(m, fingerprint.X(test)), 0xc39343ed47e01e0b},
+	} {
+		if h.got != h.want {
+			t.Errorf("%s hash %#x, want %#x", h.name, h.got, h.want)
+		}
 	}
 }

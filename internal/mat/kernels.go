@@ -16,6 +16,44 @@ package mat
 // differ from a naive triple loop in the last ulps. They remain deterministic:
 // a given product always sums in the same order regardless of worker count,
 // so parallel results are bit-identical to sequential ones.
+//
+// With AVX2 (useAVX2) the quad pass of axpy4 and tMulRows and four dot4
+// columns at a time of mulTRows run in assembly (kernels_avx2_amd64.s),
+// four float64 lanes per instruction. The assembly repeats the Go loops'
+// association and roundings exactly — no FMA, no reordered adds — so both
+// paths produce the same bits; the zero-quad skip, the tiling and the k%4
+// tails stay here.
+
+// useAVX2 selects the AVX2 paths of both precisions: the float64 kernels
+// below and the float32 register tile in fusedMulRowsF32. It starts from the
+// CPUID check; SetAVX2 forces the portable paths for tests.
+var useAVX2 = hasAVX2
+
+// Kernel names the instruction-set path products take on this machine:
+// "avx2" (float64 AVX2 kernels, float32 register tile with SSE2 for the
+// remainders), "sse2" (float32 SSE2, float64 portable Go), or "generic"
+// (portable Go throughout). Nodes report it in /v1/stats so a benchmark
+// figure can be tied to the kernels that produced it.
+func Kernel() string {
+	switch {
+	case useAVX2:
+		return "avx2"
+	case haveAxpy4F32SSE:
+		return "sse2"
+	default:
+		return "generic"
+	}
+}
+
+// SetAVX2 switches the AVX2 paths on or off and returns the previous
+// setting; on is ignored on a CPU without AVX2. Both settings produce
+// identical bits, so it exists for tests that pin the portable paths. It
+// must not be called while a product is running.
+func SetAVX2(on bool) bool {
+	prev := useAVX2
+	useAVX2 = on && hasAVX2
+	return prev
+}
 
 const (
 	// blockK is the inner-dimension tile: each (blockK × blockN) panel of b
@@ -97,6 +135,11 @@ func axpy4(orow, arow, bdata []float64, n, k0, k1, j0 int) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
+		if useAVX2 {
+			_ = bdata[(k+3)*n+j0+w-1]
+			axpy4F64AVX2(&orow[0], &bdata[k*n+j0], n, w, a0, a1, a2, a3)
+			continue
+		}
 		b0 := bdata[k*n+j0 : k*n+j0+w]
 		b1 := bdata[(k+1)*n+j0 : (k+1)*n+j0+w]
 		b2 := bdata[(k+2)*n+j0 : (k+2)*n+j0+w]
@@ -119,19 +162,44 @@ func axpy4(orow, arow, bdata []float64, n, k0, k1, j0 int) {
 
 // mulTRows computes rows [lo, hi) of dst = a·bᵀ: pure dot products between
 // rows of a and rows of b, tiled so a blockJ-row panel of b is reused across
-// the whole shard.
+// the whole shard. With AVX2 four columns at a time go through
+// dot4x4F64AVX2, the rest through dot4.
 //
 //calloc:noalloc
 func mulTRows(dst, a, b *Matrix, lo, hi int) {
 	n, kDim := dst.Cols, a.Cols
+	quads := kDim / 4
 	for j0 := 0; j0 < n; j0 += blockJ {
 		j1 := min(j0+blockJ, n)
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*kDim : (i+1)*kDim]
 			orow := dst.Data[i*n : (i+1)*n]
-			for j := j0; j < j1; j++ {
+			j := j0
+			if useAVX2 && quads > 0 {
+				for ; j+3 < j1; j += 4 {
+					dot4x4(orow[j:j+4], arow, b.Data[j*kDim:(j+4)*kDim], quads)
+				}
+			}
+			for ; j < j1; j++ {
 				orow[j] = dot4(arow, b.Data[j*kDim:(j+1)*kDim])
 			}
+		}
+	}
+}
+
+// dot4x4 sets out[c] = dot4(x, rows[c·len(x):(c+1)·len(x)]) for c in [0, 4):
+// the quads in assembly, then the k%4 tail added here in ascending k, as
+// dot4 adds it.
+//
+//calloc:noalloc
+func dot4x4(out, x, rows []float64, quads int) {
+	kDim := len(x)
+	rows = rows[:4*kDim]
+	out = out[:4]
+	dot4x4F64AVX2(&out[0], &x[0], &rows[0], kDim, quads)
+	for k := 4 * quads; k < kDim; k++ {
+		for c := range out {
+			out[c] += x[k] * rows[c*kDim+k]
 		}
 	}
 }
@@ -189,6 +257,10 @@ func tMulRows(dst, a, b *Matrix, lo, hi int) {
 				continue
 			}
 			orow := dst.Data[i*n : (i+1)*n]
+			if useAVX2 {
+				axpy4F64AVX2(&orow[0], &b0[0], n, n, c0, c1, c2, c3)
+				continue
+			}
 			for j := range orow {
 				orow[j] += c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j]
 			}

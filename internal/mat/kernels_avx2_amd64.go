@@ -1,8 +1,8 @@
 package mat
 
-// useTileF32 selects the register-blocked AVX2 tile in fusedMulRowsF32. It
-// is fixed at start-up from CPUID; tests flip it to force the SSE2 path.
-var useTileF32 = detectAVX2()
+// hasAVX2 is the CPUID verdict, read once at start-up; useAVX2 (kernels.go)
+// starts from it.
+var hasAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
 // CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX), XCR0 bits 1–2 (XMM and
@@ -37,6 +37,24 @@ func detectAVX2() bool {
 //go:noescape
 //calloc:noalloc
 func tileF32AVX2(c *float32, ldc int, a *float32, lda int, w *float32, ldw int, k int)
+
+// axpy4F64AVX2 is the float64 quad pass of axpy4 and tMulRows:
+// acc[j] += a0·b[j] + a1·b[stride+j] + a2·b[2·stride+j] + a3·b[3·stride+j]
+// for j in [0, n), with the Go statement's roundings in its order (see
+// kernels_avx2_amd64.s). The caller guarantees all four rows are in bounds.
+//
+//go:noescape
+//calloc:noalloc
+func axpy4F64AVX2(acc *float64, b *float64, stride int, n int, a0, a1, a2, a3 float64)
+
+// dot4x4F64AVX2 runs dot4 over the first 4·quads elements of x against the
+// four rows y, y+stride, y+2·stride, y+3·stride at once, storing the four
+// reduced sums to out[0:4]; the caller adds the k%4 tail. The caller
+// guarantees every row and out are in bounds.
+//
+//go:noescape
+//calloc:noalloc
+func dot4x4F64AVX2(out *float64, x *float64, y *float64, stride int, quads int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -66,10 +66,10 @@ func expectSameBits(t *testing.T, got, want *Matrix, label string) {
 // epilogue, over shapes that exercise full tiles, remainder rows, remainder
 // columns, more than one column block and a single inner term.
 func TestF32TileMatchesAxpy(t *testing.T) {
-	if !useTileF32 {
+	if !hasAVX2 {
 		t.Skip("no AVX2 on this CPU: only the SSE2 path exists")
 	}
-	defer func() { useTileF32 = true }()
+	defer SetAVX2(true)
 	rng := rand.New(rand.NewSource(31))
 	for _, rows := range []int{1, 3, 4, 5, 64} {
 		for _, n := range []int{16, 61, 64, 74, 320} {
@@ -87,9 +87,9 @@ func TestF32TileMatchesAxpy(t *testing.T) {
 				}{{nil, ActIdentity}, {bias, ActReLU}} {
 					label := fmt.Sprintf("%dx%d·%dx%d bias=%t act=%d", rows, kDim, kDim, n, ep.bias != nil, ep.act)
 					want := refMulF32(a, b, ep.bias, ep.act)
-					useTileF32 = true
+					SetAVX2(true)
 					tile := MulPackedBiasActInto(nil, a, p, ep.bias, ep.act)
-					useTileF32 = false
+					SetAVX2(false)
 					sse := MulPackedBiasActInto(nil, a, p, ep.bias, ep.act)
 					expectSameBits(t, tile, sse, label+" tile vs sse2")
 					expectSameBits(t, sse, want, label+" sse2 vs reference")
@@ -99,18 +99,18 @@ func TestF32TileMatchesAxpy(t *testing.T) {
 	}
 }
 
-// TestFloat32Kernel: the reported kernel follows the switch the product
-// actually dispatches on.
-func TestFloat32Kernel(t *testing.T) {
-	if got := Float32Kernel(); (got == "avx2") != useTileF32 {
-		t.Fatalf("Float32Kernel() = %q with the AVX2 tile enabled=%t", got, useTileF32)
+// TestKernel: the reported kernel follows the switch the products actually
+// dispatch on, and SetAVX2 cannot turn on what the CPU lacks.
+func TestKernel(t *testing.T) {
+	t.Logf("kernel: %s", Kernel())
+	if got := Kernel(); (got == "avx2") != useAVX2 {
+		t.Fatalf("Kernel() = %q with the AVX2 paths enabled=%t", got, useAVX2)
 	}
-	if !useTileF32 {
-		return
+	defer SetAVX2(SetAVX2(false))
+	if got, want := Kernel(), map[bool]string{true: "sse2", false: "generic"}[haveAxpy4F32SSE]; got != want {
+		t.Fatalf("AVX2 off: Kernel() = %q, want %q", got, want)
 	}
-	useTileF32 = false
-	defer func() { useTileF32 = true }()
-	if got := Float32Kernel(); got != "sse2" {
-		t.Fatalf("forced SSE2: Float32Kernel() = %q, want sse2", got)
+	if SetAVX2(true); useAVX2 != hasAVX2 {
+		t.Fatalf("SetAVX2(true) enabled=%t on a CPU with AVX2=%t", useAVX2, hasAVX2)
 	}
 }

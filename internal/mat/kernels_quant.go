@@ -56,22 +56,6 @@ func growI32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// Float32Kernel names the instruction-set path float32 snapshots multiply
-// through on this machine: "avx2" (the register-blocked tile, SSE2 for the
-// remainders), "sse2", or "generic" (the portable scalar loop). Nodes report
-// it in /v1/stats so a benchmark figure can be tied to the kernel that
-// produced it.
-func Float32Kernel() string {
-	switch {
-	case useTileF32:
-		return "avx2"
-	case haveAxpy4F32SSE:
-		return "sse2"
-	default:
-		return "generic"
-	}
-}
-
 // fusedMulRowsF32 computes rows [lo, hi) of dst = act(a·P + bias) for a
 // float32 snapshot P: activations converted to float32 once, products
 // accumulated in float32, widened to float64 in the fused epilogue. With
@@ -99,7 +83,7 @@ func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, 
 		}
 	}
 	tileRows, tileCols := 0, 0
-	if useTileF32 && kDim > 0 {
+	if useAVX2 && kDim > 0 {
 		tileRows, tileCols = rows&^3, n&^15
 	}
 	for r := 0; r < tileRows; r += 4 {

@@ -209,7 +209,8 @@ func TestMulPackedSteadyStateAllocs(t *testing.T) {
 }
 
 // The training-path products a·bᵀ and aᵀ·b and the sigmoid epilogue are
-// 0 allocs/op into a caller-owned destination.
+// 0 allocs/op into a caller-owned destination, on the AVX2 and the portable
+// kernels alike.
 func TestTransposedProductsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items by design; alloc bounds only hold in normal builds")
@@ -223,12 +224,16 @@ func TestTransposedProductsZeroAlloc(t *testing.T) {
 	p := PackPrec(c, PrecFloat64)
 	bias := make([]float64, 12)
 	abT, aTc, act := New(8, 12), New(33, 12), New(4, 12)
-	allocs := testing.AllocsPerRun(100, func() {
-		MulTInto(abT, a, b)
-		TMulInto(aTc, a, c)
-		MulPackedBiasActInto(act, x, p, bias, ActSigmoid)
-	})
-	if allocs != 0 {
-		t.Fatalf("transposed products and sigmoid epilogue allocate %.0f objects/op, want 0", allocs)
+	defer SetAVX2(SetAVX2(true))
+	for _, avx2 := range []bool{true, false} {
+		SetAVX2(avx2)
+		allocs := testing.AllocsPerRun(100, func() {
+			MulTInto(abT, a, b)
+			TMulInto(aTc, a, c)
+			MulPackedBiasActInto(act, x, p, bias, ActSigmoid)
+		})
+		if allocs != 0 {
+			t.Fatalf("transposed products and sigmoid epilogue allocate %.0f objects/op with AVX2 %t, want 0", allocs, avx2)
+		}
 	}
 }

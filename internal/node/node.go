@@ -342,14 +342,14 @@ func (n *Node) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		// Engine stats embedded so existing consumers keep their flat keys;
-		// wire-level counters ride alongside under "wire", and
-		// "float32_kernel" names the ISA path float32 snapshots multiply
-		// through on this machine.
+		// wire-level counters ride alongside under "wire", and "kernel"
+		// names the ISA path both precisions' products take on this
+		// machine.
 		n.writeJSON(w, struct {
 			serve.Stats
-			Wire          WireStats `json:"wire"`
-			Float32Kernel string    `json:"float32_kernel"`
-		}{n.engine.Stats(), n.wire.snapshot(), mat.Float32Kernel()})
+			Wire   WireStats `json:"wire"`
+			Kernel string    `json:"kernel"`
+		}{n.engine.Stats(), n.wire.snapshot(), mat.Kernel()})
 	})
 	mux.HandleFunc("GET /v1/trainer", func(w http.ResponseWriter, _ *http.Request) {
 		stats := make(map[string]train.Stats, len(n.trainers))

@@ -698,3 +698,71 @@ func TestSwapRejectsCorruptWeights(t *testing.T) {
 		t.Fatalf("well-formed swap left the version at %d", v)
 	}
 }
+
+// TestOutOfDomainRSSRejected: a fingerprint value outside the normalised
+// range [0, 1] — what radio.Normalize clamps to and every attack projects
+// into — is a client error on every wire entry point: 400 on /v1/localize
+// (addressed and routed) and /v1/feedback, both counted in client_errors,
+// and a per-row 400 in a batch whose good rows are still answered.
+func TestOutOfDomainRSSRejected(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)
+	n, err := node.New(datasets, node.Config{
+		Backends:        []string{"calloc"},
+		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
+		Engine:          serve.Options{MaxBatch: 4, Workers: 1},
+		FeedbackMin:     1 << 30, // never fine-tune during this test
+		TrainerInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(n.Handler())
+	defer func() { ts.Close(); n.Close() }()
+	client := ts.Client()
+	good := datasets[0].Test["OP3"][0]
+
+	var rejected int64
+	for _, v := range []float64{5, -3, 1e300, 1.0000001, -1e-9} {
+		rss := append([]float64(nil), good.RSS...)
+		rss[3] = v
+		for _, body := range []map[string]any{{"rss": rss, "floor": 0}, {"rss": rss}} {
+			if status, out := postJSON(t, client, ts.URL+"/v1/localize", body); status != http.StatusBadRequest {
+				t.Fatalf("/v1/localize with rss[3]=%g (floor set %t): status %d (%v), want 400", v, body["floor"] != nil, status, out)
+			}
+			rejected++
+		}
+		status, out := postJSON(t, client, ts.URL+"/v1/localize/batch", map[string]any{"queries": []map[string]any{
+			{"rss": good.RSS, "floor": 0}, {"rss": rss, "floor": 0}, {"rss": rss},
+		}})
+		results, _ := out["results"].([]any)
+		if status != http.StatusOK || len(results) != 3 {
+			t.Fatalf("batch with rss[3]=%g: status %d (%v)", v, status, out)
+		}
+		if row := results[0].(map[string]any); row["error"] != nil {
+			t.Fatalf("good batch row failed alongside an out-of-domain row: %v", row)
+		}
+		for i, raw := range results[1:] {
+			if row := raw.(map[string]any); row["status"] != float64(http.StatusBadRequest) {
+				t.Fatalf("batch row %d with rss[3]=%g answered %v, want a 400 row", i+1, v, row)
+			}
+		}
+		if status, out := postJSON(t, client, ts.URL+"/v1/feedback",
+			map[string]any{"rss": rss, "rp": good.RP, "floor": 0}); status != http.StatusBadRequest {
+			t.Fatalf("/v1/feedback with rss[3]=%g: status %d (%v), want 400", v, status, out)
+		}
+		rejected++
+	}
+	if got := n.WireStats().ClientErrors; got != rejected {
+		t.Fatalf("client_errors = %d, want %d", got, rejected)
+	}
+	if tr, _ := n.Trainer(0); tr.Pending() != 0 {
+		t.Fatalf("out-of-domain feedback queued: pending %d", tr.Pending())
+	}
+	// The range is closed: its end points are ordinary readings.
+	edge := append([]float64(nil), good.RSS...)
+	edge[0], edge[1] = 0, 1
+	if status, out := postJSON(t, client, ts.URL+"/v1/localize", map[string]any{"rss": edge, "floor": 0}); status != http.StatusOK {
+		t.Fatalf("/v1/localize with values 0 and 1: status %d (%v)", status, out)
+	}
+}

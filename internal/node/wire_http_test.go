@@ -149,8 +149,8 @@ func TestBatchOverHTTPMatchesSingles(t *testing.T) {
 	}
 	defer sresp.Body.Close()
 	var stats struct {
-		Wire          node.WireStats `json:"wire"`
-		Float32Kernel string         `json:"float32_kernel"`
+		Wire   node.WireStats `json:"wire"`
+		Kernel string         `json:"kernel"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -158,8 +158,8 @@ func TestBatchOverHTTPMatchesSingles(t *testing.T) {
 	if stats.Wire.Batches != 1 || stats.Wire.BatchRows != int64(len(queries)) {
 		t.Fatalf("wire stats = %+v, want batches=1 batch_rows=%d", stats.Wire, len(queries))
 	}
-	if stats.Float32Kernel != mat.Float32Kernel() {
-		t.Fatalf("/v1/stats float32_kernel = %q, want %q", stats.Float32Kernel, mat.Float32Kernel())
+	if stats.Kernel != mat.Kernel() {
+		t.Fatalf("/v1/stats kernel = %q, want %q", stats.Kernel, mat.Kernel())
 	}
 }
 
@@ -234,7 +234,7 @@ func TestNonJSONNumeralsRejected(t *testing.T) {
 			t.Errorf("/v1/localize/batch with a row's rss[0]=%s: status %d (%s), want 400", num, status, out)
 		}
 	}
-	for _, num := range []string{"-0", "1E+2", "-6.05e1"} {
+	for _, num := range []string{"-0", "1E+0", "6.05e-1", "-0.0e1"} {
 		single := fmt.Sprintf(`{"rss":%s,"floor":0}`, rssJSON(rss, num))
 		if status, out := postRaw(t, srv.URL+"/v1/localize", single); status != http.StatusOK {
 			t.Errorf("/v1/localize with rss[0]=%s: status %d (%s), want 200", num, status, out)

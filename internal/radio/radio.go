@@ -135,6 +135,19 @@ func Normalize(dbm float64) float64 {
 	return (clampRSS(dbm) - RSSFloor) / (RSSCeiling - RSSFloor)
 }
 
+// CheckNormalized reports the first value of a normalised fingerprint outside
+// [0, 1], the range Normalize maps to and every attack projects into; NaN is
+// outside too. A model answers such a row with a class that means nothing,
+// and differently at each serving precision.
+func CheckNormalized(rss []float64) error {
+	for i, v := range rss {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("RSS value %g at AP %d is outside the normalised range [0, 1]", v, i)
+		}
+	}
+	return nil
+}
+
 // Denormalize maps a [0,1] value back to dBm.
 func Denormalize(v float64) float64 {
 	return clampRSS(v*(RSSCeiling-RSSFloor) + RSSFloor)

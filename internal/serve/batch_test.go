@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"calloc/internal/localizer"
@@ -26,7 +28,7 @@ func TestLocalizeBatchMatchesSingles(t *testing.T) {
 	rows := make([][]float64, 8)
 	want := make([]Result, len(rows))
 	for i := range rows {
-		rows[i] = []float64{float64(i * 3), 1}
+		rows[i] = []float64{echo(i * 3), 1}
 		res, err := e.Localize(nil, key, rows[i])
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +71,7 @@ func TestLocalizeBatchPerRowErrors(t *testing.T) {
 	}
 	defer e.Close()
 
-	rows := [][]float64{{5, 0}, {1, 2, 3}, {7, 0}, nil}
+	rows := [][]float64{{echo(5), 0}, {1, 2, 3}, {echo(7), 0}, nil}
 	got, err := e.LocalizeBatch(nil, key, rows)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +85,8 @@ func TestLocalizeBatchPerRowErrors(t *testing.T) {
 		if got[i].Err != nil {
 			t.Fatalf("valid row %d failed alongside a bad row: %v", i, got[i].Err)
 		}
-		if got[i].Class != int(rows[i][0]) {
-			t.Fatalf("row %d = %d, want %d", i, got[i].Class, int(rows[i][0]))
+		if got[i].Class != unecho(rows[i][0]) {
+			t.Fatalf("row %d = %d, want %d", i, got[i].Class, unecho(rows[i][0]))
 		}
 	}
 
@@ -119,7 +121,7 @@ func TestLocalizeBatchOversized(t *testing.T) {
 
 	rows := make([][]float64, 19)
 	for i := range rows {
-		rows[i] = []float64{float64(i)}
+		rows[i] = []float64{echo(i)}
 	}
 	got, err := e.LocalizeBatch(nil, key, rows)
 	if err != nil {
@@ -162,13 +164,13 @@ func TestRouteBatchMixed(t *testing.T) {
 	}
 	defer e.Close()
 
-	rows := [][]float64{{0, 11}, {1, 22}, {2, 33}, {0, 44}, {1, 55}}
+	rows := [][]float64{{echo(0), .11}, {echo(1), .22}, {echo(2), .33}, {echo(0), .44}, {echo(1), .55}}
 	got, err := e.RouteBatch(nil, 3, "pos", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range got {
-		floor := int(rows[i][0])
+		floor := unecho(rows[i][0])
 		if floor == 2 {
 			if !errors.Is(g.Err, ErrMisroute) {
 				t.Fatalf("misrouting row %d = %+v, want ErrMisroute", i, g)
@@ -219,7 +221,7 @@ func TestRouteBatchShadowSampling(t *testing.T) {
 			dst = make([]int, x.Rows)
 		}
 		for i := 0; i < x.Rows; i++ {
-			dst[i] = int(x.Row(i)[0])
+			dst[i] = unecho(x.Row(i)[0])
 		}
 		return dst
 	})
@@ -230,7 +232,7 @@ func TestRouteBatchShadowSampling(t *testing.T) {
 	const n = 16
 	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = []float64{float64(i), 0}
+		rows[i] = []float64{echo(i), 0}
 	}
 	got, err := e.RouteBatch(nil, 7, "pos", rows)
 	if err != nil {
@@ -268,7 +270,7 @@ func TestBatchConcurrentWithSingles(t *testing.T) {
 			if g%2 == 0 {
 				rows := make([][]float64, 7)
 				for i := range rows {
-					rows[i] = []float64{float64(base + i)}
+					rows[i] = []float64{echo(base + i)}
 				}
 				for iter := 0; iter < 5; iter++ {
 					got, err := e.LocalizeBatch(context.Background(), key, rows)
@@ -286,7 +288,7 @@ func TestBatchConcurrentWithSingles(t *testing.T) {
 				return
 			}
 			for iter := 0; iter < 35; iter++ {
-				res, err := e.Localize(context.Background(), key, []float64{float64(base + iter)})
+				res, err := e.Localize(context.Background(), key, []float64{echo(base + iter)})
 				if err != nil {
 					errs <- err
 					return
@@ -302,5 +304,71 @@ func TestBatchConcurrentWithSingles(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestOutOfDomainRowsRejected: a fingerprint with a value outside the
+// normalised RSS range [0, 1] (or NaN) fails before it is queued, on every
+// entry point — a single call, its own batch row, and both routed forms —
+// and never reaches a model; the good rows of a batch are still answered.
+func TestOutOfDomainRowsRejected(t *testing.T) {
+	var floorRows atomic.Int64
+	fc := localizer.Wrap("floor", 2, 1, nil, func(dst []int, x *mat.Matrix) []int {
+		floorRows.Add(int64(x.Rows))
+		if dst == nil {
+			dst = make([]int, x.Rows)
+		}
+		clear(dst) // every row on floor 0
+		return dst
+	})
+	pos := &scripted{name: "pos", features: 2, classes: 64}
+	reg := localizer.NewRegistry()
+	if _, err := reg.Register(localizer.FloorKey(3), fc); err != nil {
+		t.Fatal(err)
+	}
+	key := localizer.Key{Building: 3, Floor: 0, Backend: "pos"}
+	if _, err := reg.Register(key, pos); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(reg, Options{MaxBatch: 8, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	for _, v := range []float64{5, -3, 1e300, math.Inf(1), math.NaN(), -1e-300, 1 + 1e-15} {
+		bad := []float64{echo(0), v}
+		if _, err := e.Localize(nil, key, bad); err == nil {
+			t.Fatalf("Localize accepted feature %g", v)
+		}
+		if _, err := e.Route(nil, 3, "pos", bad); err == nil {
+			t.Fatalf("Route accepted feature %g", v)
+		}
+		rows := [][]float64{{echo(7), 0}, bad, {echo(9), 1}}
+		for name, batch := range map[string]func() ([]Result, error){
+			"LocalizeBatch": func() ([]Result, error) { return e.LocalizeBatch(nil, key, rows) },
+			"RouteBatch":    func() ([]Result, error) { return e.RouteBatch(nil, 3, "pos", rows) },
+		} {
+			got, err := batch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[1].Err == nil {
+				t.Fatalf("%s accepted row with feature %g: %+v", name, v, got[1])
+			}
+			if got[0].Err != nil || got[0].Class != 7 || got[2].Err != nil || got[2].Class != 9 {
+				t.Fatalf("%s: good rows %+v, %+v beside the bad one", name, got[0], got[2])
+			}
+		}
+	}
+	// Seven values, each with two good rows in each of two batches; the
+	// floor stage sees only the routed batch's.
+	posRows := 0
+	for _, n := range pos.sizes() {
+		posRows += n
+	}
+	if posRows != 7*2*2 || floorRows.Load() != 7*2 {
+		t.Fatalf("models saw %d position rows and %d floor rows, want %d and %d: an out-of-domain row got through",
+			posRows, floorRows.Load(), 7*2*2, 7*2)
 	}
 }

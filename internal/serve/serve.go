@@ -54,6 +54,7 @@ import (
 
 	"calloc/internal/localizer"
 	"calloc/internal/mat"
+	"calloc/internal/radio"
 )
 
 // ErrClosed is returned by Localize/Route calls that start after Close has
@@ -312,17 +313,19 @@ type Result struct {
 	// how clients observe hot-swaps.
 	Version uint64
 	// Err is the per-row failure of a batch call (LocalizeBatch/RouteBatch):
-	// a wrong-width row, a per-row misroute, or the batch-level dispatch
-	// error. One bad row never fails its batch — it just carries its own
-	// error here. Always nil for the single-request entry points, which
+	// a wrong-width or out-of-domain row, a per-row misroute, or the
+	// batch-level dispatch error. One bad row never fails its batch — it just
+	// carries its own error here. Always nil for the single-request entry points, which
 	// report errors through their error return instead.
 	Err error
 }
 
 // Localize coalesces one fingerprint into the micro-batch lane of the
 // localizer registered under key, blocking until a worker delivers its
-// result. When the lane's queue is full the call blocks (backpressure)
-// until space frees or ctx is done. A nil ctx means context.Background().
+// result. A fingerprint of the wrong width or with a value outside the
+// normalised RSS range [0, 1] fails before it is queued. When the lane's
+// queue is full the call blocks (backpressure) until space frees or ctx is
+// done. A nil ctx means context.Background().
 //
 // Close ordering: a call that observes Close fails with ErrClosed before
 // enqueueing; a call that enqueued before Close began is always answered.
@@ -337,6 +340,9 @@ func (e *Engine) Localize(ctx context.Context, key localizer.Key, rss []float64)
 	if len(rss) != l.features {
 		return Result{}, fmt.Errorf("serve: fingerprint has %d features, %s expects %d",
 			len(rss), key, l.features)
+	}
+	if err := radio.CheckNormalized(rss); err != nil {
+		return Result{}, fmt.Errorf("serve: fingerprint: %w", err)
 	}
 	//calloc:handoff ownership moves through enqueue to the lane worker; reclaimed from r.result
 	r := e.reqPool.Get().(*request)
@@ -411,8 +417,8 @@ func (e *Engine) enqueue(ctx context.Context, l *lane, r *request, rows int64) e
 // cheap. A batch larger than MaxBatch dispatches as one oversized model call.
 //
 // Errors are per row: results[i].Err carries row i's failure (wrong feature
-// width, or the batch-level dispatch error) and one bad row never fails the
-// batch. The error return is reserved for call-level failures: an
+// width, a value outside [0, 1], or the batch-level dispatch error) and one
+// bad row never fails the batch. The error return is reserved for call-level failures: an
 // unregistered key, a closing engine (ErrClosed), or ctx expiring before the
 // batch was enqueued or answered.
 func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]float64) ([]Result, error) {
@@ -429,8 +435,13 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 	}
 	f := l.features
 	valid := 0
-	for _, row := range rss {
-		if len(row) == f {
+	for i, row := range rss {
+		if len(row) != f {
+			out[i].Err = fmt.Errorf("serve: batch row %d has %d features, %s expects %d",
+				i, len(row), key, f)
+		} else if err := radio.CheckNormalized(row); err != nil {
+			out[i].Err = fmt.Errorf("serve: batch row %d: %w", i, err)
+		} else {
 			valid++
 		}
 	}
@@ -446,9 +457,7 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 	r.out = r.out[:valid]
 	vi := 0
 	for i, row := range rss {
-		if len(row) != f {
-			out[i].Err = fmt.Errorf("serve: batch row %d has %d features, %s expects %d",
-				i, len(row), key, f)
+		if out[i].Err != nil {
 			continue
 		}
 		copy(r.x[vi*f:(vi+1)*f], row)

@@ -54,10 +54,19 @@ func (s *scripted) PredictInto(dst []int, x *mat.Matrix) []int {
 		dst = make([]int, x.Rows)
 	}
 	for i := 0; i < x.Rows; i++ {
-		dst[i] = int(x.Row(i)[0])
+		dst[i] = unecho(x.Row(i)[0])
 	}
 	return dst
 }
+
+// echoScale maps the classes the echo localizers answer into the normalised
+// RSS range the engine accepts: a fingerprint whose feature 0 is echo(c) is
+// answered with class c, for c up to echoScale.
+const echoScale = 1 << 12
+
+func echo(class int) float64 { return float64(class) / echoScale }
+
+func unecho(v float64) int { return int(v * echoScale) }
 
 func (s *scripted) sizes() []int {
 	s.mu.Lock()
@@ -120,7 +129,7 @@ func TestEngineEchoesEveryRequest(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := e.Localize(nil, key, []float64{float64(i), 0, 0})
+			res, err := e.Localize(nil, key, []float64{echo(i), 0, 0})
 			if err != nil {
 				t.Errorf("Localize %d: %v", i, err)
 				return
@@ -205,7 +214,7 @@ func TestEngineCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+			if res, err := e.Localize(nil, key, []float64{echo(i)}); err != nil || res.Class != i {
 				t.Errorf("Localize %d = (%+v, %v)", i, res, err)
 			}
 		}(i)
@@ -251,7 +260,7 @@ func TestIdleRouteDoesNotWait(t *testing.T) {
 	const n = 200
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		res, err := e.Route(nil, building, "pos", []float64{float64(i % 2), 0})
+		res, err := e.Route(nil, building, "pos", []float64{echo(i % 2), 0})
 		if err != nil || res.Floor != i%2 {
 			t.Fatalf("Route %d = (%+v, %v)", i, res, err)
 		}
@@ -288,7 +297,7 @@ func TestCallersAreNeverHeld(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < each; i++ {
-						if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+						if res, err := e.Localize(nil, key, []float64{echo(i)}); err != nil || res.Class != i {
 							t.Errorf("Localize %d = (%+v, %v)", i, res, err)
 							return
 						}
@@ -369,12 +378,12 @@ func TestPerLaneBatching(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				res, err := e.Localize(nil, keyA, []float64{float64(i)})
+				res, err := e.Localize(nil, keyA, []float64{echo(i)})
 				if err != nil || res.Class != i {
 					t.Errorf("lane a request %d: (%+v, %v)", i, res, err)
 				}
 			} else {
-				res, err := e.Localize(nil, keyB, []float64{float64(i), 1})
+				res, err := e.Localize(nil, keyB, []float64{echo(i), 1})
 				if err != nil || res.Class != i {
 					t.Errorf("lane b request %d: (%+v, %v)", i, res, err)
 				}
@@ -424,14 +433,14 @@ func TestHierarchicalRouting(t *testing.T) {
 		rss       []float64
 		wantFloor int
 	}{
-		{[]float64{0, 17}, 0},
-		{[]float64{1, 23}, 1},
+		{[]float64{echo(0), .17}, 0},
+		{[]float64{echo(1), .23}, 1},
 	} {
 		res, err := e.Route(nil, 3, "pos", tc.rss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Floor != tc.wantFloor || res.Class != int(tc.rss[0]) || res.Backend != "pos" {
+		if res.Floor != tc.wantFloor || res.Class != unecho(tc.rss[0]) || res.Backend != "pos" {
 			t.Fatalf("Route(%v) = %+v, want floor %d", tc.rss, res, tc.wantFloor)
 		}
 	}
@@ -453,18 +462,18 @@ func TestHierarchicalRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	res, err := e2.Route(nil, 9, "pos", []float64{5})
+	res, err := e2.Route(nil, 9, "pos", []float64{echo(5)})
 	if err != nil || res.Floor != 4 || res.Class != 5 {
 		t.Fatalf("single-floor fallback = (%+v, %v)", res, err)
 	}
-	if _, err := e2.Route(nil, 9, "nope", []float64{5}); !errors.Is(err, ErrUnknownModel) {
+	if _, err := e2.Route(nil, 9, "nope", []float64{echo(5)}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown backend routed: %v", err)
 	}
 	second := &scripted{name: "pos", features: 1, classes: 8}
 	if _, err := reg2.Register(localizer.Key{Building: 9, Floor: 5, Backend: "pos"}, second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Route(nil, 9, "pos", []float64{5}); err == nil {
+	if _, err := e2.Route(nil, 9, "pos", []float64{echo(5)}); err == nil {
 		t.Fatal("multi-floor building without classifier must not route")
 	}
 }
@@ -505,7 +514,7 @@ func TestBackpressure(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := e.Localize(ctx, key, []float64{2}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.Localize(ctx, key, []float64{echo(2)}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected DeadlineExceeded under backpressure, got %v", err)
 	}
 	if st := e.Stats(); st.QueueFullWaits == 0 {
@@ -535,7 +544,7 @@ func TestCloseGraceful(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := e.Localize(nil, key, []float64{float64(i)})
+			_, err := e.Localize(nil, key, []float64{echo(i)})
 			results <- err
 		}(i)
 	}
@@ -591,7 +600,7 @@ func TestCloseOrderingDeterministic(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; ; i++ {
-					_, err := e.Localize(nil, key, []float64{float64(c*1000 + i)})
+					_, err := e.Localize(nil, key, []float64{echo((c*1000 + i) % echoScale)})
 					switch {
 					case err == nil:
 						served.Add(1)
@@ -671,7 +680,7 @@ func TestReregisterShapeMismatchFailsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.Localize(nil, key, []float64{1, 2}); err != nil {
+	if _, err := e.Localize(nil, key, []float64{echo(1), echo(2)}); err != nil {
 		t.Fatal(err) // lane pinned at 2 features
 	}
 	reg.Deregister(key)
@@ -679,7 +688,7 @@ func TestReregisterShapeMismatchFailsBatch(t *testing.T) {
 	if _, err := reg.Register(key, wide); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Localize(nil, key, []float64{1, 2})
+	_, err = e.Localize(nil, key, []float64{echo(1), echo(2)})
 	if err == nil || !strings.Contains(err.Error(), "lane pinned") {
 		t.Fatalf("wrong-width re-registration served: %v", err)
 	}
@@ -836,10 +845,10 @@ func TestRouteMisroute(t *testing.T) {
 	}
 	defer e.Close()
 
-	if res, err := e.Route(nil, 3, "pos", []float64{1, 9}); err != nil || res.Floor != 1 {
+	if res, err := e.Route(nil, 3, "pos", []float64{echo(1), .9}); err != nil || res.Floor != 1 {
 		t.Fatalf("in-range route = (%+v, %v)", res, err)
 	}
-	_, err = e.Route(nil, 3, "pos", []float64{5, 9})
+	_, err = e.Route(nil, 3, "pos", []float64{echo(5), .9})
 	if !errors.Is(err, ErrMisroute) {
 		t.Fatalf("classifier predicting unregistered floor 5 = %v, want ErrMisroute", err)
 	}
@@ -886,7 +895,7 @@ func TestShadowDispatch(t *testing.T) {
 
 	// No candidate staged: routed traffic must not be sampled at all.
 	for i := 0; i < 6; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{float64(i), 0}); err != nil {
+		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -900,7 +909,7 @@ func TestShadowDispatch(t *testing.T) {
 			dst = make([]int, x.Rows)
 		}
 		for i := 0; i < x.Rows; i++ {
-			dst[i] = int(x.Row(i)[0]) + 1
+			dst[i] = unecho(x.Row(i)[0]) + 1
 		}
 		return dst
 	})
@@ -910,7 +919,7 @@ func TestShadowDispatch(t *testing.T) {
 	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		res, err := e.Route(nil, 7, "pos", []float64{float64(i), 0})
+		res, err := e.Route(nil, 7, "pos", []float64{echo(i), 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -938,7 +947,7 @@ func TestShadowDispatch(t *testing.T) {
 			dst = make([]int, x.Rows)
 		}
 		for i := 0; i < x.Rows; i++ {
-			dst[i] = int(x.Row(i)[0])
+			dst[i] = unecho(x.Row(i)[0])
 		}
 		return dst
 	})
@@ -947,7 +956,7 @@ func TestShadowDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{float64(i), 0}); err != nil {
+		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -973,7 +982,7 @@ func TestShadowDispatch(t *testing.T) {
 	reg.Abort(key)
 	before, _ := e.ABStats(key)
 	for i := 0; i < 6; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{float64(i), 0}); err != nil {
+		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1014,7 +1023,7 @@ func TestShadowNeverFailsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.reqs <- &request{x: []float64{0}, result: make(chan response, 1)}
-	if _, err := e.Route(nil, 1, "pos", []float64{3}); err != nil {
+	if _, err := e.Route(nil, 1, "pos", []float64{echo(3)}); err != nil {
 		t.Fatalf("live request failed under a full shadow queue: %v", err)
 	}
 	if st, _ := e.ABStats(key); st.Dropped != 1 {
@@ -1055,7 +1064,7 @@ func TestShadowSamplingPerKey(t *testing.T) {
 	const perKey = 20
 	for i := 0; i < perKey; i++ {
 		for b := 0; b < 2; b++ { // strict alternation
-			if _, err := e.Route(nil, b, "pos", []float64{float64(i % 8)}); err != nil {
+			if _, err := e.Route(nil, b, "pos", []float64{echo(i % 8)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,7 +36,6 @@ package train
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -46,6 +45,7 @@ import (
 	"calloc/internal/eval"
 	"calloc/internal/fingerprint"
 	"calloc/internal/localizer"
+	"calloc/internal/radio"
 )
 
 // Options configures a Trainer.
@@ -346,10 +346,8 @@ func (t *Trainer) AddFeedback(rss []float64, rp int) error {
 	if rp < 0 || rp >= t.opts.Config.NumRPs {
 		return fmt.Errorf("train: feedback label %d outside [0,%d)", rp, t.opts.Config.NumRPs)
 	}
-	for _, v := range rss {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("train: feedback contains a non-finite RSS value")
-		}
+	if err := radio.CheckNormalized(rss); err != nil {
+		return fmt.Errorf("train: feedback: %w", err)
 	}
 	s := fingerprint.Sample{RSS: append([]float64(nil), rss...), RP: rp}
 	t.mu.Lock()
