@@ -5,8 +5,7 @@
 // experiment drivers in a reduced mode (small buildings, short training) so
 // `go test -bench=. -benchmem` finishes in minutes on one core; the custom
 // metrics (mean_error_m, worst_error_m, ...) carry the reproduced numbers.
-// Paper-scale numbers are produced by `calloc-eval -mode full` and recorded
-// in EXPERIMENTS.md.
+// Paper-scale numbers are produced by `go run ./cmd/calloc-eval -mode full`.
 package calloc_test
 
 import (
@@ -493,31 +492,23 @@ func BenchmarkMatTMulShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch measures batched localization throughput — the
-// serving-path figure — sequentially and with the row-sharded concurrent
-// predictor.
-func BenchmarkPredictBatch(b *testing.B) {
+// BenchmarkPredictBatchInto measures batched localization throughput — the
+// serving-path figure — through the pooled model entry point, inline on the
+// calling goroutine.
+func BenchmarkPredictBatchInto(b *testing.B) {
 	m, ds := trainedBenchModel(b)
 	var samples []fingerprint.Sample
 	for _, dev := range []string{"OP3", "S7", "MOTO"} {
 		samples = append(samples, ds.Test[dev]...)
 	}
 	x := fingerprint.X(samples)
-	for _, par := range []struct {
-		name    string
-		workers int
-	}{{"seq", 1}, {"par", 0}} {
-		b.Run(par.name, func(b *testing.B) {
-			prev := mat.SetParallelism(par.workers)
-			defer mat.SetParallelism(prev)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.PredictBatch(x)
-			}
-			b.ReportMetric(float64(x.Rows)*float64(b.N)/b.Elapsed().Seconds(), "fingerprints/s")
-		})
+	dst := make([]int, x.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictBatchInto(dst, x)
 	}
+	b.ReportMetric(float64(x.Rows)*float64(b.N)/b.Elapsed().Seconds(), "fingerprints/s")
 }
 
 func seriesMean(s []float64) float64 {
@@ -597,11 +588,11 @@ func BenchmarkSteadyStateSingleQuery(b *testing.B) {
 			x := mat.FromSlice(1, len(q[0]), q[0])
 			p := m.Predictor()
 			dst := make([]int, 1)
-			p.PredictInto(dst, x) // warm workspace and quant scratch
+			p.PredictBatchInto(dst, x) // warm workspace and quant scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PredictInto(dst, x)
+				p.PredictBatchInto(dst, x)
 			}
 		})
 	}
@@ -621,11 +612,11 @@ func BenchmarkSteadyStateBatch(b *testing.B) {
 			}
 			p := m.Predictor()
 			dst := make([]int, 8)
-			p.PredictInto(dst, x)
+			p.PredictBatchInto(dst, x)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PredictInto(dst, x)
+				p.PredictBatchInto(dst, x)
 			}
 			b.ReportMetric(8*float64(b.N)/b.Elapsed().Seconds(), "fingerprints/s")
 		})
@@ -714,11 +705,11 @@ func BenchmarkRegistryDispatch(b *testing.B) {
 
 	b.Run("direct_predictor", func(b *testing.B) {
 		p := m.Predictor()
-		p.PredictInto(dst, x) // warm the workspace
+		p.PredictBatchInto(dst, x) // warm the workspace
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.PredictInto(dst, x)
+			p.PredictBatchInto(dst, x)
 		}
 	})
 

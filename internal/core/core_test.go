@@ -402,8 +402,8 @@ func TestCurriculumBeatsNCAtBuildingScale(t *testing.T) {
 	// ε=0.1 (the curriculum's training strength) is the regime where the
 	// claim is strict. At ε=0.3 a 30 dB perturbation of half the APs drives
 	// every model toward the building's random-guess error, so ordering
-	// there is noise — we only require non-inferiority (see EXPERIMENTS.md,
-	// Fig 6 honesty notes).
+	// there is noise — we only require non-inferiority (compare
+	// `go run ./cmd/calloc-eval -fig 5`).
 	ce, ne := advError(calloc, 0.1), advError(nc, 0.1)
 	if ce >= ne {
 		t.Errorf("ε=0.1: curriculum error %.2f m not below NC error %.2f m", ce, ne)
@@ -596,9 +596,9 @@ func TestModelUnmarshalRejectsCorruptWeights(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSequential: the row-sharded concurrent predictor
-// must agree exactly with single-shard sequential inference for every batch
-// size, including empty and sub-shard batches.
+// TestPredictBatchMatchesSequential: the served predictor must agree
+// exactly with the caching Logits path for every batch size, including
+// empty and single-row batches.
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	ds := testDataset(t)
 	m, err := NewModel(smallConfig(ds))
@@ -617,7 +617,7 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	}
 	for _, rows := range []int{0, 1, 7, x.Rows} {
 		sub := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
-		got := m.PredictBatch(sub)
+		got := m.Predict(sub)
 		if len(got) != rows {
 			t.Fatalf("rows=%d: got %d predictions", rows, len(got))
 		}
@@ -625,14 +625,6 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 			if p != want[i] {
 				t.Fatalf("rows=%d: prediction %d = %d, want %d", rows, i, p, want[i])
 			}
-		}
-	}
-	// Forcing maximum fan-out must not change results.
-	prev := mat.SetParallelism(8)
-	defer mat.SetParallelism(prev)
-	for i, p := range m.PredictBatch(x) {
-		if p != want[i] {
-			t.Fatalf("parallel prediction %d = %d, want %d", i, p, want[i])
 		}
 	}
 }

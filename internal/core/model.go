@@ -38,7 +38,7 @@ type Model struct {
 	served *served
 
 	// predPool recycles Predictor handles (and their workspaces) for the
-	// pooled Predict/PredictBatch entry points and batch shard workers.
+	// pooled Predict/PredictBatchInto entry points.
 	predPool sync.Pool
 
 	rng *rand.Rand
@@ -169,30 +169,16 @@ func (m *Model) Logits(x *mat.Matrix) *mat.Matrix {
 	return m.fc.Forward(att, false)
 }
 
-// Predict returns the RP class for every row of x. Large batches are
-// evaluated concurrently; see PredictBatch.
-func (m *Model) Predict(x *mat.Matrix) []int { return m.PredictBatch(x) }
-
-// predictShardRows is the minimum number of fingerprints per shard when
-// PredictBatch fans a batch out across goroutines; below 2× this size the
-// batch is evaluated inline.
-const predictShardRows = 16
-
-// PredictBatch evaluates every row of x and returns its RP class. It
-// delegates to a pooled Predictor handle: the forward pass draws all
-// temporaries from the handle's workspace and multiplies against the model's
-// compiled serving snapshot, and large batches are row-sharded across up to
-// mat.Parallelism() worker goroutines (one shared worker budget with the
-// parallel kernels, so batch-level and kernel-level sharding never
-// oversubscribe the scheduler). The snapshot is immutable and each worker
-// owns a disjoint slice of the output, so the fan-out is race-free and the
-// result is identical to sequential evaluation. Callers that
-// localise repeatedly should hold their own Predictor and use
-// PredictInto/PredictBatchInto to avoid the per-call result allocation.
-func (m *Model) PredictBatch(x *mat.Matrix) []int { return m.PredictBatchInto(nil, x) }
+// Predict returns the RP class for every row of x. It delegates to a pooled
+// Predictor handle: the forward pass draws all temporaries from the handle's
+// workspace, multiplies against the model's compiled serving snapshot and
+// runs inline on the calling goroutine. Callers that localise repeatedly
+// should use PredictBatchInto (or hold their own Predictor) to avoid the
+// per-call result allocation.
+func (m *Model) Predict(x *mat.Matrix) []int { return m.PredictBatchInto(nil, x) }
 
 // PredictBatchInto evaluates every row of x into dst and returns it, drawing
-// a pooled Predictor handle for the call; see PredictBatch. A nil dst is
+// a pooled Predictor handle for the call; see Predict. A nil dst is
 // allocated; otherwise len(dst) must equal x.Rows. Safe for concurrent
 // callers (each call owns its handle for the duration).
 func (m *Model) PredictBatchInto(dst []int, x *mat.Matrix) []int {

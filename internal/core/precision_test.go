@@ -104,7 +104,7 @@ func BenchmarkPredictServedShape(b *testing.B) {
 				dst := make([]int, rows)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					p.PredictInto(dst, q)
+					p.PredictBatchInto(dst, q)
 				}
 			})
 		}

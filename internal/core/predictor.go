@@ -19,7 +19,7 @@ import (
 // A Predictor is NOT safe for concurrent use — it exists precisely to hold
 // the mutable scratch state that the snapshot keeps out of the model. Create
 // one per goroutine (they are cheap: buffers grow lazily), or use the
-// model's pooled Predict/PredictBatch entry points.
+// model's pooled Predict/PredictBatchInto entry points.
 type Predictor struct {
 	m  *Model
 	ws *nn.Workspace
@@ -41,66 +41,32 @@ func (p *Predictor) logits(x *mat.Matrix) *mat.Matrix {
 	return s.logits(p.ws, x)
 }
 
-// maxRetainedRows is the largest PredictInto call whose workspace buffers a
-// predictor keeps for reuse. The attention scores alone are rows × memory
-// floats, so one evaluation-sized call (quick-train scoring, the trainer's
-// gate) would otherwise pin tens of MB in every pooled handle for the life
-// of the model. Serving batches (MaxBatch 32, 64-row wire batches) sit well
-// below it and keep their buffers.
+// maxRetainedRows is the largest PredictBatchInto call whose workspace
+// buffers a predictor keeps for reuse. The attention scores alone are rows ×
+// memory floats, so one evaluation-sized call (quick-train scoring, the
+// trainer's gate) would otherwise pin tens of MB in every pooled handle for
+// the life of the model. Serving batches (MaxBatch 32, 64-row wire batches)
+// sit well below it and keep their buffers.
 const maxRetainedRows = 128
 
-// PredictInto localises every row of x into dst and returns it, running
-// inline on the calling goroutine (no batch fan-out). A nil dst is
-// allocated; otherwise len(dst) must equal x.Rows. This is the steady-state
-// serving path: after the first call warms the workspace, it performs zero
-// heap allocations. A call of more than maxRetainedRows rows gives its
-// workspace buffers back when it is done.
-func (p *Predictor) PredictInto(dst []int, x *mat.Matrix) []int {
-	dst = prepPredictDst(dst, x.Rows)
+// PredictBatchInto localises every row of x into dst and returns it, running
+// inline on the calling goroutine at any batch size: serving parallelism is
+// the engine's workers, one batch each. A nil dst is allocated; otherwise
+// len(dst) must equal x.Rows. After the first call warms the workspace, a
+// stable shape performs zero heap allocations. A call of more than
+// maxRetainedRows rows gives its workspace buffers back when it is done.
+func (p *Predictor) PredictBatchInto(dst []int, x *mat.Matrix) []int {
+	if dst == nil {
+		dst = make([]int, x.Rows)
+	} else if len(dst) != x.Rows {
+		panic(fmt.Sprintf("core: prediction destination length %d, want %d", len(dst), x.Rows))
+	}
 	logits := p.logits(x)
 	for i := 0; i < logits.Rows; i++ {
 		dst[i] = mat.ArgMax(logits.Row(i))
 	}
 	if x.Rows > maxRetainedRows {
 		p.ws.Release()
-	}
-	return dst
-}
-
-// PredictBatchInto localises every row of x into dst and returns it,
-// row-sharding large batches across up to mat.Parallelism() goroutines (one
-// shared worker budget with the parallel kernels). Secondary shards draw
-// their own predictors from the model's pool, so the fan-out is race-free;
-// results are identical to PredictInto. A nil dst is allocated.
-func (p *Predictor) PredictBatchInto(dst []int, x *mat.Matrix) []int {
-	dst = prepPredictDst(dst, x.Rows)
-	maxShards := x.Rows / predictShardRows
-	if maxShards <= 1 {
-		return p.PredictInto(dst, x)
-	}
-	mat.ShardRows(x.Rows, maxShards, func(lo, hi int) {
-		sp := p
-		if lo != 0 {
-			// Secondary shards run on worker goroutines and need their own
-			// workspace; the calling goroutine's chunk reuses p itself.
-			sp = p.m.getPredictor()
-			defer p.m.putPredictor(sp)
-		}
-		shard := x
-		if lo != 0 || hi != x.Rows {
-			shard = mat.FromSlice(hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols])
-		}
-		sp.PredictInto(dst[lo:hi], shard)
-	})
-	return dst
-}
-
-func prepPredictDst(dst []int, rows int) []int {
-	if dst == nil {
-		return make([]int, rows)
-	}
-	if len(dst) != rows {
-		panic(fmt.Sprintf("core: prediction destination length %d, want %d", len(dst), rows))
 	}
 	return dst
 }

@@ -33,26 +33,26 @@ func syntheticModel(t testing.TB, numAPs, numRPs, memory int) (*Model, *mat.Matr
 	if err := m.SetMemory(db); err != nil {
 		t.Fatal(err)
 	}
-	x := mat.New(97, numAPs) // odd row count exercises uneven shards
+	x := mat.New(97, numAPs) // odd row count exercises the kernels' row tails
 	for i := range x.Data {
 		x.Data[i] = rng.Float64()
 	}
 	return m, x
 }
 
-// TestPredictorMatchesPredict: the workspace single-goroutine path, the
-// sharded batch path, and the pooled model entry points must agree.
+// TestPredictorMatchesPredict: a held handle and the pooled model entry
+// points must agree, batched and row by row.
 func TestPredictorMatchesPredict(t *testing.T) {
 	m, x := syntheticModel(t, 12, 5, 40)
 	want := m.Predict(x)
 
 	p := m.Predictor()
-	if got := p.PredictInto(nil, x); !equalInts(got, want) {
-		t.Fatalf("PredictInto diverged from Predict:\n got %v\nwant %v", got, want)
+	if got := p.PredictBatchInto(nil, x); !equalInts(got, want) {
+		t.Fatalf("PredictBatchInto diverged from Predict:\n got %v\nwant %v", got, want)
 	}
 	dst := make([]int, x.Rows)
-	if got := p.PredictBatchInto(dst, x); !equalInts(got, want) {
-		t.Fatalf("PredictBatchInto diverged from Predict:\n got %v\nwant %v", got, want)
+	if got := m.PredictBatchInto(dst, x); !equalInts(got, want) {
+		t.Fatalf("Model.PredictBatchInto diverged from Predict:\n got %v\nwant %v", got, want)
 	}
 
 	// Row-by-row single queries must agree with the batch.
@@ -60,7 +60,7 @@ func TestPredictorMatchesPredict(t *testing.T) {
 	out := make([]int, 1)
 	for i := 0; i < x.Rows; i++ {
 		row := mat.FromSlice(1, x.Cols, x.Row(i))
-		if single.PredictInto(out, row); out[0] != want[i] {
+		if single.PredictBatchInto(out, row); out[0] != want[i] {
 			t.Fatalf("single-row predict %d = %d, want %d", i, out[0], want[i])
 		}
 	}
@@ -80,23 +80,33 @@ func TestPredictorReusedAcrossBatchSizes(t *testing.T) {
 	}
 }
 
-// TestPredictorZeroAllocSteadyState is the tentpole acceptance check at unit
-// scope: after warm-up, the single-query PredictInto path must not allocate,
-// at any serving precision.
+// TestPredictorZeroAllocSteadyState: after warm-up, the pooled path that
+// localizer.FromCore serves (Model.PredictBatchInto) must not allocate at
+// any serving precision, for one row and for engine- and wire-sized batches,
+// with the kernels free to use two workers: inference never spawns a
+// goroutine, so the pin holds at any -cpu.
 func TestPredictorZeroAllocSteadyState(t *testing.T) {
+	defer mat.SetParallelism(mat.SetParallelism(2))
 	for _, prec := range []mat.Precision{mat.PrecFloat64, mat.PrecFloat32, mat.PrecInt8} {
 		if raceEnabled && prec != mat.PrecFloat64 {
 			continue // the float32 and int8 kernels draw pooled row scratch
 		}
 		m, x := servedShapeModel(t, prec)
-		p := m.Predictor()
-		q := mat.FromSlice(1, x.Cols, x.Row(0))
-		dst := make([]int, 1)
-		p.PredictInto(dst, q) // warm the workspace
-		if allocs := testing.AllocsPerRun(50, func() {
-			p.PredictInto(dst, q)
-		}); allocs != 0 {
-			t.Fatalf("%s: steady-state PredictInto allocates %.0f objects/op, want 0", prec, allocs)
+		predict := m.PredictBatchInto
+		if raceEnabled {
+			// The race detector drops sync.Pool items by design, so hold
+			// one handle instead of drawing from the model's pool.
+			predict = m.Predictor().PredictBatchInto
+		}
+		for _, rows := range []int{1, 32, 64} {
+			q := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
+			dst := make([]int, rows)
+			predict(dst, q) // warm the workspace
+			if allocs := testing.AllocsPerRun(50, func() {
+				predict(dst, q)
+			}); allocs != 0 {
+				t.Fatalf("%s r%d: steady-state PredictBatchInto allocates %.0f objects/op, want 0", prec, rows, allocs)
+			}
 		}
 	}
 }
@@ -146,7 +156,7 @@ func TestPredictorDstValidation(t *testing.T) {
 			t.Fatal("expected panic for short destination")
 		}
 	}()
-	p.PredictInto(make([]int, 3), x)
+	p.PredictBatchInto(make([]int, 3), x)
 }
 
 func equalInts(a, b []int) bool {
@@ -180,26 +190,96 @@ func TestPredictorDropsOversizedWorkspace(t *testing.T) {
 	for i := range big.Data {
 		big.Data[i] = x.Data[i%len(x.Data)]
 	}
-	// Inline kernels: a sharded product allocates its goroutines' closures,
-	// which is not what this test is about.
-	defer mat.SetParallelism(mat.SetParallelism(1))
 	for _, rows := range []int{1, 64, maxRetainedRows} {
 		q := mat.FromSlice(rows, big.Cols, big.Data[:rows*big.Cols])
 		dst := make([]int, rows)
-		p.PredictInto(dst, q)
-		if allocs := testing.AllocsPerRun(20, func() { p.PredictInto(dst, q) }); allocs != 0 {
-			t.Fatalf("steady-state %d-row PredictInto allocates %.0f objects/op, want 0", rows, allocs)
+		p.PredictBatchInto(dst, q)
+		if allocs := testing.AllocsPerRun(20, func() { p.PredictBatchInto(dst, q) }); allocs != 0 {
+			t.Fatalf("steady-state %d-row PredictBatchInto allocates %.0f objects/op, want 0", rows, allocs)
 		}
 	}
 
 	before := heap()
-	got := p.PredictInto(nil, big)
+	got := p.PredictBatchInto(nil, big)
 	after := heap()
-	if want := m.PredictBatch(big); !equalInts(got, want) {
-		t.Fatal("oversized PredictInto diverged from PredictBatch")
+	if want := m.Predict(big); !equalInts(got, want) {
+		t.Fatal("oversized PredictBatchInto diverged from Predict")
 	}
 	if grew := int64(after) - int64(before); grew > 4<<20 {
 		t.Fatalf("predictor retains %d MB after a %d-row call, want its workspace dropped", grew>>20, bigRows)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestPredictRowsAreIndependent is a property test at every serving
+// precision: a row's class lies in [0, NumRPs) and does not depend on the
+// batch around it — the same alone at r1 as at every position of a 64-row
+// batch of other fingerprints, whatever tile or tail that position lands
+// in. The probes include the in-range edge rows a hostile or broken client
+// can send: all zeros (nothing heard) and all-equal rows.
+func TestPredictRowsAreIndependent(t *testing.T) {
+	const rows, stride = 64, 9 // probe i sits at (shift + i·stride) mod 64
+	shifts := make([]int, rows)
+	for i := range shifts {
+		shifts[i] = i
+	}
+	if testing.Short() {
+		shifts = []int{0, 1, 3, 4, 5, 31, 63}
+	}
+	for _, prec := range []mat.Precision{mat.PrecFloat64, mat.PrecFloat32, mat.PrecInt8} {
+		m, x := servedShapeModel(t, prec)
+		// Untrained attention is nearly uniform, so every row would get the
+		// same class and the property would hold vacuously. Sharpened
+		// query/key projections make a row's class follow its nearest
+		// memory rows.
+		m.attn.Wq.W.ScaleInPlace(8)
+		m.attn.Wk.W.ScaleInPlace(8)
+		m.RefreshMemoryKeys()
+		classes := map[int]bool{}
+		for _, c := range m.Predict(x) {
+			classes[c] = true
+		}
+		if len(classes) < 8 {
+			t.Fatalf("%s: only %d distinct classes over %d rows; the probes would test nothing", prec, len(classes), x.Rows)
+		}
+		rng := rand.New(rand.NewSource(31))
+		probes := [][]float64{make([]float64, x.Cols)}
+		for _, v := range []float64{0.25, 0.5, 1} {
+			row := make([]float64, x.Cols)
+			for j := range row {
+				row[j] = v
+			}
+			probes = append(probes, row)
+		}
+		for range 3 {
+			row := make([]float64, x.Cols)
+			for j := range row {
+				if rng.Intn(3) > 0 {
+					row[j] = rng.Float64()
+				}
+			}
+			probes = append(probes, row)
+		}
+		alone := make([]int, len(probes))
+		for i, probe := range probes {
+			alone[i] = m.PredictBatchInto(nil, mat.FromSlice(1, len(probe), probe))[0]
+			if alone[i] < 0 || alone[i] >= m.Cfg.NumRPs {
+				t.Fatalf("%s probe %d: class %d outside [0, %d)", prec, i, alone[i], m.Cfg.NumRPs)
+			}
+		}
+		batch := mat.New(rows, x.Cols)
+		dst := make([]int, rows)
+		for _, shift := range shifts {
+			copy(batch.Data, x.Data[:rows*x.Cols])
+			for i, probe := range probes {
+				copy(batch.Row((shift+i*stride)%rows), probe)
+			}
+			m.PredictBatchInto(dst, batch)
+			for i := range probes {
+				if pos := (shift + i*stride) % rows; dst[pos] != alone[i] {
+					t.Fatalf("%s probe %d: class %d at r64 position %d, %d alone", prec, i, dst[pos], pos, alone[i])
+				}
+			}
+		}
+	}
 }

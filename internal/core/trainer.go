@@ -495,7 +495,7 @@ func (r *trainRun) shardedStep(xc, xo *mat.Matrix, labels []int) float64 {
 
 	// 3. Row shards: forward+backward into per-shard buffers.
 	shards := r.ensureShards(B)
-	mat.ShardRows(len(shards), 0, func(lo, hi int) {
+	mat.ShardRows(len(shards), func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			r.runShard(shards[s], xc, xo, labels, hasDrop, hasNoise)
 		}

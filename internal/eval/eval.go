@@ -1,7 +1,7 @@
 // Package eval provides the error metrics and plain-text rendering used to
 // regenerate the paper's tables and figures on a terminal: mean/worst-case
-// localization error aggregation and ASCII tables/heatmaps, plus a small
-// fan-out helper for evaluating test points concurrently.
+// localization error aggregation and ASCII tables/heatmaps. Everything runs
+// on the caller's goroutine.
 package eval
 
 import (
@@ -9,34 +9,16 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"calloc/internal/mat"
 )
 
-// ParallelMap evaluates f(i) for every i in [0, n) and returns the results
-// in order, fanning out through mat.ShardRows so the goroutines share the
-// same global worker budget as the parallel kernels (and run inline when
-// that budget is busy, on one core, or for n < 2). f must be safe for
-// concurrent invocation; the experiment drivers use it with pure per-sample
-// metric functions.
-func ParallelMap(n int, f func(i int) float64) []float64 {
-	out := make([]float64, n)
-	mat.ShardRows(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(i)
-		}
-	})
-	return out
-}
-
 // Errors converts predictions into per-sample localization errors under a
-// distance function (typically Dataset.ErrorMeters), fanning the metric
-// evaluation across cores via ParallelMap. dist must be safe for concurrent
-// invocation.
+// distance function (typically Dataset.ErrorMeters).
 func Errors(preds, labels []int, dist func(a, b int) float64) []float64 {
-	return ParallelMap(len(preds), func(i int) float64 {
-		return dist(preds[i], labels[i])
-	})
+	out := make([]float64, len(preds))
+	for i, p := range preds {
+		out[i] = dist(p, labels[i])
+	}
+	return out
 }
 
 // Stats summarises a sample of localization errors in metres.

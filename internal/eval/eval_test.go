@@ -95,21 +95,3 @@ func TestHeatmapConstantValues(t *testing.T) {
 		t.Fatalf("constant heatmap broken:\n%s", out)
 	}
 }
-
-func TestParallelMap(t *testing.T) {
-	got := ParallelMap(100, func(i int) float64 { return float64(i * i) })
-	if len(got) != 100 {
-		t.Fatalf("len %d, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != float64(i*i) {
-			t.Fatalf("out[%d] = %g, want %d", i, v, i*i)
-		}
-	}
-	if out := ParallelMap(0, func(int) float64 { return 1 }); len(out) != 0 {
-		t.Fatalf("ParallelMap(0) returned %d results", len(out))
-	}
-	if out := ParallelMap(1, func(int) float64 { return 7 }); out[0] != 7 {
-		t.Fatalf("ParallelMap(1) = %v", out)
-	}
-}

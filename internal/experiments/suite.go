@@ -381,8 +381,8 @@ func (s *Suite) AttackedErrors(id int, loc localizer.Localizer, dev string, meth
 	}
 	x := fingerprint.X(samples)
 	labels := fingerprint.Labels(samples)
-	// Predictions stay a single batched call; converting them to per-sample
-	// metre errors fans out across cores.
+	// Predictions stay a single batched call, then become per-sample metre
+	// errors.
 	errs := eval.Errors(loc.PredictInto(nil, x), labels, ds.ErrorMeters)
 	if cfg.PhiPercent <= 0 || cfg.Epsilon <= 0 {
 		return errs, nil

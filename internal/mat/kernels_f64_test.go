@@ -39,15 +39,15 @@ func f64TestOperand(rng *rand.Rand, r, c int, sparse, transpose bool) *Matrix {
 // TMul and the packed product with and without the fused bias+ReLU — over
 // inner dimensions with every k%4 tail and around the blockK tile, output
 // widths on both sides of every vector step and the blockJ tile, single,
-// tile-sized and remainder row counts, dense and ReLU-sparse operands,
-// sequentially and sharded.
+// tile-sized and remainder row counts, dense and ReLU-sparse operands, with
+// the training products both sequential and sharded.
 func TestF64KernelsMatchPortable(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2 on this CPU: only the portable path exists")
 	}
 	defer SetAVX2(true)
 	defer SetParallelism(SetParallelism(0))
-	defer SetParallelThreshold(SetParallelThreshold(0))
+	defer setParallelThreshold(setParallelThreshold(0))
 	rowsSet := []int{1, 3, 4, 5, 64, 320}
 	kSet := []int{1, 2, 3, 6, 127, 128, 129, 156, 320}
 	nSet := []int{1, 2, 3, 5, 7, 8, 9, 33, 64, 74, 128}
@@ -60,7 +60,7 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		if sharded {
 			SetParallelism(4)
-			SetParallelThreshold(1)
+			setParallelThreshold(1)
 		} else {
 			SetParallelism(1)
 		}

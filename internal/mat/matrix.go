@@ -86,7 +86,7 @@ func sameShape(a, b *Matrix, op string) {
 }
 
 // Mul returns the matrix product a·b. Large products are sharded across
-// goroutines; see the parallelism knobs in parallel.go.
+// goroutines; see the parallelism knob in parallel.go.
 func Mul(a, b *Matrix) *Matrix { return MulInto(nil, a, b) }
 
 // MulT returns a·bᵀ without materialising the transpose.

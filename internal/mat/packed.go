@@ -164,9 +164,10 @@ func Sigmoid(v float64) float64 {
 }
 
 // MulPackedInto computes a·B into dst (allocating it when nil) for a packed
-// operand B, and returns dst. Sharded across goroutines for large products
-// like MulInto; reduced-precision snapshots dispatch to their quantized
-// kernels (kernels_quant.go). dst must not alias a.
+// operand B, and returns dst. It runs inline on the calling goroutine at any
+// size: serving parallelism is the engine's workers, one batch each.
+// Reduced-precision snapshots dispatch to their quantized kernels
+// (kernels_quant.go). dst must not alias a.
 func MulPackedInto(dst, a *Matrix, b *Packed) *Matrix {
 	return mulPacked(dst, a, b, nil, ActIdentity, "MulPackedInto")
 }
@@ -189,26 +190,13 @@ func mulPacked(dst, a *Matrix, p *Packed, bias []float64, act Activation, op str
 		panic(fmt.Sprintf("mat: %s bias length %d != cols %d", op, len(bias), p.cols))
 	}
 	dst = prepDst(dst, a.Rows, p.cols, op)
-	par := useParallel(a.Rows*a.Cols*p.cols, a.Rows)
 	switch p.prec {
 	case PrecFloat32:
-		if par {
-			shardRows(a.Rows, func(lo, hi int) { fusedMulRowsF32(dst, a, p, bias, act, lo, hi) })
-		} else {
-			fusedMulRowsF32(dst, a, p, bias, act, 0, a.Rows)
-		}
+		fusedMulRowsF32(dst, a, p, bias, act, 0, a.Rows)
 	case PrecInt8:
-		if par {
-			shardRows(a.Rows, func(lo, hi int) { fusedMulRowsI8(dst, a, p, bias, act, lo, hi) })
-		} else {
-			fusedMulRowsI8(dst, a, p, bias, act, 0, a.Rows)
-		}
+		fusedMulRowsI8(dst, a, p, bias, act, 0, a.Rows)
 	default:
-		if par {
-			shardRows(a.Rows, func(lo, hi int) { fusedMulRows(dst, a, &p.m, bias, act, lo, hi) })
-		} else {
-			fusedMulRows(dst, a, &p.m, bias, act, 0, a.Rows)
-		}
+		fusedMulRows(dst, a, &p.m, bias, act, 0, a.Rows)
 	}
 	return dst
 }

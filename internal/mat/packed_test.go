@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -31,33 +32,55 @@ func TestPackedRoundTrip(t *testing.T) {
 }
 
 // TestMulPackedEquivalence checks the packed product against the naive
-// reference across threshold-straddling shapes, sequentially and sharded.
+// reference across threshold-straddling shapes, from one caller and from
+// several at once over one shared operand (the engine's workers share a
+// serving snapshot). Packed products never shard: each call runs inline.
 func TestMulPackedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, forced := range []struct {
-		name             string
-		workers, minSize int
-	}{
-		{"sequential", 1, 0},
-		{"parallel", 8, 1},
-	} {
-		t.Run(forced.name, func(t *testing.T) {
-			defer SetParallelism(SetParallelism(forced.workers))
-			if forced.minSize > 0 {
-				defer SetParallelThreshold(SetParallelThreshold(forced.minSize))
-			}
+	for _, mode := range callerModes {
+		t.Run(mode.name, func(t *testing.T) {
 			for _, sh := range productShapes {
 				t.Run(sh.name, func(t *testing.T) {
 					a := sparseMatrix(sh.m, sh.k, rng)
 					b := sparseMatrix(sh.k, sh.n, rng)
 					want := refMul(a, b)
 					p := PackPrec(b, PrecFloat64)
-					expectClose(t, MulPackedInto(nil, a, p), want, "MulPackedInto")
-					expectClose(t, MulPackedInto(dirtyDst(sh.m, sh.n), a, p), want, "MulPackedInto dirty dst")
+					for _, got := range fromCallers(mode.callers, func() *Matrix { return MulPackedInto(nil, a, p) }) {
+						expectClose(t, got, want, "MulPackedInto")
+					}
+					for _, got := range fromCallers(mode.callers, func() *Matrix { return MulPackedInto(dirtyDst(sh.m, sh.n), a, p) }) {
+						expectClose(t, got, want, "MulPackedInto dirty dst")
+					}
 				})
 			}
 		})
 	}
+}
+
+// callerModes are the two ways the packed-product tests call: one caller,
+// and several goroutines at once over the same operands.
+var callerModes = []struct {
+	name    string
+	callers int
+}{
+	{"sequential", 1},
+	{"parallel", 4},
+}
+
+// fromCallers runs product on n goroutines at once and returns each
+// caller's result, for the calling test goroutine to check.
+func fromCallers(n int, product func() *Matrix) []*Matrix {
+	out := make([]*Matrix, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = product()
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // TestFusedEpilogueEquivalence checks the fused bias+activation products

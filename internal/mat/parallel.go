@@ -7,26 +7,24 @@ import (
 	"sync/atomic"
 )
 
-// Parallelism knobs.
+// Parallelism knob.
 //
-// The three matrix products (Mul, MulT, TMul) dispatch between a sequential
-// kernel and a goroutine row-sharded kernel. Two knobs control the dispatch:
+// The three training products (Mul, MulT, TMul) dispatch between a
+// sequential kernel and a goroutine row-sharded kernel; the packed serving
+// products always run inline on the caller's goroutine. SetParallelism
+// bounds the number of worker goroutines per product (default GOMAXPROCS; 1
+// disables sharding entirely). Products below defaultParallelThreshold
+// multiply-adds (rows×inner×cols) stay sequential, so small matrices never
+// pay goroutine and synchronisation overhead.
 //
-//   - SetParallelism bounds the number of worker goroutines per product
-//     (default GOMAXPROCS; 1 disables sharding entirely).
-//   - SetParallelThreshold sets the minimum kernel size — measured in
-//     multiply-add operations (rows×inner×cols) — below which the product
-//     stays sequential, so small matrices never pay goroutine and
-//     synchronisation overhead.
-//
-// Both knobs are safe to change concurrently and apply to all subsequent
+// The knob is safe to change concurrently and applies to all subsequent
 // products. Workers always own disjoint row ranges of the destination, so
 // the parallel kernels are deterministic: every parallel product is
 // bit-identical to its sequential counterpart.
 
 // defaultParallelThreshold is the multiply-add count above which sharding
-// pays for itself; 64×64×64 products and larger go parallel, the small
-// per-sample matrices of single-fingerprint inference do not.
+// pays for itself; 64×64×64 products and larger go parallel, smaller ones
+// do not.
 const defaultParallelThreshold = 64 * 64 * 64
 
 var (
@@ -57,10 +55,10 @@ func SetParallelism(n int) int {
 	return prev
 }
 
-// SetParallelThreshold sets the minimum product size (rows×inner×cols
+// setParallelThreshold sets the minimum product size (rows×inner×cols
 // multiply-adds) that is sharded across goroutines, returning the previous
-// threshold. n ≤ 0 restores the default.
-func SetParallelThreshold(n int) int {
+// threshold. n ≤ 0 restores the default. Tests use it to force sharding.
+func setParallelThreshold(n int) int {
 	prev := int(parThreshold.Load())
 	if n <= 0 {
 		n = defaultParallelThreshold
@@ -70,9 +68,9 @@ func SetParallelThreshold(n int) int {
 }
 
 // inflight counts extra worker goroutines currently running across every
-// shard point (kernels and batch-level ShardRows callers). Bounding the
-// total to Parallelism() makes nested sharding — e.g. a parallel kernel
-// inside a batch-predictor shard — degrade to inline execution instead of
+// shard point (the training kernels and the trainer's batch shards).
+// Bounding the total to Parallelism() makes nested sharding — a parallel
+// kernel inside a trainer shard — degrade to inline execution instead of
 // oversubscribing the scheduler with workers × Parallelism goroutines.
 var inflight atomic.Int64
 
@@ -103,16 +101,12 @@ func releaseWorkers(n int) {
 }
 
 // ShardRows splits [0, rows) into contiguous chunks and runs fn on each,
-// using up to maxWorkers goroutines (≤ 0 means up to Parallelism()). The
-// calling goroutine always processes the first chunk itself; extra workers
-// come from a global budget of Parallelism()−1, so concurrent and nested
-// shard points share one bound instead of multiplying. fn must only touch
-// state owned by its row range.
-func ShardRows(rows, maxWorkers int, fn func(lo, hi int)) {
+// using up to Parallelism() goroutines. The calling goroutine always
+// processes the first chunk itself; extra workers come from a global budget
+// of Parallelism()−1, so concurrent and nested shard points share one bound
+// instead of multiplying. fn must only touch state owned by its row range.
+func ShardRows(rows int, fn func(lo, hi int)) {
 	workers := Parallelism()
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
-	}
 	if workers > rows {
 		workers = rows
 	}
@@ -144,9 +138,6 @@ func ShardRows(rows, maxWorkers int, fn func(lo, hi int)) {
 	releaseWorkers(extra)
 }
 
-// shardRows is the kernels' shard point: no per-call worker cap.
-func shardRows(rows int, fn func(lo, hi int)) { ShardRows(rows, 0, fn) }
-
 // useParallel reports whether a product of the given multiply-add count over
 // the given destination row count should shard.
 func useParallel(flops, rows int) bool {
@@ -167,15 +158,15 @@ func prepDst(dst *Matrix, r, c int, op string) *Matrix {
 }
 
 // MulInto computes a·b into dst (allocating it when nil) and returns dst.
-// Sharded across goroutines for large products; see the package parallelism
-// knobs. dst must not alias a or b.
+// Sharded across goroutines for large products; see SetParallelism. dst
+// must not alias a or b.
 func MulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst = prepDst(dst, a.Rows, b.Cols, "MulInto")
 	if useParallel(a.Rows*a.Cols*b.Cols, a.Rows) {
-		shardRows(a.Rows, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
+		ShardRows(a.Rows, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
 	} else {
 		mulRows(dst, a, b, 0, a.Rows)
 	}
@@ -190,7 +181,7 @@ func MulTInto(dst, a, b *Matrix) *Matrix {
 	}
 	dst = prepDst(dst, a.Rows, b.Rows, "MulTInto")
 	if useParallel(a.Rows*a.Cols*b.Rows, a.Rows) {
-		shardRows(a.Rows, func(lo, hi int) { mulTRows(dst, a, b, lo, hi) })
+		ShardRows(a.Rows, func(lo, hi int) { mulTRows(dst, a, b, lo, hi) })
 	} else {
 		mulTRows(dst, a, b, 0, a.Rows)
 	}
@@ -205,7 +196,7 @@ func TMulInto(dst, a, b *Matrix) *Matrix {
 	}
 	dst = prepDst(dst, a.Cols, b.Cols, "TMulInto")
 	if useParallel(a.Rows*a.Cols*b.Cols, a.Cols) {
-		shardRows(a.Cols, func(lo, hi int) { tMulRows(dst, a, b, lo, hi) })
+		ShardRows(a.Cols, func(lo, hi int) { tMulRows(dst, a, b, lo, hi) })
 	} else {
 		tMulRows(dst, a, b, 0, a.Cols)
 	}

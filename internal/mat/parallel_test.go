@@ -142,7 +142,7 @@ func TestProductEquivalence(t *testing.T) {
 		t.Run(forced.name, func(t *testing.T) {
 			defer SetParallelism(SetParallelism(forced.workers))
 			if forced.minSize > 0 {
-				defer SetParallelThreshold(SetParallelThreshold(forced.minSize))
+				defer setParallelThreshold(setParallelThreshold(forced.minSize))
 			}
 			for _, sh := range productShapes {
 				t.Run(sh.name, func(t *testing.T) {
@@ -171,7 +171,7 @@ func TestProductEquivalence(t *testing.T) {
 // each row is summed in the same order either way.
 func TestParallelBitIdenticalToSequential(t *testing.T) {
 	defer SetParallelism(SetParallelism(0))
-	defer SetParallelThreshold(SetParallelThreshold(0))
+	defer setParallelThreshold(setParallelThreshold(0))
 	rng := rand.New(rand.NewSource(9))
 	for _, sh := range productShapes {
 		a := sparseMatrix(sh.m, sh.k, rng)
@@ -185,12 +185,12 @@ func TestParallelBitIdenticalToSequential(t *testing.T) {
 		seqTMul := TMul(at, b)
 
 		SetParallelism(8)
-		SetParallelThreshold(1)
+		setParallelThreshold(1)
 		expectEqual(t, Mul(a, b), seqMul, sh.name+"/Mul")
 		expectEqual(t, MulT(a, bt), seqMulT, sh.name+"/MulT")
 		expectEqual(t, TMul(at, b), seqTMul, sh.name+"/TMul")
 		SetParallelism(0)
-		SetParallelThreshold(0)
+		setParallelThreshold(0)
 	}
 }
 
@@ -248,9 +248,9 @@ func TestParallelismKnobs(t *testing.T) {
 	if back := SetParallelism(prev); back != 3 {
 		t.Fatalf("SetParallelism returned %d, want previous 3", back)
 	}
-	pt := SetParallelThreshold(123)
-	if got := SetParallelThreshold(pt); got != 123 {
-		t.Fatalf("SetParallelThreshold returned %d, want 123", got)
+	pt := setParallelThreshold(123)
+	if got := setParallelThreshold(pt); got != 123 {
+		t.Fatalf("setParallelThreshold returned %d, want 123", got)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestParallelismKnobs(t *testing.T) {
 // never writes across worker boundaries.
 func TestConcurrentProducts(t *testing.T) {
 	defer SetParallelism(SetParallelism(4))
-	defer SetParallelThreshold(SetParallelThreshold(1))
+	defer setParallelThreshold(setParallelThreshold(1))
 	rng := rand.New(rand.NewSource(11))
 	a := sparseMatrix(37, 29, rng)
 	b := sparseMatrix(29, 31, rng)
@@ -352,14 +352,15 @@ func BenchmarkMul256Into(b *testing.B) {
 }
 
 // TestShardRowsCoversAllRows: every row is processed exactly once for any
-// worker cap, and the global worker budget drains back to zero.
+// worker bound, and the global worker budget drains back to zero.
 func TestShardRowsCoversAllRows(t *testing.T) {
-	defer SetParallelism(SetParallelism(4))
+	defer SetParallelism(SetParallelism(0))
 	for _, rows := range []int{0, 1, 5, 16, 100} {
-		for _, cap := range []int{0, 1, 3, 64} {
+		for _, workers := range []int{1, 3, 4, 64} {
+			SetParallelism(workers)
 			var mu sync.Mutex
 			seen := make([]int, rows)
-			ShardRows(rows, cap, func(lo, hi int) {
+			ShardRows(rows, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {
@@ -368,7 +369,7 @@ func TestShardRowsCoversAllRows(t *testing.T) {
 			})
 			for i, c := range seen {
 				if c != 1 {
-					t.Fatalf("rows=%d cap=%d: row %d visited %d times", rows, cap, i, c)
+					t.Fatalf("rows=%d workers=%d: row %d visited %d times", rows, workers, i, c)
 				}
 			}
 		}
@@ -388,10 +389,10 @@ func TestShardRowsNestedStaysBounded(t *testing.T) {
 	for i := range counts {
 		counts[i] = make([]int64, inner)
 	}
-	ShardRows(outer, 0, func(lo, hi int) {
+	ShardRows(outer, func(lo, hi int) {
 		for o := lo; o < hi; o++ {
 			o := o
-			ShardRows(inner, 0, func(ilo, ihi int) {
+			ShardRows(inner, func(ilo, ihi int) {
 				for i := ilo; i < ihi; i++ {
 					atomic.AddInt64(&counts[o][i], 1)
 				}

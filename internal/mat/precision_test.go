@@ -85,25 +85,16 @@ func expectCloseFrob(t *testing.T, got, want *Matrix, tol float64, label string)
 }
 
 // TestPackPrecEquivalence checks the reduced-precision packed products
-// against the float64 reference across every shape, sequentially and
-// sharded, with and without the fused bias+ReLU epilogue. float32 must track
-// the reference to accumulation precision; int8 to symmetric-quantization
-// noise (a few percent in norm — the serving-level budget is meters, tested
-// in internal/core).
+// against the float64 reference across every shape, from one caller and
+// from several at once over shared operands (their pooled row scratch must
+// not leak between callers), with and without the fused bias+ReLU epilogue.
+// float32 must track the reference to accumulation precision; int8 to
+// symmetric-quantization noise (a few percent in norm — the serving-level
+// budget is meters, tested in internal/core).
 func TestPackPrecEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, forced := range []struct {
-		name             string
-		workers, minSize int
-	}{
-		{"sequential", 1, 0},
-		{"parallel", 8, 1},
-	} {
-		t.Run(forced.name, func(t *testing.T) {
-			defer SetParallelism(SetParallelism(forced.workers))
-			if forced.minSize > 0 {
-				defer SetParallelThreshold(SetParallelThreshold(forced.minSize))
-			}
+	for _, mode := range callerModes {
+		t.Run(mode.name, func(t *testing.T) {
 			for _, sh := range productShapes {
 				t.Run(sh.name, func(t *testing.T) {
 					a := sparseMatrix(sh.m, sh.k, rng)
@@ -114,14 +105,24 @@ func TestPackPrecEquivalence(t *testing.T) {
 					}
 					want := refMul(a, b)
 					wantAct := refBiasAct(want, bias, ActReLU)
-
 					pf := PackPrec(b, PrecFloat32)
-					expectCloseRel(t, MulPackedInto(dirtyDst(sh.m, sh.n), a, pf), want, 1e-4, "float32 MulPackedInto")
-					expectCloseRel(t, MulPackedBiasActInto(dirtyDst(sh.m, sh.n), a, pf, bias, ActReLU), wantAct, 1e-4, "float32 fused")
-
 					pq := PackPrec(b, PrecInt8)
-					expectCloseFrob(t, MulPackedInto(dirtyDst(sh.m, sh.n), a, pq), want, 0.05, "int8 MulPackedInto")
-					expectCloseFrob(t, MulPackedBiasActInto(dirtyDst(sh.m, sh.n), a, pq, bias, ActReLU), wantAct, 0.08, "int8 fused")
+					for _, tc := range []struct {
+						label   string
+						product func() *Matrix
+						want    *Matrix
+						check   func(t *testing.T, got, want *Matrix, tol float64, label string)
+						tol     float64
+					}{
+						{"float32 MulPackedInto", func() *Matrix { return MulPackedInto(dirtyDst(sh.m, sh.n), a, pf) }, want, expectCloseRel, 1e-4},
+						{"float32 fused", func() *Matrix { return MulPackedBiasActInto(dirtyDst(sh.m, sh.n), a, pf, bias, ActReLU) }, wantAct, expectCloseRel, 1e-4},
+						{"int8 MulPackedInto", func() *Matrix { return MulPackedInto(dirtyDst(sh.m, sh.n), a, pq) }, want, expectCloseFrob, 0.05},
+						{"int8 fused", func() *Matrix { return MulPackedBiasActInto(dirtyDst(sh.m, sh.n), a, pq, bias, ActReLU) }, wantAct, expectCloseFrob, 0.08},
+					} {
+						for _, got := range fromCallers(mode.callers, tc.product) {
+							tc.check(t, got, tc.want, tc.tol, tc.label)
+						}
+					}
 				})
 			}
 		})
@@ -181,28 +182,32 @@ func TestInt8QuantizesOneHotExactly(t *testing.T) {
 	}
 }
 
-// The steady-state fused product must stay 0 allocs/op at every precision —
-// the reduced-precision kernels draw their conversion/accumulator scratch
-// from a pool.
+// The steady-state fused product must stay 0 allocs/op at every precision,
+// at one row and at a 64-row batch, whatever SetParallelism says — the
+// reduced-precision kernels draw their conversion/accumulator scratch from a
+// pool, and packed products never shard.
 func TestMulPackedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items by design; alloc bounds only hold in normal builds")
 	}
 	rng := rand.New(rand.NewSource(26))
-	defer SetParallelism(SetParallelism(1))
-	a := sparseMatrix(1, 165, rng)
+	defer SetParallelism(SetParallelism(2))
+	a := sparseMatrix(64, 165, rng)
 	b := sparseMatrix(165, 128, rng)
 	bias := make([]float64, 128)
-	dst := New(1, 128)
 	for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecInt8} {
 		t.Run(prec.String(), func(t *testing.T) {
 			p := PackPrec(b, prec)
-			MulPackedBiasActInto(dst, a, p, bias, ActReLU) // warm the scratch pool
-			allocs := testing.AllocsPerRun(100, func() {
-				MulPackedBiasActInto(dst, a, p, bias, ActReLU)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state %s fused product allocates %.0f objects/op, want 0", prec, allocs)
+			for _, rows := range []int{1, 64} {
+				x := FromSlice(rows, a.Cols, a.Data[:rows*a.Cols])
+				dst := New(rows, 128)
+				MulPackedBiasActInto(dst, x, p, bias, ActReLU) // warm the scratch pool
+				allocs := testing.AllocsPerRun(100, func() {
+					MulPackedBiasActInto(dst, x, p, bias, ActReLU)
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state %s r%d fused product allocates %.0f objects/op, want 0", prec, rows, allocs)
+				}
 			}
 		})
 	}

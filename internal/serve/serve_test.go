@@ -312,11 +312,11 @@ func TestCallersAreNeverHeld(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesPredictBatch: serving a CALLOC model through the
-// registry and engine must return exactly what a direct model call returns.
-func TestEngineMatchesPredictBatch(t *testing.T) {
+// TestEngineMatchesPredict: serving a CALLOC model through the registry and
+// engine must return exactly what a direct model call returns.
+func TestEngineMatchesPredict(t *testing.T) {
 	m, x := testModel(t, 10, 4, 30)
-	want := m.PredictBatch(x)
+	want := m.Predict(x)
 
 	reg := localizer.NewRegistry()
 	key := localizer.Key{Building: 1, Floor: 0, Backend: "calloc"}
@@ -346,7 +346,7 @@ func TestEngineMatchesPredictBatch(t *testing.T) {
 	wg.Wait()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("engine row %d = %d, direct PredictBatch = %d", i, got[i], want[i])
+			t.Fatalf("engine row %d = %d, direct Predict = %d", i, got[i], want[i])
 		}
 	}
 }

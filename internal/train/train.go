@@ -134,8 +134,7 @@ type Options struct {
 	// round derives its own stream so repeated rounds see fresh attacks.
 	Seed int64
 	// Dist scores a validation prediction against its label — typically
-	// Dataset.ErrorMeters. Nil selects 0/1 misclassification. Must be safe
-	// for concurrent calls (validation fans out over eval.Errors).
+	// Dataset.ErrorMeters. Nil selects 0/1 misclassification.
 	Dist func(pred, label int) float64
 	// Logf, when non-nil, receives one line per fine-tune round.
 	Logf func(format string, args ...any)
