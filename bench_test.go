@@ -1,11 +1,9 @@
-// Package calloc_test holds the repository-level benchmark harness: one
-// benchmark per table and figure of the paper's evaluation (§V), plus
+// Package calloc_test holds the repository-level benchmark harness:
 // ablation benches for the design choices called out in DESIGN.md and
-// micro-benchmarks of the performance-critical paths. Figure benches run the
-// experiment drivers in a reduced mode (small buildings, short training) so
-// `go test -bench=. -benchmem` finishes in minutes on one core; the custom
-// metrics (mean_error_m, worst_error_m, ...) carry the reproduced numbers.
-// Paper-scale numbers are produced by `go run ./cmd/calloc-eval -mode full`.
+// micro-benchmarks of the performance-critical paths. The ablations train
+// small model variants so `go test -bench=Ablation` finishes in minutes on
+// one core; their custom metrics carry the attacked error. The paper's
+// tables and figures are produced by `go run ./cmd/calloc-eval`.
 package calloc_test
 
 import (
@@ -28,7 +26,6 @@ import (
 	"calloc/internal/core"
 	"calloc/internal/curriculum"
 	"calloc/internal/device"
-	"calloc/internal/experiments"
 	"calloc/internal/fingerprint"
 	"calloc/internal/floorplan"
 	"calloc/internal/localizer"
@@ -36,207 +33,6 @@ import (
 	"calloc/internal/node"
 	"calloc/internal/serve"
 )
-
-// benchMode is the reduced experiment scale used by the figure benches.
-func benchMode() experiments.Mode {
-	return experiments.Mode{
-		Name:            "bench",
-		BuildingIDs:     []int{1, 3},
-		Devices:         []string{"OP3", "S7", "MOTO"},
-		Epsilons:        []float64{0.1, 0.3, 0.5},
-		Phis:            []int{20, 100},
-		APScale:         0.2,
-		PathScale:       0.15,
-		EpochsPerLesson: 10,
-		BaselineEpochs:  120,
-		Seed:            1,
-	}
-}
-
-var (
-	suiteOnce sync.Once
-	suite     *experiments.Suite
-)
-
-// benchSuite shares one suite (and its trained-model cache) across benches.
-func benchSuite(b *testing.B) *experiments.Suite {
-	b.Helper()
-	suiteOnce.Do(func() {
-		suite = experiments.NewSuite(benchMode(), nil)
-	})
-	return suite
-}
-
-// BenchmarkFig1AttackImpact regenerates Fig 1: classical localizers (KNN,
-// GPC, DNN) under FGSM. Reported metric: mean attacked error across models.
-func BenchmarkFig1AttackImpact(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig1(); err != nil { // warm model caches outside the timer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	var mean float64
-	for _, row := range last.Rows {
-		mean += row.AttackedMean
-	}
-	b.ReportMetric(mean/float64(len(last.Rows)), "mean_attacked_error_m")
-}
-
-// BenchmarkFig2AttackIllustration regenerates Fig 2's weak/strong attack
-// illustration on a single fingerprint.
-func BenchmarkFig2AttackIllustration(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig2(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4Heatmaps regenerates the Fig 4 device×building heatmaps for
-// FGSM, PGD, and MIM. Reported metric: CALLOC's grand-mean error.
-func BenchmarkFig4Heatmaps(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig4(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	var sum float64
-	var n int
-	for _, hm := range last.Heatmaps {
-		for _, row := range hm.Values {
-			for _, v := range row {
-				sum += v
-				n++
-			}
-		}
-	}
-	b.ReportMetric(sum/float64(n), "mean_error_m")
-}
-
-// BenchmarkFig5CurriculumImpact regenerates Fig 5 (curriculum vs NC).
-// Reported metrics: mean error with and without curriculum under FGSM.
-func BenchmarkFig5CurriculumImpact(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig5(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *experiments.Fig5Result
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(seriesMean(last.Series["FGSM"]), "curriculum_error_m")
-	b.ReportMetric(seriesMean(last.Series["FGSM-NC"]), "nc_error_m")
-}
-
-// BenchmarkFig6StateOfTheArt regenerates the Fig 6 framework comparison.
-// Reported metrics: the worst competitor's mean-error ratio vs CALLOC (the
-// paper's "up to 6.03×" number at bench scale).
-func BenchmarkFig6StateOfTheArt(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig6(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	var worstMeanRatio, worstWorstRatio float64
-	for _, row := range last.Rows {
-		if row.MeanRatio > worstMeanRatio {
-			worstMeanRatio = row.MeanRatio
-		}
-		if row.WorstRatio > worstWorstRatio {
-			worstWorstRatio = row.WorstRatio
-		}
-	}
-	b.ReportMetric(last.Rows[0].Mean, "calloc_mean_error_m")
-	b.ReportMetric(worstMeanRatio, "max_mean_ratio_x")
-	b.ReportMetric(worstWorstRatio, "max_worst_ratio_x")
-}
-
-// BenchmarkFig7PhiSweep regenerates the Fig 7 ø sweep under FGSM.
-// Reported metric: CALLOC's error increase from ø=1 to ø=100.
-func BenchmarkFig7PhiSweep(b *testing.B) {
-	s := benchSuite(b)
-	if _, err := s.Fig7(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *experiments.Fig7Result
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	series := last.Series[experiments.NameCALLOC]
-	b.ReportMetric(series[len(series)-1]-series[0], "calloc_phi_degradation_m")
-}
-
-// BenchmarkTableRegistries regenerates Tables I and II from the device and
-// floorplan registries.
-func BenchmarkTableRegistries(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Table1()
-		_ = experiments.Table2()
-	}
-}
-
-// BenchmarkModelFootprint regenerates the §V.A footprint audit: parameter
-// count and deployed size for the paper-dimension model, plus construction
-// cost.
-func BenchmarkModelFootprint(b *testing.B) {
-	b.ReportAllocs()
-	var m *core.Model
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = core.NewModel(core.PaperConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.NumParams()), "parameters")
-	b.ReportMetric(m.ModelSizeKB(), "model_kB")
-}
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
@@ -577,7 +373,7 @@ var servePrecisions = []mat.Precision{mat.PrecFloat64, mat.PrecFloat32, mat.Prec
 
 // BenchmarkSteadyStateSingleQuery is the tentpole acceptance bench: the
 // single-query Predictor path at paper shapes must report 0 allocs/op once
-// the workspace and the quantized kernels' scratch are warm — at every serving
+// the workspace and the reduced-precision scratch are warm — at every serving
 // precision — and the float32 variant must beat float64 by ≥1.5×
 // (min-of-N interleaved via scripts/benchmin.sh).
 func BenchmarkSteadyStateSingleQuery(b *testing.B) {
@@ -799,8 +595,10 @@ func BenchmarkRoutingDispatch(b *testing.B) {
 
 // BenchmarkMatMulPackedShapes compares the plain row-major product against
 // the packed-operand and fused-epilogue kernels at CALLOC shapes, at every
-// serving precision. The float32 and int8 variants stream 2×/8× fewer weight
-// bytes per product — the bandwidth cut behind the single-query speedup.
+// serving precision. The float32 variants stream half float64's weight
+// bytes; the int8 variants store an eighth, but each product first
+// dequantizes the whole snapshot to float32 and then runs the float32
+// kernel, so they cost a float32 product plus that pass.
 func BenchmarkMatMulPackedShapes(b *testing.B) {
 	for _, sh := range matShapes {
 		rng := rand.New(rand.NewSource(2))

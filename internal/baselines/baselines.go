@@ -25,28 +25,3 @@ type Localizer interface {
 type Differentiable interface {
 	InputGradient(x *mat.Matrix, labels []int) *mat.Matrix
 }
-
-// MeanError computes the mean localization error in metres of predictions
-// against true labels under a distance function (typically
-// Dataset.ErrorMeters).
-func MeanError(preds, labels []int, dist func(a, b int) float64) float64 {
-	if len(preds) == 0 {
-		return 0
-	}
-	var total float64
-	for i, p := range preds {
-		total += dist(p, labels[i])
-	}
-	return total / float64(len(preds))
-}
-
-// WorstError computes the maximum localization error in metres.
-func WorstError(preds, labels []int, dist func(a, b int) float64) float64 {
-	var worst float64
-	for i, p := range preds {
-		if d := dist(p, labels[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}

@@ -5,6 +5,7 @@ import (
 
 	"calloc/internal/attack"
 	"calloc/internal/device"
+	"calloc/internal/eval"
 	"calloc/internal/fingerprint"
 	"calloc/internal/floorplan"
 	"calloc/internal/mat"
@@ -26,11 +27,16 @@ func testDataset(t testing.TB) *fingerprint.Dataset {
 	return ds
 }
 
+// meanErr is the mean localization error in metres of preds against labels.
+func meanErr(ds *fingerprint.Dataset, preds, labels []int) float64 {
+	return eval.Summarize(eval.Errors(preds, labels, ds.ErrorMeters)).Mean
+}
+
 func meanErrOn(t *testing.T, ds *fingerprint.Dataset, l Localizer, dev string) float64 {
 	t.Helper()
 	x := fingerprint.X(ds.Test[dev])
 	labels := fingerprint.Labels(ds.Test[dev])
-	return MeanError(l.Predict(x), labels, ds.ErrorMeters)
+	return meanErr(ds, l.Predict(x), labels)
 }
 
 func TestDNNLocalizes(t *testing.T) {
@@ -73,7 +79,7 @@ func TestAdvLocIsMoreRobustThanDNN(t *testing.T) {
 			tl := fingerprint.Labels(ds.Test[dev])
 			adv := attack.Craft(attack.FGSM, d, tx, tl,
 				attack.Config{Epsilon: 0.2, PhiPercent: 50, Seed: 3})
-			total += MeanError(d.Predict(adv), tl, ds.ErrorMeters) * float64(len(tl))
+			total += meanErr(ds, d.Predict(adv), tl) * float64(len(tl))
 			n += len(tl)
 		}
 		return total / float64(n)
@@ -152,27 +158,6 @@ func TestWiDeepLocalizes(t *testing.T) {
 	}
 }
 
-func TestMeanAndWorstError(t *testing.T) {
-	dist := func(a, b int) float64 {
-		d := float64(a - b)
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	preds := []int{0, 2, 5}
-	labels := []int{0, 0, 0}
-	if m := MeanError(preds, labels, dist); m != (0+2+5)/3.0 {
-		t.Fatalf("MeanError = %g", m)
-	}
-	if w := WorstError(preds, labels, dist); w != 5 {
-		t.Fatalf("WorstError = %g", w)
-	}
-	if m := MeanError(nil, nil, dist); m != 0 {
-		t.Fatalf("empty MeanError = %g", m)
-	}
-}
-
 // TestUndefendedBaselinesCollapseUnderAttack verifies the premise of Fig 1
 // and Fig 6: surrogate-transferred FGSM degrades every undefended framework.
 func TestUndefendedBaselinesCollapseUnderAttack(t *testing.T) {
@@ -188,9 +173,9 @@ func TestUndefendedBaselinesCollapseUnderAttack(t *testing.T) {
 	sur := attack.NewSurrogate(x, labels, ds.NumRPs, 150, 2)
 	tx := fingerprint.X(ds.Test["OP3"])
 	tl := fingerprint.Labels(ds.Test["OP3"])
-	clean := MeanError(s.Predict(tx), tl, ds.ErrorMeters)
+	clean := meanErr(ds, s.Predict(tx), tl)
 	adv := attack.Craft(attack.FGSM, sur, tx, tl, attack.Config{Epsilon: 0.4, PhiPercent: 100, Seed: 3})
-	attacked := MeanError(s.Predict(adv), tl, ds.ErrorMeters)
+	attacked := meanErr(ds, s.Predict(adv), tl)
 	if attacked <= clean {
 		t.Fatalf("SANGRIA attacked error %.2f m should exceed clean %.2f m", attacked, clean)
 	}
@@ -217,8 +202,8 @@ func TestWiDeepWhiteBoxGradient(t *testing.T) {
 	}
 	adv := attack.Craft(attack.FGSM, w, x, labels,
 		attack.Config{Epsilon: 0.4, PhiPercent: 100, Seed: 3})
-	clean := MeanError(w.Predict(x), labels, ds.ErrorMeters)
-	attacked := MeanError(w.Predict(adv), labels, ds.ErrorMeters)
+	clean := meanErr(ds, w.Predict(x), labels)
+	attacked := meanErr(ds, w.Predict(adv), labels)
 	if attacked < clean {
 		t.Fatalf("white-box FGSM reduced WiDeep error: %.2f < %.2f", attacked, clean)
 	}
@@ -242,8 +227,8 @@ func TestSANGRIADistilledGradient(t *testing.T) {
 	}
 	adv := attack.Craft(attack.FGSM, s, x, labels,
 		attack.Config{Epsilon: 0.4, PhiPercent: 100, Seed: 3})
-	clean := MeanError(s.Predict(x), labels, ds.ErrorMeters)
-	attacked := MeanError(s.Predict(adv), labels, ds.ErrorMeters)
+	clean := meanErr(ds, s.Predict(x), labels)
+	attacked := meanErr(ds, s.Predict(adv), labels)
 	if attacked <= clean {
 		t.Fatalf("distilled FGSM did not hurt SANGRIA: %.2f vs clean %.2f", attacked, clean)
 	}

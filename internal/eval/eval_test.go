@@ -20,6 +20,13 @@ func TestSummarizeKnownValues(t *testing.T) {
 	if s.N != 4 {
 		t.Fatalf("N = %d", s.N)
 	}
+	// Errors maps predictions to distances in input order; an exact hit
+	// counts as a zero error in the mean.
+	dist := func(a, b int) float64 { return math.Abs(float64(a - b)) }
+	s = Summarize(Errors([]int{5, 0, 2}, []int{0, 0, 0}, dist))
+	if s.Mean != (5+0+2)/3.0 || s.Worst != 5 || s.N != 3 {
+		t.Fatalf("stats of errors 5, 0, 2 = %+v, want mean 7/3, worst 5", s)
+	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {

@@ -1,34 +1,26 @@
 package mat
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
-// Reduced-precision inner kernels for Packed snapshots (see precision.go for
-// the formats). Both kernels mirror fusedMulRows' tiling — j0/k0 blocked
-// panels reused across every row of the shard, epilogue per destination tile
-// — but accumulate in the snapshot's native width (float32, or int32 for
-// int8 weights) and only widen to the float64 destination in the epilogue.
-// The inner loops are written over contiguous sub-slices with the 4-wide
-// axpy unroll so the backend can keep them in registers; the real win on
-// this workload is bandwidth (half / one-eighth the weight bytes streamed
-// per query), which is what the single-query path is bound by.
-//
-// Activations arrive as float64 rows and are converted (f32) or dynamically
-// quantized (int8, per-row symmetric scale) into pooled scratch once per
-// kernel call, so the steady-state serving path stays at 0 allocs/op.
+// The float32 product kernel serves both reduced-precision snapshots (see
+// precision.go for the formats). A float32 snapshot hands it its panels; an
+// int8 snapshot is dequantized first, q8[k][j]·scale[j] into a pooled float32
+// panel, so int8 is a storage format and every reduced-precision product
+// computes in float32. The kernel mirrors fusedMulRows' tiling — j0/k0
+// blocked panels reused across every row, then one epilogue pass — but
+// accumulates in float32 and only widens to the float64 destination in the
+// epilogue. Activations arrive as float64 rows and are converted into pooled
+// scratch once per product, so the steady-state serving path stays at
+// 0 allocs/op.
 
-// quantScratch holds the per-call scratch of the reduced-precision kernels:
-// converted activation rows and native-width accumulator tiles. Recycled
-// through quantScratchPool; all slices are length-checked per use.
+// quantScratch holds the per-product scratch of the reduced-precision
+// products: the dequantized int8 panel, the float32 activation rows and the
+// float32 accumulators. Recycled through quantScratchPool; all slices are
+// length-checked per use.
 type quantScratch struct {
-	af32  []float32 // float32 activation rows (f32 kernel)
-	acc32 []float32 // float32 accumulators (f32 kernel)
-
-	aq8      []int8    // int8 activation rows (int8 kernel)
-	rowScale []float32 // per-activation-row symmetric scales (int8 kernel)
-	acc64i   []int32   // int32 accumulators (int8 kernel)
+	w32   []float32 // int8 weights dequantized to float32 (int8 products)
+	af32  []float32 // float32 activation rows
+	acc32 []float32 // float32 accumulators
 }
 
 var quantScratchPool = sync.Pool{
@@ -42,45 +34,45 @@ func growF32(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-func growI8(buf []int8, n int) []int8 {
-	if cap(buf) < n {
-		return make([]int8, n)
+// dequantize widens p's int8 weights into s.w32 and returns it: each weight
+// is float32(q8[k][j])·scale[j], rounded once to float32, the panel a
+// float32 snapshot of the same values would hold.
+//
+//calloc:noalloc
+func (s *quantScratch) dequantize(p *Packed) []float32 {
+	s.w32 = growF32(s.w32, len(p.q8)) //calloc:allow pool-backed scratch; grows only on the first larger snapshot
+	cols := p.cols
+	scale := p.scale[:cols]
+	for k := 0; k < p.rows; k++ {
+		q := p.q8[k*cols : (k+1)*cols]
+		w := s.w32[k*cols : (k+1)*cols]
+		for j, v := range q {
+			w[j] = float32(v) * scale[j]
+		}
 	}
-	return buf[:n]
+	return s.w32
 }
 
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// fusedMulRowsF32 computes rows [lo, hi) of dst = act(a·P + bias) for a
-// float32 snapshot P: activations converted to float32 once, products
-// accumulated in float32, widened to float64 in the fused epilogue. With
-// AVX2 the rows&^3 × n&^15 block runs through the register-blocked 4×16 tile;
-// the remainder rows and columns (everything, without AVX2) take the
+// fusedMulRowsF32 computes dst = act(a·W + bias) for a row-major float32
+// panel W (a.Cols × dst.Cols): activations converted to float32 once,
+// products accumulated in float32, widened to float64 in the fused epilogue.
+// s supplies the activation and accumulator scratch. With AVX2 the
+// rows&^3 × n&^15 block runs through the register-blocked 4×16 tile; the
+// remainder rows and columns (everything, without AVX2) take the
 // cache-blocked axpy4F32 passes. Both sum each element in ascending k with
 // the same roundings, so the split never changes a bit of the result.
 //
 //calloc:noalloc
-func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, lo, hi int) {
-	n, kDim := dst.Cols, a.Cols
+func fusedMulRowsF32(dst, a *Matrix, w []float32, s *quantScratch, bias []float64, act Activation) {
+	n, kDim, rows := dst.Cols, a.Cols, a.Rows
 	if n == 0 {
 		return
 	}
-	rows := hi - lo
-	s := quantScratchPool.Get().(*quantScratch)
 	s.af32 = growF32(s.af32, rows*kDim) //calloc:allow pool-backed scratch; grows only on the first oversized batch
 	s.acc32 = growF32(s.acc32, rows*n)  //calloc:allow pool-backed scratch; grows only on the first oversized batch
 	aw, acc := s.af32, s.acc32
-	for r := 0; r < rows; r++ {
-		arow := a.Data[(lo+r)*kDim : (lo+r+1)*kDim]
-		frow := aw[r*kDim : (r+1)*kDim]
-		for k, v := range arow {
-			frow[k] = float32(v)
-		}
+	for i, v := range a.Data[:rows*kDim] {
+		aw[i] = float32(v)
 	}
 	tileRows, tileCols := 0, 0
 	if useAVX2 && kDim > 0 {
@@ -88,13 +80,13 @@ func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, 
 	}
 	for r := 0; r < tileRows; r += 4 {
 		for j := 0; j < tileCols; j += 16 {
-			tileF32AVX2(&acc[r*n+j], n, &aw[r*kDim], kDim, &p.f32[j], n, kDim)
+			tileF32AVX2(&acc[r*n+j], n, &aw[r*kDim], kDim, &w[j], n, kDim)
 		}
 	}
-	axpyRowsF32(acc, aw, p.f32, n, kDim, 0, tileRows, tileCols)
-	axpyRowsF32(acc, aw, p.f32, n, kDim, tileRows, rows, 0)
+	axpyRowsF32(acc, aw, w, n, kDim, 0, tileRows, tileCols)
+	axpyRowsF32(acc, aw, w, n, kDim, tileRows, rows, 0)
 	for r := 0; r < rows; r++ {
-		orow := dst.Data[(lo+r)*n : (lo+r+1)*n]
+		orow := dst.Data[r*n : (r+1)*n]
 		crow := acc[r*n : (r+1)*n]
 		if bias != nil {
 			for j := range orow {
@@ -106,7 +98,6 @@ func fusedMulRowsF32(dst, a *Matrix, p *Packed, bias []float64, act Activation, 
 			}
 		}
 	}
-	quantScratchPool.Put(s)
 }
 
 // axpyRowsF32 computes columns [jStart, n) of accumulator rows [r0, r1)
@@ -175,120 +166,6 @@ func axpy4F32(orow, arow []float32, bdata []float32, n, k0, k1, j0 int) {
 		brow := bdata[k*n+j0 : k*n+j0+w]
 		for j, bv := range brow {
 			orow[j] += av * bv
-		}
-	}
-}
-
-// fusedMulRowsI8 computes rows [lo, hi) of dst = act(a·P + bias) for an int8
-// snapshot P. Each activation row is quantized on the fly with its own
-// symmetric scale (rowScale = maxabs/127), dot products accumulate in int32,
-// and the epilogue dequantizes with rowScale·colScale before the fused bias
-// and activation. int32 cannot overflow for any realistic inner dimension:
-// |q| ≤ 127 on both sides, so kDim up to 2³¹/127² ≈ 133k is safe — orders of
-// magnitude above CALLOC layer widths.
-//
-//calloc:noalloc
-func fusedMulRowsI8(dst, a *Matrix, p *Packed, bias []float64, act Activation, lo, hi int) {
-	n, kDim := dst.Cols, a.Cols
-	if n == 0 {
-		return
-	}
-	rows := hi - lo
-	s := quantScratchPool.Get().(*quantScratch)
-	s.aq8 = growI8(s.aq8, rows*kDim)       //calloc:allow pool-backed scratch; grows only on the first oversized batch
-	s.rowScale = growF32(s.rowScale, rows) //calloc:allow pool-backed scratch; grows only on the first oversized batch
-	s.acc64i = growI32(s.acc64i, rows*n)   //calloc:allow pool-backed scratch; grows only on the first oversized batch
-	aq, rs, acc := s.aq8, s.rowScale, s.acc64i
-	for r := 0; r < rows; r++ {
-		arow := a.Data[(lo+r)*kDim : (lo+r+1)*kDim]
-		rs[r] = quantizeRowI8(aq[r*kDim:(r+1)*kDim], arow)
-	}
-	for i := range acc {
-		acc[i] = 0
-	}
-	for j0 := 0; j0 < n; j0 += blockN {
-		j1 := min(j0+blockN, n)
-		for k0 := 0; k0 < kDim; k0 += blockK {
-			k1 := min(k0+blockK, kDim)
-			for r := 0; r < rows; r++ {
-				axpy4I8(acc[r*n+j0:r*n+j1], aq[r*kDim:(r+1)*kDim], p.q8, n, k0, k1, j0)
-			}
-		}
-		for r := 0; r < rows; r++ {
-			orow := dst.Data[(lo+r)*n+j0 : (lo+r)*n+j1]
-			crow := acc[r*n+j0 : r*n+j1]
-			srow := p.scale[j0:j1]
-			rscale := float64(rs[r])
-			if bias != nil {
-				brow := bias[j0:j1]
-				for j := range orow {
-					orow[j] = activate(float64(crow[j])*rscale*float64(srow[j])+brow[j], act)
-				}
-			} else {
-				for j := range orow {
-					orow[j] = activate(float64(crow[j])*rscale*float64(srow[j]), act)
-				}
-			}
-		}
-	}
-	quantScratchPool.Put(s)
-}
-
-// quantizeRowI8 symmetrically quantizes one float64 activation row into q and
-// returns the scale (maxabs/127); q[k] = round(row[k]/scale). An all-zero row
-// returns scale 0 with q zeroed.
-//
-//calloc:noalloc
-func quantizeRowI8(q []int8, row []float64) float32 {
-	maxAbs := 0.0
-	for _, v := range row {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		for k := range q {
-			q[k] = 0
-		}
-		return 0
-	}
-	scale := maxAbs / 127
-	inv := 1 / scale
-	for k, v := range row {
-		q[k] = int8(math.Round(v * inv))
-	}
-	return float32(scale)
-}
-
-// axpy4I8 folds rows [k0, k1) of the n-column int8 panel into the int32
-// accumulator row: orow[j] += Σ_k arow[k]·panel[k][j0+j], widened to int32,
-// four k terms per pass.
-//
-//calloc:noalloc
-func axpy4I8(orow []int32, arow []int8, bdata []int8, n, k0, k1, j0 int) {
-	w := len(orow)
-	k := k0
-	for ; k+3 < k1; k += 4 {
-		a0, a1, a2, a3 := int32(arow[k]), int32(arow[k+1]), int32(arow[k+2]), int32(arow[k+3])
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-			continue
-		}
-		b0 := bdata[k*n+j0 : k*n+j0+w]
-		b1 := bdata[(k+1)*n+j0 : (k+1)*n+j0+w]
-		b2 := bdata[(k+2)*n+j0 : (k+2)*n+j0+w]
-		b3 := bdata[(k+3)*n+j0 : (k+3)*n+j0+w]
-		for j := range orow {
-			orow[j] += a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
-		}
-	}
-	for ; k < k1; k++ {
-		av := int32(arow[k])
-		if av == 0 {
-			continue
-		}
-		brow := bdata[k*n+j0 : k*n+j0+w]
-		for j, bv := range brow {
-			orow[j] += av * int32(bv)
 		}
 	}
 }

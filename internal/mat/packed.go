@@ -20,6 +20,9 @@ import (
 // plain copy, float32 and int8 quantize once at pack time (per-output-channel
 // symmetric scales for int8), so only the serving path ever sees reduced
 // precision — the source matrix, training, and checkpoints stay float64.
+// int8 is a storage format only: each product dequantizes the int8 panels to
+// float32 scratch and runs the float32 kernel, so an int8 snapshot computes
+// exactly what a float32 snapshot of its dequantized weights would.
 type Packed struct {
 	prec       Precision
 	rows, cols int
@@ -166,8 +169,8 @@ func Sigmoid(v float64) float64 {
 // MulPackedInto computes a·B into dst (allocating it when nil) for a packed
 // operand B, and returns dst. It runs inline on the calling goroutine at any
 // size: serving parallelism is the engine's workers, one batch each.
-// Reduced-precision snapshots dispatch to their quantized kernels
-// (kernels_quant.go). dst must not alias a.
+// Reduced-precision snapshots take the float32 kernel (kernels_quant.go).
+// dst must not alias a.
 func MulPackedInto(dst, a *Matrix, b *Packed) *Matrix {
 	return mulPacked(dst, a, b, nil, ActIdentity, "MulPackedInto")
 }
@@ -175,9 +178,8 @@ func MulPackedInto(dst, a *Matrix, b *Packed) *Matrix {
 // MulPackedBiasActInto computes act(a·B + bias) into dst (allocating it when
 // nil) and returns dst: the bias row-vector add and the activation run while
 // each destination tile is still cache-hot from the product, instead of as
-// separate AddRowVector and Apply passes over the full result. For int8
-// snapshots the same epilogue also dequantizes the int32 accumulators. bias
-// may be nil to skip the add. dst must not alias a.
+// separate AddRowVector and Apply passes over the full result. bias may be
+// nil to skip the add. dst must not alias a.
 func MulPackedBiasActInto(dst, a *Matrix, b *Packed, bias []float64, act Activation) *Matrix {
 	return mulPacked(dst, a, b, bias, act, "MulPackedBiasActInto")
 }
@@ -190,13 +192,16 @@ func mulPacked(dst, a *Matrix, p *Packed, bias []float64, act Activation, op str
 		panic(fmt.Sprintf("mat: %s bias length %d != cols %d", op, len(bias), p.cols))
 	}
 	dst = prepDst(dst, a.Rows, p.cols, op)
-	switch p.prec {
-	case PrecFloat32:
-		fusedMulRowsF32(dst, a, p, bias, act, 0, a.Rows)
-	case PrecInt8:
-		fusedMulRowsI8(dst, a, p, bias, act, 0, a.Rows)
-	default:
+	if p.prec == PrecFloat64 {
 		fusedMulRows(dst, a, &p.m, bias, act, 0, a.Rows)
+		return dst
 	}
+	s := quantScratchPool.Get().(*quantScratch)
+	w := p.f32
+	if p.prec == PrecInt8 {
+		w = s.dequantize(p)
+	}
+	fusedMulRowsF32(dst, a, w, s, bias, act)
+	quantScratchPool.Put(s)
 	return dst
 }

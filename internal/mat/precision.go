@@ -19,19 +19,15 @@ const (
 	// widened back to the float64 destination in the epilogue.
 	PrecFloat32
 	// PrecInt8 stores per-output-channel symmetric int8 weights plus a
-	// float32 scale row (one scale per destination column). Activations are
-	// quantized per input row on the fly, dot products widen to int32, and
-	// the epilogue dequantizes with rowScale·colScale before the fused
-	// bias+activation — 8× less weight traffic than float64.
+	// float32 scale row (one scale per destination column): about an eighth
+	// of float64's resident bytes. It is a storage format, not a way of
+	// computing: each product dequantizes the weights to float32 scratch and
+	// runs the float32 kernel, activations and accumulators included.
 	PrecInt8
 
-	// numPrecisions bounds the enum for per-precision cache arrays.
+	// numPrecisions bounds the enum for Valid.
 	numPrecisions
 )
-
-// NumPrecisions is the number of distinct Precision values, for callers that
-// keep one cached snapshot per precision (nn.Param does).
-const NumPrecisions = int(numPrecisions)
 
 // String returns the flag-level spelling ("float64", "float32", "int8").
 func (p Precision) String() string {

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -182,10 +183,51 @@ func TestInt8QuantizesOneHotExactly(t *testing.T) {
 	}
 }
 
+// TestInt8ComputesAsFloat32: int8 is a storage format. A product on an int8
+// snapshot equals, bit for bit, the same product on a float32 snapshot of
+// its dequantized weights q8[k][j]·scale[j], at every batch size, with and
+// without the fused bias+ReLU epilogue, on the AVX2 and the portable
+// kernels. The weights include an all-zero column (scale 0).
+func TestInt8ComputesAsFloat32(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const kDim, n = 165, 74
+	b := randomMatrix(rng, kDim, n)
+	for k := 0; k < kDim; k++ {
+		b.Set(k, 5, 0)
+	}
+	pq := PackPrec(b, PrecInt8)
+	deq := New(kDim, n)
+	for i, q := range pq.q8 {
+		deq.Data[i] = float64(float32(q) * pq.scale[i%n])
+	}
+	pf := PackPrec(deq, PrecFloat32)
+	bias := make([]float64, n)
+	for j := range bias {
+		bias[j] = rng.NormFloat64()
+	}
+	defer SetAVX2(SetAVX2(true))
+	for _, avx2 := range []bool{true, false} {
+		SetAVX2(avx2)
+		for _, rows := range []int{1, 4, 5, 64} {
+			a := f32TestActivations(rng, rows, kDim)
+			for _, ep := range []struct {
+				bias []float64
+				act  Activation
+			}{{nil, ActIdentity}, {bias, ActReLU}} {
+				label := fmt.Sprintf("avx2=%t r%d bias=%t", avx2, rows, ep.bias != nil)
+				want := MulPackedBiasActInto(nil, a, pf, ep.bias, ep.act)
+				got := MulPackedBiasActInto(dirtyDst(rows, n), a, pq, ep.bias, ep.act)
+				expectSameBits(t, got, want, label)
+			}
+		}
+	}
+}
+
 // The steady-state fused product must stay 0 allocs/op at every precision,
-// at one row and at a 64-row batch, whatever SetParallelism says — the
-// reduced-precision kernels draw their conversion/accumulator scratch from a
-// pool, and packed products never shard.
+// at one row and at a 64-row batch, on the AVX2 and the portable kernels,
+// whatever SetParallelism says — the reduced-precision products draw their
+// dequantized panel, conversion and accumulator scratch from a pool, and
+// packed products never shard.
 func TestMulPackedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items by design; alloc bounds only hold in normal builds")
@@ -195,18 +237,22 @@ func TestMulPackedSteadyStateAllocs(t *testing.T) {
 	a := sparseMatrix(64, 165, rng)
 	b := sparseMatrix(165, 128, rng)
 	bias := make([]float64, 128)
+	defer SetAVX2(SetAVX2(true))
 	for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecInt8} {
 		t.Run(prec.String(), func(t *testing.T) {
 			p := PackPrec(b, prec)
-			for _, rows := range []int{1, 64} {
-				x := FromSlice(rows, a.Cols, a.Data[:rows*a.Cols])
-				dst := New(rows, 128)
-				MulPackedBiasActInto(dst, x, p, bias, ActReLU) // warm the scratch pool
-				allocs := testing.AllocsPerRun(100, func() {
-					MulPackedBiasActInto(dst, x, p, bias, ActReLU)
-				})
-				if allocs != 0 {
-					t.Fatalf("steady-state %s r%d fused product allocates %.0f objects/op, want 0", prec, rows, allocs)
+			for _, avx2 := range []bool{true, false} {
+				SetAVX2(avx2)
+				for _, rows := range []int{1, 64} {
+					x := FromSlice(rows, a.Cols, a.Data[:rows*a.Cols])
+					dst := New(rows, 128)
+					MulPackedBiasActInto(dst, x, p, bias, ActReLU) // warm the scratch pool
+					allocs := testing.AllocsPerRun(100, func() {
+						MulPackedBiasActInto(dst, x, p, bias, ActReLU)
+					})
+					if allocs != 0 {
+						t.Fatalf("steady-state %s r%d fused product allocates %.0f objects/op with AVX2 %t, want 0", prec, rows, allocs, avx2)
+					}
 				}
 			}
 		})
