@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"calloc/internal/device"
 	"calloc/internal/fingerprint"
@@ -46,7 +47,7 @@ func TestAppServesAndShutsDownCleanly(t *testing.T) {
 	f := baseFlags()
 	f.data = testDatasetFile(t)
 	f.backends = "knn"
-	f.noTrainer = true
+	f.node.DisableTrainer = true
 	if err := f.validate(); err != nil {
 		t.Fatalf("flags should validate: %v", err)
 	}
@@ -88,4 +89,14 @@ func TestAppServesAndShutsDownCleanly(t *testing.T) {
 
 	n.Close()
 	closed = true
+}
+
+// Both modes listen through newHTTPServer; without these limits a client
+// could hold a connection open forever by trickling its headers.
+func TestNewHTTPServerLimits(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute || srv.MaxHeaderBytes != 64<<10 {
+		t.Fatalf("ReadHeaderTimeout %s, IdleTimeout %s, MaxHeaderBytes %d; want 10s, 2m0s, 65536",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.MaxHeaderBytes)
+	}
 }

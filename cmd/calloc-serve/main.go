@@ -65,56 +65,57 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"calloc/internal/cluster"
+	"calloc/internal/node"
 )
 
-// serveFlags collects every parsed flag; main fills it, validate (server.go)
-// rejects misconfigurations before any dataset loads or training starts.
+// serveFlags collects every parsed flag. The layer flags bind straight into
+// the node.Config and cluster.RouterOptions they configure, so a flag whose
+// value is 0 takes the package's own default; validate (server.go) rejects
+// misconfigurations before any dataset loads or training starts.
 type serveFlags struct {
 	data, weights, backends, floors, addr, shards string
-	precision                                     string
-	trainEpochs, maxBatch, workers, queueCap      int
-	feedbackMin, abFraction, stageAfter           int
-	regretWindow, retries                         int
-	promoteAfter                                  int64
-	routerBatch                                   int
-	trainerInterval, probeInterval                time.Duration
-	routerWait                                    time.Duration
-	fineTuneLR, minDelta, minAgreement            float64
-	regretDelta                                   float64
-	fineTuneEpochs                                int
-	noTrainer, router                             bool
+	router                                        bool
+	node                                          node.Config
+	route                                         cluster.RouterOptions
+}
+
+// register binds every flag to its field of f on fs.
+func (f *serveFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.data, "data", "", "comma-separated dataset gob files from calloc-data, one per floor (required in node mode)")
+	fs.StringVar(&f.weights, "weights", "", "comma-separated trained CALLOC weights per floor (omit to quick-train)")
+	fs.StringVar(&f.backends, "backends", "calloc,knn,bayes", "comma-separated backends to serve: calloc, knn, bayes, gpc, gbdt, dnn")
+	fs.StringVar(&f.floors, "floors", "", "comma-separated global floor index per -data file (default 0,1,...)")
+	fs.IntVar(&f.node.TrainEpochs, "train-epochs", 10, "epochs per lesson when quick-training CALLOC without -weights")
+	fs.StringVar(&f.node.Precision, "precision", "float64", "CALLOC packed-weight serving precision: float64 (default), float32, or int8 (quantized snapshots; training stays float64)")
+	fs.StringVar(&f.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&f.node.Engine.MaxBatch, "max-batch", 0, "max coalesced requests per model call (0 = 32)")
+	fs.IntVar(&f.node.Engine.Workers, "workers", 0, "concurrent batch dispatchers shared by all lanes (0 = min(2, GOMAXPROCS))")
+	fs.IntVar(&f.node.Engine.QueueCap, "queue", 0, "per-lane pending-request bound (0 = 4×max-batch)")
+	fs.BoolVar(&f.node.DisableTrainer, "no-trainer", false, "disable the online fine-tune loop")
+	fs.IntVar(&f.node.Trainer.MinFeedback, "feedback-min", 0, "new /v1/feedback samples required before a fine-tune round (0 = 16)")
+	fs.DurationVar(&f.node.Trainer.Interval, "trainer-interval", 0, "fine-tune loop poll cadence (0 = 2s)")
+	fs.IntVar(&f.node.Trainer.EpochsPerLesson, "finetune-epochs", 0, "epochs per lesson of the fine-tune curriculum (0 = 6)")
+	fs.Float64Var(&f.node.Trainer.LearningRate, "finetune-lr", 0, "learning rate each fine-tune round restarts at (0 = 0.005)")
+	fs.IntVar(&f.node.Engine.ABFraction, "ab-fraction", 8, "shadow every Nth routed request through the staged A/B candidate (0 disables the shadow lane)")
+	fs.Float64Var(&f.node.Trainer.MinDelta, "min-delta", 0, "holdout improvement a fine-tune round must clear to count as a win")
+	fs.IntVar(&f.node.Trainer.StageAfter, "stage-after", 0, "consecutive winning rounds before the candidate is staged into the A/B lane (0 = 1)")
+	fs.Int64Var(&f.node.Trainer.PromoteAfter, "promote-after", 32, "live shadow rows a staged candidate must score before promotion (needs -ab-fraction > 0)")
+	fs.Float64Var(&f.node.Trainer.MinAgreement, "min-agreement", 0, "minimum candidate-vs-live agreement over the shadow sample to promote, in [0, 1] (0 disables)")
+	fs.IntVar(&f.node.Trainer.RegretWindow, "regret-window", 3, "post-promotion trainer ticks that re-validate the promoted model (0 disables rollback-on-regret)")
+	fs.Float64Var(&f.node.Trainer.RegretDelta, "regret-delta", 0, "tolerated holdout regression before a promoted model rolls back")
+	fs.BoolVar(&f.router, "router", false, "run as the fleet router instead of a serving node (requires -shards)")
+	fs.StringVar(&f.shards, "shards", "", "shard-map JSON file: {building/floor} -> node assignments (router mode)")
+	fs.DurationVar(&f.route.ProbeInterval, "probe-interval", 0, "router health-probe cadence (0 = 2s, negative disables)")
+	fs.IntVar(&f.route.Retries, "retries", 0, "router retry budget per proxied request on a failed shard (0 = 1)")
+	fs.IntVar(&f.route.CoalesceBatch, "router-batch", 0, "router-side coalescing: max concurrent /v1/localize proxies gathered into one upstream batch per shard (<= 1 disables)")
+	fs.DurationVar(&f.route.CoalesceWait, "router-wait", 0, "router coalesce gather window (default 2ms when -router-batch > 1)")
 }
 
 func main() {
 	var f serveFlags
-	flag.StringVar(&f.data, "data", "", "comma-separated dataset gob files from calloc-data, one per floor (required in node mode)")
-	flag.StringVar(&f.weights, "weights", "", "comma-separated trained CALLOC weights per floor (omit to quick-train)")
-	flag.StringVar(&f.backends, "backends", "calloc,knn,bayes", "comma-separated backends to serve: calloc, knn, bayes, gpc, gbdt, dnn")
-	flag.StringVar(&f.floors, "floors", "", "comma-separated global floor index per -data file (default 0,1,...)")
-	flag.IntVar(&f.trainEpochs, "train-epochs", 10, "epochs per lesson when quick-training CALLOC without -weights")
-	flag.StringVar(&f.precision, "precision", "float64", "CALLOC packed-weight serving precision: float64 (default), float32, or int8 (quantized snapshots; training stays float64)")
-	flag.StringVar(&f.addr, "addr", ":8080", "HTTP listen address")
-	flag.IntVar(&f.maxBatch, "max-batch", 32, "max coalesced requests per model call")
-	flag.IntVar(&f.workers, "workers", 0, "concurrent batch dispatchers shared by all lanes (0 = min(2, GOMAXPROCS))")
-	flag.IntVar(&f.queueCap, "queue", 0, "per-lane pending-request bound (0 = 4×max-batch)")
-	flag.BoolVar(&f.noTrainer, "no-trainer", false, "disable the online fine-tune loop")
-	flag.IntVar(&f.feedbackMin, "feedback-min", 16, "new /v1/feedback samples required before a fine-tune round")
-	flag.DurationVar(&f.trainerInterval, "trainer-interval", 2*time.Second, "fine-tune loop poll cadence")
-	flag.IntVar(&f.fineTuneEpochs, "finetune-epochs", 6, "epochs per lesson of the fine-tune curriculum")
-	flag.Float64Var(&f.fineTuneLR, "finetune-lr", 0.005, "learning rate each fine-tune round restarts at")
-	flag.IntVar(&f.abFraction, "ab-fraction", 8, "shadow every Nth routed request through the staged A/B candidate (0 disables the shadow lane)")
-	flag.Float64Var(&f.minDelta, "min-delta", 0, "holdout improvement a fine-tune round must clear to count as a win")
-	flag.IntVar(&f.stageAfter, "stage-after", 1, "consecutive winning rounds before the candidate is staged into the A/B lane")
-	flag.Int64Var(&f.promoteAfter, "promote-after", 32, "live shadow rows a staged candidate must score before promotion (needs -ab-fraction > 0)")
-	flag.Float64Var(&f.minAgreement, "min-agreement", 0, "minimum candidate-vs-live agreement over the shadow sample to promote (0 disables)")
-	flag.IntVar(&f.regretWindow, "regret-window", 3, "post-promotion trainer ticks that re-validate the promoted model (0 disables rollback-on-regret)")
-	flag.Float64Var(&f.regretDelta, "regret-delta", 0, "tolerated holdout regression before a promoted model rolls back")
-	flag.BoolVar(&f.router, "router", false, "run as the fleet router instead of a serving node (requires -shards)")
-	flag.StringVar(&f.shards, "shards", "", "shard-map JSON file: {building/floor} -> node assignments (router mode)")
-	flag.DurationVar(&f.probeInterval, "probe-interval", 2*time.Second, "router health-probe cadence (negative disables)")
-	flag.IntVar(&f.retries, "retries", 1, "router retry budget per proxied request on a failed shard")
-	flag.IntVar(&f.routerBatch, "router-batch", 0, "router-side coalescing: max concurrent /v1/localize proxies gathered into one upstream batch per shard (<= 1 disables)")
-	flag.DurationVar(&f.routerWait, "router-wait", 0, "router coalesce gather window (default 2ms when -router-batch > 1)")
+	f.register(flag.CommandLine)
 	flag.Parse()
 
 	if err := f.validate(); err != nil {
@@ -136,7 +137,7 @@ func main() {
 // handlers, then runs shutdown (trainer/engine teardown) — so a handler
 // mid-request never sees a closed engine.
 func serveHTTP(addr string, handler http.Handler, shutdown func()) error {
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := newHTTPServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	handlersDone := make(chan struct{})
@@ -154,6 +155,22 @@ func serveHTTP(addr string, handler http.Handler, shutdown func()) error {
 	shutdown()
 	return nil
 }
+
+// newHTTPServer builds the server both modes listen with. Its limits are
+// fixed: a client has 10s to send headers of at most 64 KiB, and an idle
+// keep-alive connection is closed after 2 minutes.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
+}
+
+// logf writes one line to stderr; the node and the router log through it.
+func logf(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "calloc-serve: %v\n", err)

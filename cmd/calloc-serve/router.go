@@ -18,13 +18,8 @@ func runRouter(f serveFlags) error {
 	if err != nil {
 		return err
 	}
-	opts := cluster.RouterOptions{
-		Retries:       f.retries,
-		ProbeInterval: f.probeInterval,
-		CoalesceBatch: f.routerBatch,
-		CoalesceWait:  f.routerWait,
-		Logf:          func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	}
+	opts := f.route
+	opts.Logf = logf
 	if f.data != "" {
 		datasets, err := loadDatasets(splitList(f.data))
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"calloc/internal/fingerprint"
 	"calloc/internal/node"
-	"calloc/internal/serve"
 )
 
 // validate catches flag misconfigurations at startup — an unknown backend,
@@ -22,15 +21,15 @@ func (f *serveFlags) validate() error {
 		if f.shards == "" {
 			return errors.New("-router requires -shards")
 		}
-		if f.routerBatch < 0 {
-			return fmt.Errorf("-router-batch must be >= 0 (<= 1 disables coalescing), got %d", f.routerBatch)
+		if f.route.CoalesceBatch < 0 {
+			return fmt.Errorf("-router-batch must be >= 0 (<= 1 disables coalescing), got %d", f.route.CoalesceBatch)
 		}
-		if f.routerWait != 0 && f.routerBatch <= 1 {
+		if f.route.CoalesceWait != 0 && f.route.CoalesceBatch <= 1 {
 			return errors.New("-router-wait requires -router-batch > 1 (nothing gathers without a coalesce window)")
 		}
 		return nil
 	}
-	if f.routerBatch != 0 || f.routerWait != 0 {
+	if f.route.CoalesceBatch != 0 || f.route.CoalesceWait != 0 {
 		return errors.New("-router-batch/-router-wait apply to router mode only (use -max-batch for the node's engine)")
 	}
 	if f.data == "" {
@@ -50,24 +49,13 @@ func (f *serveFlags) validate() error {
 	return err
 }
 
-// nodeConfig maps the node-mode flags onto the node.Config that buildNode
-// deploys, all but the weight blobs (buildNode reads those files).
+// nodeConfig completes the flag-bound node.Config with the parsed -backends
+// and -floors lists: everything buildNode deploys but the weight blobs
+// (buildNode reads those files).
 func (f *serveFlags) nodeConfig() (node.Config, error) {
-	cfg := node.Config{
-		Backends:    splitList(f.backends),
-		TrainEpochs: f.trainEpochs,
-		Precision:   strings.TrimSpace(f.precision),
-		Engine: serve.Options{
-			MaxBatch: f.maxBatch, Workers: f.workers,
-			QueueCap: f.queueCap, ABFraction: f.abFraction,
-		},
-		DisableTrainer: f.noTrainer, FeedbackMin: f.feedbackMin,
-		TrainerInterval: f.trainerInterval, FineTuneEpochs: f.fineTuneEpochs,
-		FineTuneLR: f.fineTuneLR, MinDelta: f.minDelta, StageAfter: f.stageAfter,
-		PromoteAfter: f.promoteAfter, MinAgreement: f.minAgreement,
-		RegretWindow: f.regretWindow, RegretDelta: f.regretDelta,
-		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	}
+	cfg := f.node
+	cfg.Backends = splitList(f.backends)
+	cfg.Logf = logf
 	if f.floors != "" {
 		floors, err := parseFloors(f.floors, len(splitList(f.data)))
 		if err != nil {
@@ -151,14 +139,12 @@ func buildNode(f serveFlags) (*node.Node, []*fingerprint.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if f.weights != "" {
-		for _, wf := range splitList(f.weights) {
-			blob, err := os.ReadFile(wf)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfg.WeightBlobs = append(cfg.WeightBlobs, blob)
+	for _, wf := range splitList(f.weights) {
+		blob, err := os.ReadFile(wf)
+		if err != nil {
+			return nil, nil, err
 		}
+		cfg.WeightBlobs = append(cfg.WeightBlobs, blob)
 	}
 	n, err := node.New(datasets, cfg)
 	if err != nil {

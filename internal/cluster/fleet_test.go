@@ -20,6 +20,7 @@ import (
 	"calloc/internal/mat"
 	"calloc/internal/node"
 	"calloc/internal/serve"
+	"calloc/internal/train"
 )
 
 // fleetFloors builds two small deterministic floor datasets of one building
@@ -145,14 +146,16 @@ func TestFleetEndToEnd(t *testing.T) {
 			Engine: serve.Options{
 				MaxBatch: 8, Workers: 2, ABFraction: 2,
 			},
-			FeedbackMin:     4,
-			TrainerInterval: 25 * time.Millisecond,
-			FineTuneEpochs:  8,
-			FineTuneLR:      0.02,
-			StageAfter:      1,
-			PromoteAfter:    8,
-			RegretWindow:    2,
-			Logf:            t.Logf,
+			Trainer: train.Policy{
+				MinFeedback:     4,
+				Interval:        25 * time.Millisecond,
+				EpochsPerLesson: 8,
+				LearningRate:    0.02,
+				StageAfter:      1,
+				PromoteAfter:    8,
+				RegretWindow:    2,
+			},
+			Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -408,12 +411,14 @@ func TestRouterOutOfDomainRSS(t *testing.T) {
 	var urls []string
 	for floor, ds := range datasets {
 		n, err := node.New([]*fingerprint.Dataset{ds}, node.Config{
-			Backends:        []string{"calloc"},
-			Floors:          []int{floor},
-			WeightBlobs:     [][]byte{fleetUntrainedWeights(t, ds)},
-			Engine:          serve.Options{MaxBatch: 8, Workers: 1},
-			FeedbackMin:     1 << 30, // never fine-tune during this test
-			TrainerInterval: time.Hour,
+			Backends:    []string{"calloc"},
+			Floors:      []int{floor},
+			WeightBlobs: [][]byte{fleetUntrainedWeights(t, ds)},
+			Engine:      serve.Options{MaxBatch: 8, Workers: 1},
+			Trainer: train.Policy{
+				MinFeedback: 1 << 30, // never fine-tune during this test
+				Interval:    time.Hour,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

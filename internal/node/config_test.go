@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"calloc/internal/mat"
 	"calloc/internal/node"
 	"calloc/internal/serve"
+	"calloc/internal/train"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -25,6 +27,12 @@ func TestConfigValidate(t *testing.T) {
 		{"duplicate floor", node.Config{Floors: []int{3, 3}}, 2, "duplicate floor"},
 		{"negative ab", node.Config{Engine: serve.Options{ABFraction: -1}}, 2, "ABFraction"},
 		{"unknown precision", node.Config{Precision: "fp16"}, 2, `"fp16"`},
+		// Each trainer row is a setting that used to disable part of the
+		// promotion gate without saying so.
+		{"agreement never reachable", node.Config{Trainer: train.Policy{MinAgreement: 1.5}}, 2, "MinAgreement"},
+		{"NaN min delta", node.Config{Trainer: train.Policy{MinDelta: math.NaN()}}, 2, "MinDelta"},
+		{"NaN regret delta", node.Config{Trainer: train.Policy{RegretDelta: math.NaN()}}, 2, "RegretDelta"},
+		{"NaN learning rate", node.Config{Trainer: train.Policy{LearningRate: math.NaN()}}, 2, "LearningRate"},
 		{"valid defaults", node.Config{}, 2, ""},
 		{"valid fleet shard", node.Config{Backends: []string{"calloc"}, Floors: []int{2, 3}}, 2, ""},
 		{"valid float32 precision", node.Config{Precision: "float32"}, 2, ""},

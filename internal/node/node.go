@@ -27,10 +27,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"calloc/internal/core"
-	"calloc/internal/curriculum"
 	"calloc/internal/fingerprint"
 	"calloc/internal/localizer"
 	"calloc/internal/mat"
@@ -64,24 +62,10 @@ type Config struct {
 
 	Engine serve.Options
 
-	// Online fine-tune loop (calloc backend only). Trainers are created per
-	// floor unless DisableTrainer is set.
-	DisableTrainer  bool
-	FeedbackMin     int
-	TrainerInterval time.Duration
-	FineTuneEpochs  int
-	FineTuneLR      float64
-	FineTuneLessons []curriculum.Lesson
-
-	// Promotion gate (see internal/train): holdout min-delta + hysteresis
-	// stages candidates, live shadow exposure (Engine.ABFraction > 0)
-	// promotes them, and the regret window rolls back regressions.
-	MinDelta     float64
-	StageAfter   int
-	PromoteAfter int64
-	MinAgreement float64
-	RegretWindow int
-	RegretDelta  float64
+	// Trainer tunes the online fine-tune loop each floor's CALLOC model runs
+	// unless DisableTrainer is set; its shadow gate needs Engine.ABFraction > 0.
+	DisableTrainer bool
+	Trainer        train.Policy
 
 	Logf func(format string, args ...any)
 }
@@ -122,8 +106,11 @@ func (c *Config) Validate(numDatasets int) (mat.Precision, error) {
 			seen[f] = true
 		}
 	}
-	if c.Engine.ABFraction < 0 {
-		return 0, fmt.Errorf("node: ABFraction must be >= 0 (0 disables the shadow lane), got %d", c.Engine.ABFraction)
+	if err := c.Engine.Validate(); err != nil {
+		return 0, err
+	}
+	if err := c.Trainer.Validate(); err != nil {
+		return 0, err
 	}
 	return prec, nil
 }
@@ -217,37 +204,26 @@ func New(datasets []*fingerprint.Dataset, cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	if !cfg.DisableTrainer && hasBackend(cfg.Backends, "calloc") {
+	if !cfg.DisableTrainer && slices.ContainsFunc(cfg.Backends, func(b string) bool { return strings.TrimSpace(b) == "calloc" }) {
 		for i, ds := range datasets {
 			floor := floors[i]
 			key := localizer.Key{Building: n.building, Floor: floor, Backend: "calloc"}
 			coreCfg := core.DefaultConfig(ds.NumAPs, ds.NumRPs)
 			coreCfg.Precision = prec
 			topts := train.Options{
-				Key:             key,
-				Config:          coreCfg,
-				Base:            ds.Train,
-				Holdout:         holdoutOf(ds),
-				Checkpoint:      ckpts[floor],
-				Lessons:         cfg.FineTuneLessons,
-				EpochsPerLesson: cfg.FineTuneEpochs,
-				LearningRate:    cfg.FineTuneLR,
-				MinFeedback:     cfg.FeedbackMin,
-				Interval:        cfg.TrainerInterval,
-				MinDelta:        cfg.MinDelta,
-				StageAfter:      cfg.StageAfter,
-				RegretWindow:    cfg.RegretWindow,
-				RegretDelta:     cfg.RegretDelta,
-				Dist:            ds.ErrorMeters,
-				Logf:            cfg.Logf,
+				Key:        key,
+				Config:     coreCfg,
+				Base:       ds.Train,
+				Holdout:    holdoutOf(ds),
+				Checkpoint: ckpts[floor],
+				Dist:       ds.ErrorMeters,
+				Logf:       cfg.Logf,
+				Policy:     cfg.Trainer,
 			}
 			if cfg.Engine.ABFraction > 0 {
 				// Shadow gate: staged candidates must earn live exposure
 				// through the engine's A/B lane before promotion. Without
-				// shadowing there is no exposure to wait for, so the gate
-				// stays disabled and staging promotes directly.
-				topts.PromoteAfter = cfg.PromoteAfter
-				topts.MinAgreement = cfg.MinAgreement
+				// shadowing, staging promotes directly.
 				topts.Shadow = func() (uint64, int64, int64) {
 					st, ok := n.engine.ABStats(key)
 					if !ok {
@@ -314,15 +290,6 @@ func holdoutOf(ds *fingerprint.Dataset) []fingerprint.Sample {
 		out = append(out, samples...)
 	}
 	return out
-}
-
-func hasBackend(backends []string, want string) bool {
-	for _, b := range backends {
-		if strings.TrimSpace(b) == want {
-			return true
-		}
-	}
-	return false
 }
 
 // Handler builds the HTTP mux over the engine, registry, and trainers — the

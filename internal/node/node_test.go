@@ -87,14 +87,16 @@ func TestFeedbackFineTuneSwapOverHTTP(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	datasets := testFloors(t)
 	n, err := node.New(datasets, node.Config{
-		Backends:        []string{"calloc"},
-		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
-		Engine:          serve.Options{MaxBatch: 8, Workers: 2},
-		FeedbackMin:     4,
-		TrainerInterval: 25 * time.Millisecond,
-		FineTuneEpochs:  8,
-		FineTuneLR:      0.02,
-		Logf:            t.Logf,
+		Backends:    []string{"calloc"},
+		WeightBlobs: [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
+		Engine:      serve.Options{MaxBatch: 8, Workers: 2},
+		Trainer: train.Policy{
+			MinFeedback:     4,
+			Interval:        25 * time.Millisecond,
+			EpochsPerLesson: 8,
+			LearningRate:    0.02,
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,11 +229,13 @@ func TestFeedbackValidationOverHTTP(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	datasets := testFloors(t)[:1]
 	n, err := node.New(datasets, node.Config{
-		Backends:        []string{"calloc"},
-		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0])},
-		Engine:          serve.Options{MaxBatch: 4, Workers: 1},
-		FeedbackMin:     1 << 30, // never fine-tune during this test
-		TrainerInterval: time.Hour,
+		Backends:    []string{"calloc"},
+		WeightBlobs: [][]byte{untrainedWeights(t, datasets[0])},
+		Engine:      serve.Options{MaxBatch: 4, Workers: 1},
+		Trainer: train.Policy{
+			MinFeedback: 1 << 30, // never fine-tune during this test
+			Interval:    time.Hour,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,11 +280,13 @@ func TestFeedbackFloorlessBodyLandsOnFloorZero(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	datasets := testFloors(t)
 	n, err := node.New(datasets, node.Config{
-		Backends:        []string{"calloc"},
-		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
-		Engine:          serve.Options{MaxBatch: 4, Workers: 1},
-		FeedbackMin:     1 << 30, // never fine-tune during this test
-		TrainerInterval: time.Hour,
+		Backends:    []string{"calloc"},
+		WeightBlobs: [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
+		Engine:      serve.Options{MaxBatch: 4, Workers: 1},
+		Trainer: train.Policy{
+			MinFeedback: 1 << 30, // never fine-tune during this test
+			Interval:    time.Hour,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -379,14 +385,16 @@ func TestABPipelineOverHTTP(t *testing.T) {
 		Engine: serve.Options{
 			MaxBatch: 8, Workers: 2, ABFraction: 2,
 		},
-		FeedbackMin:     4,
-		TrainerInterval: 25 * time.Millisecond,
-		FineTuneEpochs:  8,
-		FineTuneLR:      0.02,
-		StageAfter:      1,
-		PromoteAfter:    8,
-		RegretWindow:    2,
-		Logf:            t.Logf,
+		Trainer: train.Policy{
+			MinFeedback:     4,
+			Interval:        25 * time.Millisecond,
+			EpochsPerLesson: 8,
+			LearningRate:    0.02,
+			StageAfter:      1,
+			PromoteAfter:    8,
+			RegretWindow:    2,
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -708,11 +716,13 @@ func TestOutOfDomainRSSRejected(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	datasets := testFloors(t)
 	n, err := node.New(datasets, node.Config{
-		Backends:        []string{"calloc"},
-		WeightBlobs:     [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
-		Engine:          serve.Options{MaxBatch: 4, Workers: 1},
-		FeedbackMin:     1 << 30, // never fine-tune during this test
-		TrainerInterval: time.Hour,
+		Backends:    []string{"calloc"},
+		WeightBlobs: [][]byte{untrainedWeights(t, datasets[0]), untrainedWeights(t, datasets[1])},
+		Engine:      serve.Options{MaxBatch: 4, Workers: 1},
+		Trainer: train.Policy{
+			MinFeedback: 1 << 30, // never fine-tune during this test
+			Interval:    time.Hour,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"calloc/internal/leakcheck"
 	"calloc/internal/node"
 	"calloc/internal/serve"
+	"calloc/internal/train"
 )
 
 // replayBody is an http body that rewinds instead of reallocating, so
@@ -45,11 +46,13 @@ func allocNode(t *testing.T, datasets []*fingerprint.Dataset) *node.Node {
 		blobs[i] = untrainedWeights(t, ds)
 	}
 	n, err := node.New(datasets, node.Config{
-		Backends:        []string{"calloc"},
-		WeightBlobs:     blobs,
-		Engine:          serve.Options{MaxBatch: 64, Workers: 1},
-		FeedbackMin:     1 << 30,
-		TrainerInterval: time.Hour,
+		Backends:    []string{"calloc"},
+		WeightBlobs: blobs,
+		Engine:      serve.Options{MaxBatch: 64, Workers: 1},
+		Trainer: train.Policy{
+			MinFeedback: 1 << 30,
+			Interval:    time.Hour,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

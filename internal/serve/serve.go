@@ -98,7 +98,9 @@ type Options struct {
 	ABFraction int
 }
 
-func (o *Options) validate() error {
+// Validate rejects options that setDefaults would not repair: a negative
+// ABFraction silently disabled the shadow lane.
+func (o *Options) Validate() error {
 	if o.ABFraction < 0 {
 		return fmt.Errorf("serve: ABFraction must be >= 0 (0 disables shadowing), got %d", o.ABFraction)
 	}
@@ -278,7 +280,7 @@ func New(reg *localizer.Registry, opts Options) (*Engine, error) {
 	if reg == nil {
 		return nil, errors.New("serve: nil registry")
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()

@@ -36,6 +36,7 @@ package train
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -48,13 +49,13 @@ import (
 	"calloc/internal/radio"
 )
 
-// Options configures a Trainer.
+// Options configures a Trainer: the model it is bound to, plus the tuning
+// Policy shared by every floor a node serves.
 type Options struct {
 	// Key addresses the served localizer this trainer fine-tunes. It must
 	// already be registered and wrap a *core.Model (localizer.FromCore).
+	// Candidates keep the incumbent's name.
 	Key localizer.Key
-	// Name labels swapped-in candidates; empty keeps the incumbent's name.
-	Name string
 	// Config is the CALLOC architecture, matching the incumbent.
 	Config core.Config
 	// Base is the offline database: the attention memory and the permanent
@@ -68,7 +69,24 @@ type Options struct {
 	// one from the incumbent's current weights — how weight-file deployments
 	// (no optimizer history) enter the loop.
 	Checkpoint *core.TrainCheckpoint
+	// Shadow reads the serving layer's A/B counters for Key: the staged
+	// candidate version the counters describe, shadow rows scored, and
+	// agreements with the live arm (see serve.Engine.ABStats). Nil disables
+	// the shadow gate.
+	Shadow func() (candVersion uint64, rows, agree int64)
+	// Dist scores a validation prediction against its label — typically
+	// Dataset.ErrorMeters. Nil selects 0/1 misclassification.
+	Dist func(pred, label int) float64
+	// Logf, when non-nil, receives one line per fine-tune round.
+	Logf func(format string, args ...any)
 
+	Policy
+}
+
+// Policy is the fine-tune loop's tuning: the curriculum each round replays
+// and the promotion gate's thresholds. Zero fields select the defaults noted
+// below; Validate rejects values that would silently disable the gate.
+type Policy struct {
 	// Lessons is the fine-tune curriculum replayed each round: a short tail
 	// of the paper's schedule — one clean lesson to absorb the feedback,
 	// then escalating ø to re-harden. Nil selects Schedule(3, 30, ε=0.1).
@@ -110,11 +128,6 @@ type Options struct {
 	// a cheap sanity floor against degenerate candidates that happened to
 	// score well on the holdout.
 	MinAgreement float64
-	// Shadow reads the serving layer's A/B counters for Key: the staged
-	// candidate version the counters describe, shadow rows scored, and
-	// agreements with the live arm (see serve.Engine.ABStats). Nil disables
-	// the shadow gate.
-	Shadow func() (candVersion uint64, rows, agree int64)
 	// RegretWindow is how many ticker checks after a promotion the live
 	// model is re-validated on the holdout; 0 disables rollback-on-regret.
 	RegretWindow int
@@ -125,51 +138,56 @@ type Options struct {
 	// exceeds the previous snapshot's by more than RegretDelta.
 	RegretDelta float64
 
-	// AttackEpsilon/AttackPhi parameterise the attacked half of the
-	// validation gate (defaults: the curriculum's ε=0.1, ø=50).
-	AttackEpsilon float64
-	AttackPhi     int
-
 	// Seed drives fine-tune data shuffling and attack realisations; each
 	// round derives its own stream so repeated rounds see fresh attacks.
 	Seed int64
-	// Dist scores a validation prediction against its label — typically
-	// Dataset.ErrorMeters. Nil selects 0/1 misclassification.
-	Dist func(pred, label int) float64
-	// Logf, when non-nil, receives one line per fine-tune round.
-	Logf func(format string, args ...any)
 }
 
-func (o *Options) setDefaults() {
-	if o.Lessons == nil {
-		o.Lessons = curriculum.Schedule(3, 30, curriculum.DefaultEpsilon)
+// attackPhi is the ø of the attacked half of the validation gate; its ε is
+// the curriculum's DefaultEpsilon.
+const attackPhi = 50
+
+// Validate rejects the settings that are accepted by the zero-means-default
+// rules yet disable part of the gate without saying so: a NaN delta never
+// wins (MinDelta) or never rolls back (RegretDelta), a NaN rate trains into
+// NaN weights, and an agreement floor above 1 never promotes.
+func (p *Policy) Validate() error {
+	names := [...]string{"MinDelta", "RegretDelta", "LearningRate"}
+	for i, v := range [...]float64{p.MinDelta, p.RegretDelta, p.LearningRate} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("train: %s must be finite, got %v", names[i], v)
+		}
 	}
-	if o.EpochsPerLesson <= 0 {
-		o.EpochsPerLesson = 6
+	if !(p.MinAgreement >= 0 && p.MinAgreement <= 1) {
+		return fmt.Errorf("train: MinAgreement must be in [0, 1] (0 disables), got %v", p.MinAgreement)
 	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.005
+	return nil
+}
+
+func (p *Policy) setDefaults() {
+	if p.Lessons == nil {
+		p.Lessons = curriculum.Schedule(3, 30, curriculum.DefaultEpsilon)
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
+	if p.EpochsPerLesson <= 0 {
+		p.EpochsPerLesson = 6
 	}
-	if o.MinFeedback <= 0 {
-		o.MinFeedback = 16
+	if p.LearningRate <= 0 {
+		p.LearningRate = 0.005
 	}
-	if o.MaxFeedback <= 0 {
-		o.MaxFeedback = 4096
+	if p.BatchSize <= 0 {
+		p.BatchSize = 64
 	}
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Second
+	if p.MinFeedback <= 0 {
+		p.MinFeedback = 16
 	}
-	if o.StageAfter <= 0 {
-		o.StageAfter = 1
+	if p.MaxFeedback <= 0 {
+		p.MaxFeedback = 4096
 	}
-	if o.AttackEpsilon <= 0 {
-		o.AttackEpsilon = curriculum.DefaultEpsilon
+	if p.Interval <= 0 {
+		p.Interval = 2 * time.Second
 	}
-	if o.AttackPhi <= 0 {
-		o.AttackPhi = 50
+	if p.StageAfter <= 0 {
+		p.StageAfter = 1
 	}
 }
 
@@ -296,6 +314,9 @@ func New(reg *localizer.Registry, opts Options) (*Trainer, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("train: nil registry")
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts.setDefaults()
 	if len(opts.Base) == 0 {
 		return nil, fmt.Errorf("train: empty base dataset")
@@ -315,14 +336,10 @@ func New(reg *localizer.Registry, opts Options) (*Trainer, error) {
 		return nil, fmt.Errorf("train: incumbent is %d×%d, options configure %d×%d",
 			inc.Cfg.NumAPs, inc.Cfg.NumRPs, opts.Config.NumAPs, opts.Config.NumRPs)
 	}
-	name := opts.Name
-	if name == "" {
-		name = snap.Localizer.Name()
-	}
 	t := &Trainer{
 		reg:     reg,
 		opts:    opts,
-		name:    name,
+		name:    snap.Localizer.Name(),
 		holdout: fingerprint.CloneSamples(opts.Holdout),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -944,8 +961,8 @@ func (t *Trainer) score(m *core.Model, salt int64) Scores {
 	var s Scores
 	s.Clean = mean(eval.Errors(m.Predict(x), labels, dist))
 	adv := attack.Craft(attack.FGSM, m, x, labels, attack.Config{
-		Epsilon:    t.opts.AttackEpsilon,
-		PhiPercent: t.opts.AttackPhi,
+		Epsilon:    curriculum.DefaultEpsilon,
+		PhiPercent: attackPhi,
 		Seed:       t.opts.Seed + 7919*(salt+1),
 	})
 	s.Attacked = mean(eval.Errors(m.Predict(adv), labels, dist))

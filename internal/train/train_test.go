@@ -1,6 +1,8 @@
 package train
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,16 +69,18 @@ func holdoutOf(ds *fingerprint.Dataset) []fingerprint.Sample {
 
 func fastOptions(ds *fingerprint.Dataset, key localizer.Key) Options {
 	return Options{
-		Key:             key,
-		Config:          smallConfig(ds),
-		Base:            ds.Train,
-		Holdout:         holdoutOf(ds),
-		EpochsPerLesson: 8,
-		LearningRate:    0.02,
-		BatchSize:       32,
-		MinFeedback:     4,
-		Interval:        10 * time.Millisecond,
-		Seed:            1,
+		Key:     key,
+		Config:  smallConfig(ds),
+		Base:    ds.Train,
+		Holdout: holdoutOf(ds),
+		Policy: Policy{
+			EpochsPerLesson: 8,
+			LearningRate:    0.02,
+			BatchSize:       32,
+			MinFeedback:     4,
+			Interval:        10 * time.Millisecond,
+			Seed:            1,
+		},
 	}
 }
 
@@ -119,8 +123,51 @@ func TestNewValidation(t *testing.T) {
 	}
 
 	weakIncumbent(t, reg, key, ds)
+	opts = fastOptions(ds, key)
+	opts.MinAgreement = 1.5
+	if _, err := New(reg, opts); err == nil || !strings.Contains(err.Error(), "MinAgreement") {
+		t.Errorf("want MinAgreement error from New, got %v", err)
+	}
 	if _, err := New(reg, fastOptions(ds, key)); err != nil {
 		t.Fatalf("valid construction failed: %v", err)
+	}
+}
+
+// Each rejected policy is accepted by the zero-means-default rules yet
+// silently disables part of the gate: a NaN delta never wins or never rolls
+// back, a NaN rate trains into NaN weights, an agreement floor above 1
+// never promotes.
+func TestPolicyValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		p    Policy
+		want string // substring of the error; "" means valid
+	}{
+		{"NaN min delta", Policy{MinDelta: nan}, "MinDelta"},
+		{"infinite min delta", Policy{MinDelta: -inf}, "MinDelta"},
+		{"NaN regret delta", Policy{RegretDelta: nan}, "RegretDelta"},
+		{"NaN learning rate", Policy{LearningRate: nan}, "LearningRate"},
+		{"infinite learning rate", Policy{LearningRate: inf}, "LearningRate"},
+		{"agreement above 1", Policy{MinAgreement: 1.5}, "MinAgreement"},
+		{"negative agreement", Policy{MinAgreement: -0.1}, "MinAgreement"},
+		{"NaN agreement", Policy{MinAgreement: nan}, "MinAgreement"},
+		{"zero policy", Policy{}, ""},
+		{"full agreement", Policy{MinAgreement: 1, MinDelta: -0.5, LearningRate: -1}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.p.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			}
+		})
 	}
 }
 
