@@ -113,8 +113,7 @@ func TestValidateRequiresData(t *testing.T) {
 }
 
 func TestValidateRouterRequiresShards(t *testing.T) {
-	f := baseFlags()
-	f.router = true
+	f := parseFlags(t, "-router", "-data", "f0.gob,f1.gob")
 	if err := f.validate(); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("want -shards error, got %v", err)
 	}
@@ -127,9 +126,7 @@ func TestValidateRouterRequiresShards(t *testing.T) {
 // Coalescing knobs are router-mode-only; a stray -router-wait with no window
 // enabled would otherwise silently do nothing.
 func TestValidateRouterCoalesceFlags(t *testing.T) {
-	f := baseFlags()
-	f.router = true
-	f.shards = "shards.json"
+	f := parseFlags(t, "-router", "-shards", "shards.json")
 	f.route.CoalesceBatch = 32
 	f.route.CoalesceWait = time.Millisecond
 	if err := f.validate(); err != nil {
@@ -149,6 +146,27 @@ func TestValidateRouterCoalesceFlags(t *testing.T) {
 	n.route.CoalesceBatch = 8
 	if err := n.validate(); err == nil || !strings.Contains(err.Error(), "router mode only") {
 		t.Fatalf("want router-mode-only error, got %v", err)
+	}
+}
+
+// Regression: router mode used to accept every node flag and ignore it, so
+// "-router -min-agreement 1.5" started a router as if the flag were valid.
+// Each one is rejected before the shard map is opened.
+func TestValidateRouterRejectsNodeFlags(t *testing.T) {
+	ok := []string{"-router", "-shards", "missing.json", "-data", "f0.gob,f1.gob", "-floors", "2,3",
+		"-addr", ":0", "-retries", "-1", "-probe-interval", "1s"}
+	f := parseFlags(t, ok...)
+	if err := f.validate(); err != nil {
+		t.Fatalf("router flags rejected: %v", err)
+	}
+	for _, extra := range [][]string{
+		{"-min-agreement", "1.5"}, {"-weights", "a.model"}, {"-backends", "knn"},
+		{"-max-batch", "8"}, {"-train-epochs", "3"}, {"-no-trainer"}, {"-ab-fraction", "2"},
+	} {
+		f := parseFlags(t, append(append([]string(nil), ok...), extra...)...)
+		if err := f.validate(); err == nil || !strings.Contains(err.Error(), "node mode only") {
+			t.Errorf("%v in router mode: want a node-mode-only error, got %v", extra, err)
+		}
 	}
 }
 

@@ -108,7 +108,7 @@ func (f *serveFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.router, "router", false, "run as the fleet router instead of a serving node (requires -shards)")
 	fs.StringVar(&f.shards, "shards", "", "shard-map JSON file: {building/floor} -> node assignments (router mode)")
 	fs.DurationVar(&f.route.ProbeInterval, "probe-interval", 0, "router health-probe cadence (0 = 2s, negative disables)")
-	fs.IntVar(&f.route.Retries, "retries", 0, "router retry budget per proxied request on a failed shard (0 = 1)")
+	fs.IntVar(&f.route.Retries, "retries", 0, "router retry budget per proxied request on a failed shard (0 = 1, negative disables retries)")
 	fs.IntVar(&f.route.CoalesceBatch, "router-batch", 0, "router-side coalescing: max concurrent /v1/localize proxies gathered into one upstream batch per shard (<= 1 disables)")
 	fs.DurationVar(&f.route.CoalesceWait, "router-wait", 0, "router coalesce gather window (default 2ms when -router-batch > 1)")
 }

@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -20,6 +22,11 @@ func (f *serveFlags) validate() error {
 	if f.router {
 		if f.shards == "" {
 			return errors.New("-router requires -shards")
+		}
+		var def serveFlags
+		def.register(flag.NewFlagSet("defaults", flag.ContinueOnError))
+		if f.weights != "" || f.backends != def.backends || !reflect.DeepEqual(f.node, def.node) {
+			return errors.New("-weights, -backends and the engine, trainer and model flags apply to node mode only")
 		}
 		if f.route.CoalesceBatch < 0 {
 			return fmt.Errorf("-router-batch must be >= 0 (<= 1 disables coalescing), got %d", f.route.CoalesceBatch)

@@ -37,7 +37,8 @@ type RouterOptions struct {
 	// Retries is how many times a failed proxy attempt is retried against
 	// the owning shard before the request fails with ErrShardDown (transport
 	// errors only — HTTP error statuses are the shard's answer and pass
-	// through). Default 1, capped at 5.
+	// through). 0 selects the default 1, a negative value disables retries,
+	// and the budget is capped at 5.
 	Retries int
 	// RetryDelay is the pause between attempts (default 25ms).
 	RetryDelay time.Duration
@@ -66,13 +67,12 @@ type RouterOptions struct {
 }
 
 func (o *RouterOptions) setDefaults() {
-	if o.Retries < 0 {
+	switch {
+	case o.Retries < 0:
 		o.Retries = 0
-	}
-	if o.Retries == 0 {
+	case o.Retries == 0:
 		o.Retries = 1
-	}
-	if o.Retries > 5 {
+	case o.Retries > 5:
 		o.Retries = 5
 	}
 	if o.RetryDelay <= 0 {

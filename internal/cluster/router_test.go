@@ -146,6 +146,42 @@ func TestRouterShardDown(t *testing.T) {
 	}
 }
 
+// A negative retry budget disables retries: a request to a shard that
+// drops every connection makes one attempt and counts no retry, while the
+// zero value keeps the default single retry.
+func TestRouterNegativeRetriesDisableRetry(t *testing.T) {
+	for _, tc := range []struct{ retries, attempts, counted int }{{-1, 1, 0}, {0, 2, 1}} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepts atomic.Int64
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				accepts.Add(1)
+				c.Close()
+			}
+		}()
+		a := fakeShard(t, "a")
+		r := newTestRouter(t, staticTwoShards(t, a.URL, "http://"+ln.Addr().String()), RouterOptions{Retries: tc.retries})
+		w := postLocalize(t, r.Handler(), `{"rss":[1,2],"floor":1}`)
+		ln.Close()
+		if w.Code != http.StatusBadGateway {
+			t.Fatalf("Retries %d: status %d, want 502: %s", tc.retries, w.Code, w.Body)
+		}
+		if got := accepts.Load(); got != int64(tc.attempts) {
+			t.Errorf("Retries %d: %d attempts, want %d", tc.retries, got, tc.attempts)
+		}
+		if got := r.Stats().Retries; got != int64(tc.counted) {
+			t.Errorf("Retries %d: %d retries counted, want %d", tc.retries, got, tc.counted)
+		}
+	}
+}
+
 // Satellite: a key the shard map does not cover fails 400 immediately — it
 // must not hang in the proxy path or burn the retry budget.
 func TestRouterNoOwnerFails400Fast(t *testing.T) {

@@ -158,17 +158,21 @@ func TestPredictWithoutMemoryPanics(t *testing.T) {
 	m.Predict(fingerprint.X(ds.Train[:1]))
 }
 
-// TestTrainStepGradients checks the full CALLOC training step against finite
-// differences. Stochastic layers are disabled so the loss is deterministic.
-// With λ=0 every parameter's gradient is exact; the λ>0 case is covered by
-// TestTrainStepGradientsWithLambda (the MSE target is a stop-gradient, so
-// only the query branch sees the consistency term).
-func TestTrainStepGradients(t *testing.T) {
+// stepGradients checks the gradients one sharded training step accumulates
+// against central finite differences of its loss, with the stochastic
+// augmentation off so the loss is deterministic. The first rows of the
+// training set form the batch; each parameter of check is probed at the
+// given fractions of its length.
+func stepGradients(t *testing.T, rows int, lambda float64, seed int64, check func(*Model) []*nn.Param, at []float64) {
+	t.Helper()
 	ds := testDataset(t)
+	if rows > len(ds.Train) {
+		t.Fatalf("%d rows requested, the training set has %d", rows, len(ds.Train))
+	}
 	cfg := smallConfig(ds)
 	cfg.EmbedDim, cfg.AttnDim = 8, 6
 	cfg.DropoutRate, cfg.NoiseSigma = 0, 0
-	cfg.HyperspaceLambda = 0
+	cfg.HyperspaceLambda = lambda
 	cfg.MemoryPerClass = 1
 	m, err := NewModel(cfg)
 	if err != nil {
@@ -177,30 +181,42 @@ func TestTrainStepGradients(t *testing.T) {
 	if err := m.SetMemory(ds.Train); err != nil {
 		t.Fatal(err)
 	}
-	xo := fingerprint.X(ds.Train[:6])
-	labels := fingerprint.Labels(ds.Train[:6])
-	rng := rand.New(rand.NewSource(1))
+	r, err := m.newTrainRun(ds.Train, DefaultTrainConfig(), curriculum.DefaultSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xo := fingerprint.X(ds.Train[:rows])
+	labels := fingerprint.Labels(ds.Train[:rows])
+	rng := rand.New(rand.NewSource(seed))
 	xc := xo.Clone()
 	for i := range xc.Data {
 		xc.Data[i] = mat.Clamp(xc.Data[i]+rng.NormFloat64()*0.05, 0, 1)
 	}
-
+	zero := func() {
+		for _, p := range m.Params() {
+			p.ZeroGrad()
+		}
+	}
+	// The probes write the weights behind the run's back, so every step
+	// recomputes the memory branch.
 	lossFn := func() float64 {
-		l := m.trainStep(xc, xo, labels)
-		m.zeroGrads()
+		r.memFresh = false
+		l := r.shardedStep(xc, xo, labels)
+		zero()
 		return l
 	}
 
-	m.trainStep(xc, xo, labels)
+	r.shardedStep(xc, xo, labels)
 	grads := make(map[*nn.Param][]float64)
 	for _, p := range m.Params() {
 		grads[p] = append([]float64(nil), p.G.Data...)
 	}
-	m.zeroGrads()
+	zero()
 
 	const h = 1e-5
-	for _, p := range m.Params() {
-		for _, idx := range []int{0, len(p.W.Data) / 2} {
+	for _, p := range check(m) {
+		for _, f := range at {
+			idx := min(int(f*float64(len(p.W.Data))), len(p.W.Data)-1)
 			orig := p.W.Data[idx]
 			p.W.Data[idx] = orig + h
 			lp := lossFn()
@@ -218,62 +234,27 @@ func TestTrainStepGradients(t *testing.T) {
 	}
 }
 
+// TestTrainStepGradients checks the sharded training step against finite
+// differences. With λ=0 every parameter's gradient is exact; the λ>0 case is
+// covered by TestTrainStepGradientsWithLambda (the MSE target is a
+// stop-gradient, so only the query branch sees the consistency term).
+func TestTrainStepGradients(t *testing.T) {
+	stepGradients(t, 6, 0, 1, (*Model).Params, []float64{0, 0.5})
+}
+
+// TestTrainStepGradientsAcrossShards: a batch taller than one shard, so the
+// ordered shard reduction and the once-per-step memory-branch backward are
+// both under the finite-difference check.
+func TestTrainStepGradientsAcrossShards(t *testing.T) {
+	stepGradients(t, trainShardRows+8, 0, 4, (*Model).Params, []float64{0, 0.5})
+}
+
 // TestTrainStepGradientsWithLambda verifies the λ·MSE consistency term's
 // gradient on the query branch (EmbedC). The MSE target H^O is a
 // stop-gradient by design, so EmbedO is excluded here and covered by the
-// λ=0 test above.
+// λ=0 tests above.
 func TestTrainStepGradientsWithLambda(t *testing.T) {
-	ds := testDataset(t)
-	cfg := smallConfig(ds)
-	cfg.EmbedDim, cfg.AttnDim = 8, 6
-	cfg.DropoutRate, cfg.NoiseSigma = 0, 0
-	cfg.HyperspaceLambda = 0.7
-	cfg.MemoryPerClass = 1
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetMemory(ds.Train); err != nil {
-		t.Fatal(err)
-	}
-	xo := fingerprint.X(ds.Train[:5])
-	labels := fingerprint.Labels(ds.Train[:5])
-	rng := rand.New(rand.NewSource(2))
-	xc := xo.Clone()
-	for i := range xc.Data {
-		xc.Data[i] = mat.Clamp(xc.Data[i]+rng.NormFloat64()*0.05, 0, 1)
-	}
-	lossFn := func() float64 {
-		l := m.trainStep(xc, xo, labels)
-		m.zeroGrads()
-		return l
-	}
-	m.trainStep(xc, xo, labels)
-	embedCParams := m.embedC.Params()
-	grads := make(map[*nn.Param][]float64)
-	for _, p := range embedCParams {
-		grads[p] = append([]float64(nil), p.G.Data...)
-	}
-	m.zeroGrads()
-
-	const h = 1e-5
-	for _, p := range embedCParams {
-		for _, idx := range []int{0, len(p.W.Data) / 2, len(p.W.Data) - 1} {
-			orig := p.W.Data[idx]
-			p.W.Data[idx] = orig + h
-			lp := lossFn()
-			p.W.Data[idx] = orig - h
-			lm := lossFn()
-			p.W.Data[idx] = orig
-			numeric := (lp - lm) / (2 * h)
-			analytic := grads[p][idx]
-			diff := math.Abs(numeric - analytic)
-			scale := math.Max(1, math.Max(math.Abs(numeric), math.Abs(analytic)))
-			if diff/scale > 1e-3 {
-				t.Errorf("%s[%d]: analytic %.8f vs numeric %.8f", p.Name, idx, analytic, numeric)
-			}
-		}
-	}
+	stepGradients(t, 5, 0.7, 2, func(m *Model) []*nn.Param { return m.denseC.Params() }, []float64{0, 0.5, 1})
 }
 
 // TestTrainingLearnsCleanData: after the curriculum, CALLOC must localise
@@ -460,6 +441,82 @@ func TestInputGradientShape(t *testing.T) {
 	}
 	if g.MaxAbs() == 0 {
 		t.Fatal("input gradient is identically zero")
+	}
+}
+
+// TestAttentionRowsSumToOne: with one-hot values, each query row's value mix
+// is a convex combination of unit vectors, so the attention weights and the
+// mixed row both sum to 1.
+func TestAttentionRowsSumToOne(t *testing.T) {
+	ds := testDataset(t)
+	m, _ := NewModel(smallConfig(ds))
+	if err := m.SetMemory(ds.Train); err != nil {
+		t.Fatal(err)
+	}
+	x := fingerprint.X(ds.Test["OP3"][:5])
+	p := m.newRowPass(x.Rows)
+	m.forward(&p, x, m.kp)
+	for _, w := range []*mat.Matrix{p.s, p.att} {
+		for i := 0; i < w.Rows; i++ {
+			var sum float64
+			for _, v := range w.Row(i) {
+				sum += v
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("%d×%d row %d sums to %g, want 1", w.Rows, w.Cols, i, sum)
+			}
+		}
+	}
+}
+
+// TestInputGradientMatchesFiniteDifference checks ∂CE/∂x from
+// InputGradient against central differences of the eval-mode loss, and that
+// the call leaves every parameter's gradient accumulator as it found it.
+func TestInputGradientMatchesFiniteDifference(t *testing.T) {
+	ds := testDataset(t)
+	cfg := smallConfig(ds)
+	cfg.EmbedDim, cfg.AttnDim = 8, 6
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetMemory(ds.Train); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var before [][]float64
+	for _, p := range m.Params() {
+		for i := range p.G.Data {
+			p.G.Data[i] = rng.NormFloat64()
+		}
+		before = append(before, append([]float64(nil), p.G.Data...))
+	}
+	x := fingerprint.X(ds.Test["OP3"][:4])
+	labels := fingerprint.Labels(ds.Test["OP3"][:4])
+	g := m.InputGradient(x, labels)
+	for i, p := range m.Params() {
+		for j, v := range p.G.Data {
+			if v != before[i][j] {
+				t.Fatalf("%s gradient [%d] changed %g → %g", p.Name, j, before[i][j], v)
+			}
+		}
+	}
+	loss := func() float64 {
+		l, _ := nn.SoftmaxCrossEntropy(m.Logits(x), labels)
+		return l
+	}
+	const h = 1e-6
+	for _, idx := range []int{0, 3, len(x.Data) / 2, len(x.Data) - 1} {
+		orig := x.Data[idx]
+		x.Data[idx] = orig + h
+		lp := loss()
+		x.Data[idx] = orig - h
+		lm := loss()
+		x.Data[idx] = orig
+		numeric := (lp - lm) / (2 * h)
+		if diff := math.Abs(numeric - g.Data[idx]); diff > 1e-6*math.Max(1, math.Abs(numeric)) {
+			t.Errorf("x[%d]: analytic %.10f vs numeric %.10f", idx, g.Data[idx], numeric)
+		}
 	}
 }
 

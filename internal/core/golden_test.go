@@ -148,6 +148,23 @@ func checkGoldenServedShape(t *testing.T) {
 	}
 }
 
+// TestGoldenInputGradient pins the white-box gradient ∂CE/∂x of an untrained
+// served-shape model, the gradient every white-box attack on CALLOC follows.
+// The trained model's gradient is pinned by TestGoldenTrained.
+func TestGoldenInputGradient(t *testing.T) {
+	requireAMD64(t)
+	bothKernels(t, func(t *testing.T) {
+		m, x := servedShapeModel(t, mat.PrecFloat64)
+		labels := make([]int, x.Rows)
+		for i := range labels {
+			labels[i] = (7 * i) % m.Cfg.NumRPs
+		}
+		if got, want := floatsHash(m.InputGradient(x, labels).Data), uint64(0x75a06855d0172cce); got != want {
+			t.Fatalf("input gradient hash %#x, want %#x", got, want)
+		}
+	})
+}
+
 // TestGoldenTrained pins a short curriculum run end to end: the loss trace
 // of 12 epochs, then the served logits of its weights reloaded at every
 // precision.
@@ -175,11 +192,14 @@ func checkGoldenTrained(t *testing.T) {
 	if got, want := floatsHash(res.LossHistory), uint64(0xbdea7bf4d98d094b); got != want {
 		t.Fatalf("loss trace hash %#x, want %#x", got, want)
 	}
+	x := fingerprint.X(ds.Test["OP3"])
+	if got, want := floatsHash(m.InputGradient(x, fingerprint.Labels(ds.Test["OP3"])).Data), uint64(0x7c6786c26ab74719); got != want {
+		t.Fatalf("input gradient hash %#x, want %#x", got, want)
+	}
 	blob, err := m.MarshalWeights()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := fingerprint.X(ds.Test["OP3"])
 	for _, want := range []struct {
 		prec   mat.Precision
 		logits uint64

@@ -12,26 +12,21 @@ import (
 
 // Model is the CALLOC network of §IV: two embedding networks, a scaled
 // dot-product attention head over the fingerprint database, and a final
-// fully connected classifier.
+// fully connected classifier. One row pipeline (rows.go) runs it for the
+// training step, FGSM crafting, Logits and InputGradient.
 type Model struct {
 	Cfg Config
 
-	embedC *nn.Network        // curriculum-branch embedding (queries)
-	embedO *nn.Network        // original-branch embedding (keys), with dropout+noise
-	attn   *nn.CrossAttention // Q=H^C, K=H^O, V=RP one-hots
-	fc     *nn.Network        // final classifier over RP classes
-
-	// Direct handles into the networks above for the sharded trainer and the
-	// Into-style gradient path, which hand-roll the forward/backward math
-	// instead of going through the caching Layer interface.
-	denseC, denseO, denseF *nn.Dense
-	reluC                  *nn.ReLU
+	denseC *nn.Dense // curriculum-branch embedding (queries)
+	denseO *nn.Dense // original-branch embedding (keys); dropout+noise at train time
+	wq, wk *nn.Param // attention projections: Q=H^C·Wq, K=H^O·Wk, V=RP one-hots
+	denseF *nn.Dense // final classifier over RP classes
 
 	// Attention memory: the offline fingerprint database.
 	memX      *mat.Matrix // clean fingerprints (M×NumAPs)
 	memLabels []int       // RP label of each memory row
 	memV      *mat.Matrix // one-hot RP labels (M×NumRPs), for the training forward pass
-	memKeys   *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
+	kp        *mat.Matrix // cached eval-mode key projection (M×AttnDim), refreshed at hand-over
 
 	// served is what predictors run, compiled by RefreshMemoryKeys; nil
 	// until the model has memory.
@@ -52,18 +47,12 @@ func NewModel(cfg Config) (*Model, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg, rng: rng}
 	m.denseC = nn.NewDense("embedC", cfg.NumAPs, cfg.EmbedDim, rng)
-	m.reluC = &nn.ReLU{}
-	m.embedC = nn.NewNetwork(m.denseC, m.reluC)
 	m.denseO = nn.NewDense("embedO", cfg.NumAPs, cfg.EmbedDim, rng)
-	m.embedO = nn.NewNetwork(
-		m.denseO,
-		&nn.ReLU{},
-		nn.NewDropout(cfg.DropoutRate, rng),
-		nn.NewGaussianNoise(cfg.NoiseSigma, rng),
-	)
-	m.attn = nn.NewCrossAttention("attn", cfg.EmbedDim, cfg.AttnDim, rng)
+	m.wq = nn.NewParam("attn.Wq", cfg.EmbedDim, cfg.AttnDim)
+	m.wk = nn.NewParam("attn.Wk", cfg.EmbedDim, cfg.AttnDim)
+	m.wq.XavierInit(rng)
+	m.wk.XavierInit(rng)
 	m.denseF = nn.NewDense("fc", cfg.NumRPs, cfg.NumRPs, rng)
-	m.fc = nn.NewNetwork(m.denseF)
 	return m, nil
 }
 
@@ -103,24 +92,23 @@ func (m *Model) MemorySize() int {
 	return m.memX.Rows
 }
 
-// RefreshMemoryKeys recomputes the eval-mode key embeddings of the memory
+// RefreshMemoryKeys recomputes the eval-mode key projection of the memory
 // database and hands the current weights over to serving: it compiles the
 // snapshot every predictor of the model runs. SetMemory, UnmarshalWeights and
 // the end of Train call it; after an in-place weight update the model keeps
 // serving its previous snapshot until it is called.
 func (m *Model) RefreshMemoryKeys() {
-	m.memKeys = m.embedO.Forward(m.memX, false)
+	M, E := m.memX.Rows, m.Cfg.EmbedDim
+	memPre, memKeys := mat.GetScratch(M, E), mat.GetScratch(M, E)
+	m.kp = m.keyProjection(memPre, memKeys, mat.New(M, m.Cfg.AttnDim))
+	mat.PutScratch(memPre)
+	mat.PutScratch(memKeys)
 	m.served = m.compile()
 }
 
 // Params returns every trainable parameter of the model.
 func (m *Model) Params() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, m.embedC.Params()...)
-	ps = append(ps, m.embedO.Params()...)
-	ps = append(ps, m.attn.Params()...)
-	ps = append(ps, m.fc.Params()...)
-	return ps
+	return []*nn.Param{m.denseC.W, m.denseC.B, m.denseO.W, m.denseO.B, m.wq, m.wk, m.denseF.W, m.denseF.B}
 }
 
 // NumParams returns the trainable-parameter count (§V.A reports 65 239 for
@@ -130,10 +118,8 @@ func (m *Model) NumParams() int { return nn.CountParams(m.Params()) }
 // ParamBreakdown returns the §V.A decomposition: embedding, attention and
 // final-layer parameter counts.
 func (m *Model) ParamBreakdown() (embed, attn, fc int) {
-	embed = nn.CountParams(m.embedC.Params()) + nn.CountParams(m.embedO.Params())
-	attn = nn.CountParams(m.attn.Params())
-	fc = nn.CountParams(m.fc.Params())
-	return embed, attn, fc
+	embed = nn.CountParams(m.denseC.Params()) + nn.CountParams(m.denseO.Params())
+	return embed, m.wq.Size() + m.wk.Size(), nn.CountParams(m.denseF.Params())
 }
 
 // ModelSizeKB returns the deployed model size in kilobytes assuming float32
@@ -158,15 +144,14 @@ func (m *Model) Footprint() (precision string, weightBytes int64) {
 	return m.Cfg.Precision.String(), weightBytes
 }
 
-// Logits runs the inference path of Fig 3's online phase: embed the unknown
-// fingerprint into H^C, attend over the cached database keys, and classify.
+// Logits runs the inference path of Fig 3's online phase in float64 through
+// the training forward: embed the unknown fingerprint into H^C, attend over
+// the cached memory key projection, and classify. It is the reference the
+// served snapshot is checked against.
 func (m *Model) Logits(x *mat.Matrix) *mat.Matrix {
-	if m.memKeys == nil {
-		panic("core: model has no memory; call SetMemory first")
-	}
-	hc := m.embedC.Forward(x, false)
-	att := m.attn.Forward(hc, m.memKeys, m.memV)
-	return m.fc.Forward(att, false)
+	p := m.newRowPass(x.Rows)
+	m.forward(&p, x, m.kp)
+	return p.logits
 }
 
 // Predict returns the RP class for every row of x. It delegates to a pooled
@@ -209,21 +194,13 @@ func (m *Model) InputGradient(x *mat.Matrix, labels []int) *mat.Matrix {
 }
 
 // InputGradientInto is InputGradient with the result written into dst (nil
-// allocates) and the last backward stage's temporaries drawn from the scratch
-// pool, satisfying attack.GradientIntoModel: a per-epoch FGSM crafting loop
-// reusing its destination allocates no full gradient matrix per epoch. Not
-// safe for concurrent use with itself or with training (it drives the caching
-// Forward/Backward paths); concurrent inference is fine.
+// allocates), satisfying attack.GradientIntoModel. It runs the current
+// weights against the key projection of the last hand-over
+// (RefreshMemoryKeys) and writes no gradient accumulator, so it may run
+// alongside inference; not alongside training.
 func (m *Model) InputGradientInto(dst *mat.Matrix, x *mat.Matrix, labels []int) *mat.Matrix {
-	logits := m.Logits(x)
-	_, g := nn.SoftmaxCrossEntropy(logits, labels)
-	gAtt := m.fc.Backward(g)
-	dq, _ := m.attn.Backward(gAtt)
-	dRelu := m.reluC.BackwardInto(dq, mat.GetScratch(dq.Rows, dq.Cols))
-	dst = m.denseC.BackwardInto(dRelu, dst)
-	mat.PutScratch(dRelu)
-	m.zeroGrads()
-	return dst
+	p := m.newRowPass(x.Rows)
+	return m.inputGradient(&p, dst, x, labels, x.Rows, m.kp)
 }
 
 // MarshalWeights serialises every trainable parameter with gob for
@@ -258,12 +235,6 @@ func (p *paramHolder) Forward(x *mat.Matrix, _ bool) *mat.Matrix { return x }
 func (p *paramHolder) Backward(gradOut *mat.Matrix) *mat.Matrix  { return gradOut }
 func (p *paramHolder) Params() []*nn.Param                       { return p.ps }
 
-func (m *Model) zeroGrads() {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // snapshotInto copies the current weights into dst, reusing its backing
 // slices when the shapes line up (the trainer snapshots up to once per
 // epoch, so buffer reuse keeps the hot loop allocation-free). Passing nil
@@ -287,45 +258,4 @@ func (m *Model) restore(snap [][]float64) {
 	for i, p := range ps {
 		copy(p.W.Data, snap[i])
 	}
-}
-
-// trainStep runs one full forward/backward pass over a lesson batch.
-// xc holds the (possibly adversarial) curriculum fingerprints, xo their clean
-// counterparts, and labels the true RPs. It returns the combined loss
-// CE + λ·MSE(H^C, H^O) with gradients accumulated into all parameters.
-//
-// The backward ordering matters because layers cache their last forward
-// input: each branch is back-propagated while its cache is still current.
-func (m *Model) trainStep(xc, xo *mat.Matrix, labels []int) float64 {
-	// Original branch on the clean batch, for the hyperspace-consistency
-	// MSE loss: the curriculum hyperspace of a (possibly attacked)
-	// fingerprint is pulled toward the noise-augmented original hyperspace
-	// of its clean counterpart. The target is treated as a constant
-	// (stop-gradient), the usual consistency-regularisation form — letting
-	// the λ·MSE gradient also drive the original branch would make both
-	// embeddings chase the dropout/noise realisations and stall training.
-	ho := m.embedO.Forward(xo, true)
-	hc := m.embedC.Forward(xc, true)
-	mseLoss, mseGradC := nn.MSE(hc, ho)
-
-	// Original branch again on the memory set, producing attention keys.
-	// The keys are computed in eval mode: the dropout/noise augmentation of
-	// §IV.B regularises the hyperspace consistency objective above, while
-	// the attention memory stays stable enough to learn from — randomising
-	// the entire database every step would prevent the attention from ever
-	// associating queries with reference points.
-	memKeys := m.embedO.Forward(m.memX, false)
-	att := m.attn.Forward(hc, memKeys, m.memV)
-	logits := m.fc.Forward(att, true)
-	ceLoss, g := nn.SoftmaxCrossEntropy(logits, labels)
-
-	gAtt := m.fc.Backward(g)
-	dq, dmem := m.attn.Backward(gAtt)
-	m.embedO.Backward(dmem) // embedO cache = memX: consistent
-
-	// Query branch: attention gradient plus the λ-weighted MSE pull.
-	dq.AddScaledInPlace(mseGradC, m.Cfg.HyperspaceLambda)
-	m.embedC.Backward(dq) // embedC cache = xc: consistent
-
-	return ceLoss + m.Cfg.HyperspaceLambda*mseLoss
 }

@@ -232,8 +232,8 @@ func TestPredictRowsAreIndependent(t *testing.T) {
 		// same class and the property would hold vacuously. Sharpened
 		// query/key projections make a row's class follow its nearest
 		// memory rows.
-		m.attn.Wq.W.ScaleInPlace(8)
-		m.attn.Wk.W.ScaleInPlace(8)
+		m.wq.W.ScaleInPlace(8)
+		m.wk.W.ScaleInPlace(8)
 		m.RefreshMemoryKeys()
 		classes := map[int]bool{}
 		for _, c := range m.Predict(x) {

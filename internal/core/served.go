@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"calloc/internal/mat"
@@ -17,7 +16,7 @@ import (
 // hand-over, and any number of predictors may read it at once.
 type served struct {
 	embedW, wq, fcW *mat.Packed // embedC.W, attn.Wq, fc.W
-	kpT             *mat.Packed // (memKeys·Wk)ᵀ, dk×M: the scores GEMM streams its rows
+	kpT             *mat.Packed // kpᵀ, dk×M: the scores GEMM streams its rows
 	embedB, fcB     []float64
 	labels          []int // RP class of each memory row: the one-hot value matrix
 	classes         int
@@ -31,14 +30,14 @@ func (m *Model) compile() *served {
 	prec := m.Cfg.Precision
 	return &served{
 		embedW:  mat.PackPrec(m.denseC.W.W, prec),
-		wq:      mat.PackPrec(m.attn.Wq.W, prec),
+		wq:      mat.PackPrec(m.wq.W, prec),
 		fcW:     mat.PackPrec(m.denseF.W.W, prec),
-		kpT:     mat.PackPrec(mat.Mul(m.memKeys, m.attn.Wk.W).Transpose(), prec),
+		kpT:     mat.PackPrec(m.kp.Transpose(), prec),
 		embedB:  slices.Clone(m.denseC.B.W.Data),
 		fcB:     slices.Clone(m.denseF.B.W.Data),
 		labels:  slices.Clone(m.memLabels),
 		classes: m.Cfg.NumRPs,
-		scale:   1 / math.Sqrt(float64(m.Cfg.AttnDim)),
+		scale:   m.attnScale(),
 		f32:     prec == mat.PrecFloat32,
 	}
 }

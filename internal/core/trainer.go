@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"calloc/internal/attack"
@@ -182,6 +181,7 @@ type trainRun struct {
 	memKeys  *mat.Matrix // relu(memPre) — eval-mode key embeddings
 	kp       *mat.Matrix // memKeys·Wk (M×dk)
 	dKp      *mat.Matrix // reduced key-projection gradient (M×dk)
+	memFresh bool        // the memory branch matches the current weights
 
 	// Shard buffer sets keyed by batch row count (full batches and the
 	// mini-batch remainder produce at most two distinct sizes per run).
@@ -263,6 +263,7 @@ func (r *trainRun) run() (TrainResult, error) {
 					break
 				}
 				m.restore(r.best)
+				r.memFresh = false
 				phi = curriculum.EasePhi(phi)
 				// The eased lesson gets a fresh plateau budget: without the
 				// reset a lesson could plateau-exit on the very epoch it
@@ -345,6 +346,7 @@ func (r *trainRun) miniBatchStep(xc, xo *mat.Matrix, labels []int) float64 {
 	loss := r.shardedStep(xc, xo, labels)
 	nn.ClipGradients(r.m.Params(), 5)
 	r.opt.Step(r.m.Params())
+	r.memFresh = false
 	return loss
 }
 
@@ -352,14 +354,14 @@ func (r *trainRun) miniBatchStep(xc, xo *mat.Matrix, labels []int) float64 {
 // the lesson's (possibly adaptively eased) ø for a (1−OriginalFraction) share
 // of rows, clean fingerprints for the rest. Attacks are crafted against the
 // current model — white-box adversarial training, as in §IV.A ("adversarial
-// data is generated using the FGSM technique"). The adversarial batch and the
-// crafting gradient reuse the run's buffers across epochs.
+// data is generated using the FGSM technique"). The attack observes the
+// eval-mode model through the run itself (see InputGradientInto), and the
+// adversarial batch and the crafting gradient reuse the run's buffers across
+// epochs.
 func (r *trainRun) lessonData(lesson curriculum.Lesson, phi int) *mat.Matrix {
 	if phi <= 0 {
 		return r.xo
 	}
-	m := r.m
-	m.RefreshMemoryKeys() // attacks observe the deployed (eval-mode) model
 	cfg := attack.Config{
 		Epsilon:    lesson.Epsilon,
 		PhiPercent: phi,
@@ -368,7 +370,7 @@ func (r *trainRun) lessonData(lesson curriculum.Lesson, phi int) *mat.Matrix {
 	if r.adv == nil {
 		r.adv = mat.New(r.xo.Rows, r.xo.Cols)
 	}
-	attack.CraftInto(r.adv, attack.FGSM, m, r.xo, r.labels, cfg)
+	attack.CraftInto(r.adv, attack.FGSM, r, r.xo, r.labels, cfg)
 	if lesson.OriginalFraction <= 0 {
 		return r.adv
 	}
@@ -381,16 +383,55 @@ func (r *trainRun) lessonData(lesson curriculum.Lesson, phi int) *mat.Matrix {
 	return r.adv
 }
 
-// trainShard holds one fixed row range's activations, per-shard gradient
-// partials, and loss partials. Shards only ever write their own buffers, so
-// the fan-out is race-free and deterministic.
+// InputGradient is ∂CE/∂x of the model being trained, in eval mode, with
+// the memory branch the run last computed for its weights: it makes the run
+// the attack.GradientIntoModel that FGSM crafts lesson data against.
+func (r *trainRun) InputGradient(x *mat.Matrix, labels []int) *mat.Matrix {
+	return r.InputGradientInto(nil, x, labels)
+}
+
+// InputGradientInto is InputGradient written into dst (nil allocates). It
+// runs the training step's row shards and shares its memory branch: in a
+// full-batch epoch, crafting and the step compute the key projection once.
+func (r *trainRun) InputGradientInto(dst *mat.Matrix, x *mat.Matrix, labels []int) *mat.Matrix {
+	if dst == nil {
+		dst = mat.New(x.Rows, x.Cols)
+	}
+	r.refreshMemory()
+	shards := r.ensureShards(x.Rows)
+	mat.ShardRows(len(shards), func(lo, hi int) {
+		for _, sh := range shards[lo:hi] {
+			r.m.inputGradient(&sh.rowPass, rowsOf(dst, sh.lo, sh.hi), rowsOf(x, sh.lo, sh.hi),
+				labels[sh.lo:sh.hi], x.Rows, r.kp)
+		}
+	})
+	return dst
+}
+
+// refreshMemory runs the memory branch for the current weights into the
+// run's buffers, unless it already has since the last weight change.
+func (r *trainRun) refreshMemory() {
+	if r.memFresh {
+		return
+	}
+	if r.memPre == nil {
+		M, cfg := r.m.memX.Rows, r.m.Cfg
+		r.memPre = mat.New(M, cfg.EmbedDim)
+		r.memKeys = mat.New(M, cfg.EmbedDim)
+		r.kp = mat.New(M, cfg.AttnDim)
+		r.dKp = mat.New(M, cfg.AttnDim)
+	}
+	r.m.keyProjection(r.memPre, r.memKeys, r.kp)
+	r.memFresh = true
+}
+
+// trainShard holds one fixed row range's pass through the row pipeline, its
+// MSE target, and its parameter-gradient and loss partials. Shards only ever
+// write their own buffers, so the fan-out is race-free and deterministic.
 type trainShard struct {
 	lo, hi int
-
-	hcPre, hc, ho, dhc        *mat.Matrix // rows×E (ho doubles as the MSE gradient)
-	qp, dQp                   *mat.Matrix // rows×dk
-	s, ds                     *mat.Matrix // rows×M
-	att, logits, gLogit, gAtt *mat.Matrix // rows×C
+	rowPass
+	ho *mat.Matrix // rows×E: the MSE target, then ∂MSE/∂hc
 
 	gWc, gWq, gWf *mat.Matrix // parameter-gradient partials
 	gBc, gBf      []float64
@@ -412,14 +453,11 @@ func (r *trainRun) ensureShards(B int) []*trainShard {
 	for i := range shards {
 		lo := i * trainShardRows
 		hi := min(lo+trainShardRows, B)
-		b := hi - lo
 		shards[i] = &trainShard{
 			lo: lo, hi: hi,
-			hcPre: mat.New(b, E), hc: mat.New(b, E), ho: mat.New(b, E), dhc: mat.New(b, E),
-			qp: mat.New(b, dk), dQp: mat.New(b, dk),
-			s: mat.New(b, M), ds: mat.New(b, M),
-			att: mat.New(b, C), logits: mat.New(b, C), gLogit: mat.New(b, C), gAtt: mat.New(b, C),
-			gWc: mat.New(N, E), gWq: mat.New(E, dk), gWf: mat.New(C, C),
+			rowPass: r.m.newRowPass(hi - lo),
+			ho:      mat.New(hi-lo, E),
+			gWc:     mat.New(N, E), gWq: mat.New(E, dk), gWf: mat.New(C, C),
 			gBc: make([]float64, E), gBf: make([]float64, C),
 			gDKp: mat.New(M, dk),
 		}
@@ -429,15 +467,17 @@ func (r *trainRun) ensureShards(B int) []*trainShard {
 }
 
 // shardedStep computes the full CALLOC training gradient for one batch —
-// identical math to Model.trainStep — with the batch-row work fanned out over
-// fixed-size row shards through mat.ShardRows:
+// CE + λ·MSE(H^C, H^O) — with the batch-row work fanned out over fixed-size
+// row shards through mat.ShardRows:
 //
 //  1. The stochastic realisations (dropout mask, Gaussian noise) are drawn
-//     sequentially from the model rng, in the same order the layer path
-//     draws them, so sharding never perturbs the random stream.
+//     sequentially from the model rng, element by element over the whole
+//     batch, so sharding never perturbs the random stream.
 //  2. The memory branch (eval-mode key embeddings and their projection) is
-//     computed once per step and shared read-only across shards.
-//  3. Each shard runs forward+backward for its rows into its own buffers.
+//     computed once per weight version and shared read-only across shards;
+//     in a full-batch epoch the FGSM crafting before the step computed it.
+//  3. Each shard runs the row pipeline forward and backward for its rows
+//     into its own buffers.
 //  4. Shard partials reduce into the parameter gradients in shard-index
 //     order; the memory-branch backward (which sums over memory rows, not
 //     batch rows) runs once on the reduced key-projection gradient.
@@ -474,24 +514,7 @@ func (r *trainRun) shardedStep(xc, xo *mat.Matrix, labels []int) float64 {
 	}
 
 	// 2. Memory branch forward (eval mode), shared read-only across shards.
-	wo, bo := m.denseO.W, m.denseO.B
-	M := m.memX.Rows
-	if r.memPre == nil {
-		r.memPre = mat.New(M, E)
-		r.memKeys = mat.New(M, E)
-		r.kp = mat.New(M, cfg.AttnDim)
-		r.dKp = mat.New(M, cfg.AttnDim)
-	}
-	mat.MulInto(r.memPre, m.memX, wo.W)
-	r.memPre.AddRowVector(bo.W.Data)
-	for i, v := range r.memPre.Data {
-		if v > 0 {
-			r.memKeys.Data[i] = v
-		} else {
-			r.memKeys.Data[i] = 0
-		}
-	}
-	mat.MulInto(r.kp, r.memKeys, m.attn.Wk.W)
+	r.refreshMemory()
 
 	// 3. Row shards: forward+backward into per-shard buffers.
 	shards := r.ensureShards(B)
@@ -512,7 +535,7 @@ func (r *trainRun) shardedStep(xc, xo *mat.Matrix, labels []int) float64 {
 		mse += sh.mse
 		wc.G.AddInPlace(sh.gWc)
 		addVec(bc.G.Data, sh.gBc)
-		m.attn.Wq.G.AddInPlace(sh.gWq)
+		m.wq.G.AddInPlace(sh.gWq)
 		wf.G.AddInPlace(sh.gWf)
 		addVec(bf.G.Data, sh.gBf)
 		r.dKp.AddInPlace(sh.gDKp)
@@ -521,16 +544,12 @@ func (r *trainRun) shardedStep(xc, xo *mat.Matrix, labels []int) float64 {
 	// Memory-branch backward, once per step: Kp = memKeys·Wk, so
 	// Wk.G += memKeysᵀ·dKp and the gradient flows through the eval-mode
 	// ReLU into the original-branch embedding weights.
-	wk := m.attn.Wk
+	wk, wo, bo := m.wk, m.denseO.W, m.denseO.B
 	gwk := mat.TMulInto(mat.GetScratch(E, cfg.AttnDim), r.memKeys, r.dKp)
 	wk.G.AddInPlace(gwk)
 	mat.PutScratch(gwk)
-	dmem := mat.MulTInto(mat.GetScratch(M, E), r.dKp, wk.W)
-	for i, v := range r.memPre.Data {
-		if v <= 0 {
-			dmem.Data[i] = 0
-		}
-	}
+	dmem := mat.MulTInto(mat.GetScratch(m.memX.Rows, E), r.dKp, wk.W)
+	reluMask(dmem, r.memPre)
 	gwo := mat.TMulInto(mat.GetScratch(cfg.NumAPs, E), m.memX, dmem)
 	wo.G.AddInPlace(gwo)
 	mat.PutScratch(gwo)
@@ -542,35 +561,23 @@ func (r *trainRun) shardedStep(xc, xo *mat.Matrix, labels []int) float64 {
 	return ce + cfg.HyperspaceLambda*mse
 }
 
-// runShard computes rows [sh.lo, sh.hi) of the batch: both embedding
-// branches, attention over the shared projected memory keys, the classifier,
-// the combined CE + λ·MSE loss, and the backward pass, accumulating
+// runShard computes rows [sh.lo, sh.hi) of the batch: the row pipeline's
+// forward and CE backward, plus the λ-weighted MSE pull of H^C toward the
+// augmented original hyperspace of the clean rows, accumulating
 // parameter-gradient partials into the shard's own buffers.
 func (r *trainRun) runShard(sh *trainShard, xc, xo *mat.Matrix, labels []int, hasDrop, hasNoise bool) {
 	m := r.m
 	cfg := m.Cfg
-	B := xc.Rows
-	E, dk := cfg.EmbedDim, cfg.AttnDim
-	n := sh.hi - sh.lo
-	xcS := mat.FromSlice(n, xc.Cols, xc.Data[sh.lo*xc.Cols:sh.hi*xc.Cols])
-	xoS := mat.FromSlice(n, xo.Cols, xo.Data[sh.lo*xo.Cols:sh.hi*xo.Cols])
-	lab := labels[sh.lo:sh.hi]
-
-	// Curriculum branch: hc = relu(xc·Wc + bc); keep the pre-activation for
-	// the ReLU backward.
-	mat.MulInto(sh.hcPre, xcS, m.denseC.W.W)
-	sh.hcPre.AddRowVector(m.denseC.B.W.Data)
-	for i, v := range sh.hcPre.Data {
-		if v > 0 {
-			sh.hc.Data[i] = v
-		} else {
-			sh.hc.Data[i] = 0
-		}
-	}
+	B, E := xc.Rows, cfg.EmbedDim
+	xcS := rowsOf(xc, sh.lo, sh.hi)
+	m.forward(&sh.rowPass, xcS, r.kp)
 
 	// MSE target: the dropout/noise-augmented original hyperspace of the
-	// clean rows (stop-gradient, as in trainStep).
-	mat.MulInto(sh.ho, xoS, m.denseO.W.W)
+	// clean rows, treated as a constant (stop-gradient) — the usual
+	// consistency-regularisation form. Letting the λ·MSE gradient also drive
+	// the original branch would make both embeddings chase the dropout/noise
+	// realisations and stall training.
+	mat.MulInto(sh.ho, rowsOf(xo, sh.lo, sh.hi), m.denseO.W.W)
 	sh.ho.AddRowVector(m.denseO.B.W.Data)
 	base := sh.lo * E
 	for i, v := range sh.ho.Data {
@@ -593,57 +600,18 @@ func (r *trainRun) runShard(sh *trainShard, xc, xo *mat.Matrix, labels []int, ha
 		sh.ho.Data[i] = 2 * d * invN // sh.ho now holds ∂MSE/∂hc
 	}
 	sh.mse = mse
+	sh.ce = m.backwardCE(&sh.rowPass, labels[sh.lo:sh.hi], B, r.kp)
 
-	// Attention and classifier forward.
-	scale := 1 / math.Sqrt(float64(dk))
-	mat.MulInto(sh.qp, sh.hc, m.attn.Wq.W)
-	mat.MulTInto(sh.s, sh.qp, r.kp)
-	sh.s.ScaleInPlace(scale)
-	for i := 0; i < n; i++ {
-		mat.SoftmaxRow(sh.s.Row(i), sh.s.Row(i))
-	}
-	mat.MulInto(sh.att, sh.s, m.memV)
-	mat.MulInto(sh.logits, sh.att, m.denseF.W.W)
-	sh.logits.AddRowVector(m.denseF.B.W.Data)
-
-	// Cross-entropy with the full-batch normaliser.
-	invB := 1 / float64(B)
-	var ce float64
-	for i := 0; i < n; i++ {
-		row := sh.logits.Row(i)
-		y := lab[i]
-		lse := mat.LogSumExp(row)
-		ce += (lse - row[y]) * invB
-		g := sh.gLogit.Row(i)
-		for j, v := range row {
-			g[j] = math.Exp(v-lse) * invB
-		}
-		g[y] -= invB
-	}
-	sh.ce = ce
-
-	// Classifier backward.
+	// Parameter partials of the classifier and the attention projections.
 	mat.TMulInto(sh.gWf, sh.att, sh.gLogit)
 	colSums(sh.gBf, sh.gLogit)
-	mat.MulTInto(sh.gAtt, sh.gLogit, m.denseF.W.W)
-
-	// Attention backward (V constant).
-	mat.MulTInto(sh.ds, sh.gAtt, m.memV)
-	nn.SoftmaxRowsBackward(sh.s, sh.ds)
-	sh.ds.ScaleInPlace(scale)
-	mat.MulInto(sh.dQp, sh.ds, r.kp)
 	mat.TMulInto(sh.gDKp, sh.ds, sh.qp)
 	mat.TMulInto(sh.gWq, sh.hc, sh.dQp)
-	mat.MulTInto(sh.dhc, sh.dQp, m.attn.Wq.W)
 
 	// Query branch: attention gradient plus the λ-weighted MSE pull, masked
 	// through the ReLU into the embedding weight partials.
 	sh.dhc.AddScaledInPlace(sh.ho, cfg.HyperspaceLambda)
-	for i, v := range sh.hcPre.Data {
-		if v <= 0 {
-			sh.dhc.Data[i] = 0
-		}
-	}
+	reluMask(sh.dhc, sh.hcPre)
 	mat.TMulInto(sh.gWc, xcS, sh.dhc)
 	colSums(sh.gBc, sh.dhc)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"calloc/internal/curriculum"
@@ -10,64 +8,6 @@ import (
 	"calloc/internal/mat"
 	"calloc/internal/nn"
 )
-
-// TestShardedStepMatchesTrainStep: the hand-rolled sharded gradient step must
-// reproduce the nn-layer reference step — loss and every parameter gradient —
-// with the full stochastic path enabled (dropout, noise, λ·MSE). Both models
-// are built identically, so their rng streams align and the only permitted
-// difference is floating-point reordering from the shard-partial reduction.
-func TestShardedStepMatchesTrainStep(t *testing.T) {
-	ds := testDataset(t)
-	cfg := smallConfig(ds)
-	build := func() *Model {
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetMemory(ds.Train); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	a, b := build(), build()
-
-	xo := fingerprint.X(ds.Train)
-	labels := fingerprint.Labels(ds.Train)
-	rng := rand.New(rand.NewSource(3))
-	xc := xo.Clone()
-	for i := range xc.Data {
-		xc.Data[i] = mat.Clamp(xc.Data[i]+rng.NormFloat64()*0.05, 0, 1)
-	}
-
-	lossA := a.trainStep(xc, xo, labels)
-	gradsA := make(map[string][]float64)
-	for _, p := range a.Params() {
-		gradsA[p.Name] = append([]float64(nil), p.G.Data...)
-	}
-
-	r, err := b.newTrainRun(ds.Train, DefaultTrainConfig(), curriculum.DefaultSchedule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossB := r.shardedStep(xc, xo, labels)
-
-	if rel := math.Abs(lossA-lossB) / math.Max(1, math.Abs(lossA)); rel > 1e-12 {
-		t.Fatalf("loss mismatch: reference %.15g vs sharded %.15g", lossA, lossB)
-	}
-	if len(r.shardSets[xc.Rows]) < 2 {
-		t.Fatalf("test dataset too small to exercise multi-shard reduction: %d shards", len(r.shardSets[xc.Rows]))
-	}
-	for _, p := range b.Params() {
-		want := gradsA[p.Name]
-		for i, g := range p.G.Data {
-			diff := math.Abs(g - want[i])
-			scale := math.Max(1e-6, math.Max(math.Abs(g), math.Abs(want[i])))
-			if diff/scale > 1e-9 {
-				t.Fatalf("%s[%d]: sharded grad %.15g vs reference %.15g", p.Name, i, g, want[i])
-			}
-		}
-	}
-}
 
 // trainWeights trains a fresh small model and returns its flattened weights.
 func trainWeights(t *testing.T, ds *fingerprint.Dataset, mutate func(*TrainConfig)) [][]float64 {
@@ -336,14 +276,14 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	if err := m.SetMemory(ds.Train); err != nil {
 		t.Fatal(err)
 	}
-	xo := fingerprint.X(ds.Train)
-	labels := fingerprint.Labels(ds.Train)
-	opt := nn.NewAdam(0.01)
-	for i := 0; i < 3; i++ {
-		m.trainStep(xo, xo, labels)
-		opt.Step(m.Params())
+	r, err := m.newTrainRun(ds.Train, DefaultTrainConfig(), curriculum.DefaultSchedule())
+	if err != nil {
+		t.Fatal(err)
 	}
-	state := opt.State(m.Params())
+	for i := 0; i < 3; i++ {
+		r.miniBatchStep(r.xo, r.xo, r.labels)
+	}
+	state := r.opt.State(m.Params())
 
 	restored := nn.NewAdam(0.999) // wrong LR, replaced by the state
 	if err := restored.SetState(state, m.Params()); err != nil {

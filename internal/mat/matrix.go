@@ -106,16 +106,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Hadamard returns the element-wise product a∘b as a new matrix.
-func Hadamard(a, b *Matrix) *Matrix {
-	sameShape(a, b, "Hadamard")
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace adds b into m.
 func (m *Matrix) AddInPlace(b *Matrix) {
 	sameShape(m, b, "AddInPlace")

@@ -8,11 +8,11 @@ import (
 	"calloc/internal/mat"
 )
 
-// softmaxRowsBackward computes the gradient through a row-wise softmax in
+// SoftmaxRowsBackward computes the gradient through a row-wise softmax in
 // place: given s = softmax(z) and dL/ds, it overwrites ds with dL/dz where
 // dz_i = s_i·(ds_i − Σ_j ds_j·s_j), and returns ds. In-place is safe because
 // each row's dot product is fully reduced before the row is rewritten.
-func softmaxRowsBackward(s, ds *mat.Matrix) *mat.Matrix {
+func SoftmaxRowsBackward(s, ds *mat.Matrix) *mat.Matrix {
 	for i := 0; i < s.Rows; i++ {
 		srow, dsrow := s.Row(i), ds.Row(i)
 		var dot float64
@@ -25,87 +25,6 @@ func softmaxRowsBackward(s, ds *mat.Matrix) *mat.Matrix {
 	}
 	return ds
 }
-
-// SoftmaxRowsBackward is the exported softmax gradient used by the sharded
-// trainer in internal/core, which hand-rolls the attention backward pass over
-// row shards; see softmaxRowsBackward.
-func SoftmaxRowsBackward(s, ds *mat.Matrix) *mat.Matrix { return softmaxRowsBackward(s, ds) }
-
-// CrossAttention is the scaled dot-product attention at the centre of CALLOC
-// (paper §IV.C): Attention(Q, K, V) = softmax(QKᵀ/√d_k)·V, where Q is the
-// projected curriculum hyperspace H^C of the batch, K is the projected
-// original-data hyperspace H^O of a memory set of reference fingerprints, and
-// V holds the (constant) one-hot RP labels of that memory set. The output is
-// therefore a label-space mixture weighted by hyperspace similarity — a
-// differentiable soft-KNN over the fingerprint database.
-type CrossAttention struct {
-	Wq, Wk *Param
-	DK     int
-
-	// caches for Backward
-	lastQ, lastK   *mat.Matrix // raw inputs (B×d, M×d)
-	lastQp, lastKp *mat.Matrix // projected (B×dk, M×dk)
-	lastS          *mat.Matrix // attention weights (B×M)
-	lastV          *mat.Matrix // value matrix (M×C), constant
-}
-
-// NewCrossAttention creates query/key projections from embedding dimension d
-// to attention dimension dk.
-func NewCrossAttention(name string, d, dk int, rng *rand.Rand) *CrossAttention {
-	ca := &CrossAttention{
-		Wq: NewParam(name+".Wq", d, dk),
-		Wk: NewParam(name+".Wk", d, dk),
-		DK: dk,
-	}
-	ca.Wq.XavierInit(rng)
-	ca.Wk.XavierInit(rng)
-	return ca
-}
-
-// Forward computes softmax(q·Wq·(k·Wk)ᵀ/√dk)·v.
-// q is B×d (queries), k is M×d (memory keys), v is M×C (memory values).
-func (ca *CrossAttention) Forward(q, k, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || k.Cols != ca.Wk.W.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d k%dx%d vs W %dx%d",
-			q.Rows, q.Cols, k.Rows, k.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if k.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", k.Rows, v.Rows))
-	}
-	ca.lastQ, ca.lastK, ca.lastV = q, k, v
-	ca.lastQp = mat.Mul(q, ca.Wq.W)
-	ca.lastKp = mat.Mul(k, ca.Wk.W)
-	scores := mat.MulT(ca.lastQp, ca.lastKp)
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	ca.lastS = mat.Softmax(scores)
-	return mat.Mul(ca.lastS, v)
-}
-
-// Backward takes dL/d(output) (B×C) and returns (dL/dq, dL/dk). Parameter
-// gradients accumulate into Wq.G and Wk.G. V is treated as constant.
-func (ca *CrossAttention) Backward(gradOut *mat.Matrix) (dq, dk *mat.Matrix) {
-	// dS = dOut·Vᵀ, turned into dZ in place by the softmax backward.
-	dZ := mat.MulTInto(mat.GetScratch(gradOut.Rows, ca.lastV.Rows), gradOut, ca.lastV)
-	softmaxRowsBackward(ca.lastS, dZ)
-	dZ.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	// Z = Qp·Kpᵀ ⇒ dQp = dZ·Kp, dKp = dZᵀ·Qp.
-	dQp := mat.MulInto(mat.GetScratch(dZ.Rows, ca.DK), dZ, ca.lastKp)
-	dKp := mat.TMulInto(mat.GetScratch(dZ.Cols, ca.DK), dZ, ca.lastQp)
-	gw := mat.TMulInto(mat.GetScratch(ca.Wq.W.Rows, ca.Wq.W.Cols), ca.lastQ, dQp)
-	ca.Wq.G.AddInPlace(gw)
-	mat.TMulInto(gw, ca.lastK, dKp)
-	ca.Wk.G.AddInPlace(gw)
-	mat.PutScratch(gw)
-	dq = mat.MulT(dQp, ca.Wq.W)
-	dk = mat.MulT(dKp, ca.Wk.W)
-	mat.PutScratch(dQp)
-	mat.PutScratch(dKp)
-	mat.PutScratch(dZ)
-	return dq, dk
-}
-
-// Params returns the projection weights.
-func (ca *CrossAttention) Params() []*Param { return []*Param{ca.Wq, ca.Wk} }
 
 // MultiHeadSelfAttention implements the ANVIL-style multi-head attention
 // block [17]. The flat input row (length Tokens·Dim) is interpreted as Tokens
@@ -219,7 +138,7 @@ func (m *MultiHeadSelfAttention) Backward(gradOut *mat.Matrix) *mat.Matrix {
 			// Oh = S·V.
 			dS := mat.MulT(dOh, vh)
 			dVh := mat.TMul(sh, dOh)
-			dZ := softmaxRowsBackward(sh, dS)
+			dZ := SoftmaxRowsBackward(sh, dS)
 			dZ.ScaleInPlace(scale)
 			// Z = Q·Kᵀ.
 			dQh := mat.Mul(dZ, kh)

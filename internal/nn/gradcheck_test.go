@@ -120,52 +120,6 @@ func TestMSEGradient(t *testing.T) {
 	}
 }
 
-// TestCrossAttentionGradients verifies the CALLOC attention backward pass
-// (projections, query input, and key input) against finite differences.
-func TestCrossAttentionGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	const d, dk, bsz, mem, classes = 5, 4, 3, 6, 4
-	ca := NewCrossAttention("att", d, dk, rng)
-	q := mat.New(bsz, d)
-	k := mat.New(mem, d)
-	for i := range q.Data {
-		q.Data[i] = rng.NormFloat64()
-	}
-	for i := range k.Data {
-		k.Data[i] = rng.NormFloat64()
-	}
-	v := OneHot([]int{0, 1, 2, 3, 0, 1}, classes)
-	labels := []int{0, 1, 2}
-
-	lossFn := func() float64 {
-		out := ca.Forward(q, k, v)
-		l, _ := SoftmaxCrossEntropy(out, labels)
-		return l
-	}
-
-	out := ca.Forward(q, k, v)
-	_, g := SoftmaxCrossEntropy(out, labels)
-	for _, p := range ca.Params() {
-		p.ZeroGrad()
-	}
-	dq, dkIn := ca.Backward(g)
-
-	for _, p := range ca.Params() {
-		for _, idx := range []int{0, len(p.W.Data) - 1} {
-			numeric := numericalGrad(&p.W.Data[idx], lossFn)
-			checkGrad(t, p.Name, p.G.Data[idx], numeric)
-		}
-	}
-	for _, idx := range []int{0, 7, 14} {
-		numeric := numericalGrad(&q.Data[idx], lossFn)
-		checkGrad(t, "q-input", dq.Data[idx], numeric)
-	}
-	for _, idx := range []int{0, 13, 29} {
-		numeric := numericalGrad(&k.Data[idx], lossFn)
-		checkGrad(t, "k-input", dkIn.Data[idx], numeric)
-	}
-}
-
 // TestMultiHeadSelfAttentionGradients verifies the ANVIL attention block's
 // backward pass against finite differences.
 func TestMultiHeadSelfAttentionGradients(t *testing.T) {

@@ -65,13 +65,7 @@ func (d *Dense) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 }
 
 // Backward accumulates ∂L/∂W and ∂L/∂b and returns ∂L/∂x.
-func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix { return d.BackwardInto(gradOut, nil) }
-
-// BackwardInto is Backward with the input gradient written into dst instead
-// of a fresh matrix (nil dst allocates). Parameter gradients accumulate as in
-// Backward. It lets gradient consumers that run every epoch — FGSM crafting,
-// the sharded trainer — reuse one destination across calls.
-func (d *Dense) BackwardInto(gradOut, dst *mat.Matrix) *mat.Matrix {
+func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	gw := mat.TMulInto(mat.GetScratch(d.W.W.Rows, d.W.W.Cols), d.lastX, gradOut)
 	d.W.G.AddInPlace(gw)
 	mat.PutScratch(gw)
@@ -80,7 +74,7 @@ func (d *Dense) BackwardInto(gradOut, dst *mat.Matrix) *mat.Matrix {
 			d.B.G.Data[j] += v
 		}
 	}
-	return mat.MulTInto(dst, gradOut, d.W.W)
+	return mat.MulT(gradOut, d.W.W)
 }
 
 // Params returns the layer's weight and bias.
@@ -96,19 +90,11 @@ func (r *ReLU) Forward(x *mat.Matrix, _ bool) *mat.Matrix {
 }
 
 // Backward zeroes the gradient where the input was non-positive.
-func (r *ReLU) Backward(gradOut *mat.Matrix) *mat.Matrix { return r.BackwardInto(gradOut, nil) }
-
-// BackwardInto is Backward with the masked gradient written into dst (nil
-// allocates); dst may alias gradOut for an in-place mask.
-func (r *ReLU) BackwardInto(gradOut, dst *mat.Matrix) *mat.Matrix {
-	if dst == nil {
-		dst = mat.New(gradOut.Rows, gradOut.Cols)
-	}
+func (r *ReLU) Backward(gradOut *mat.Matrix) *mat.Matrix {
+	dst := mat.New(gradOut.Rows, gradOut.Cols)
 	for i, v := range r.lastX.Data {
 		if v > 0 {
 			dst.Data[i] = gradOut.Data[i]
-		} else {
-			dst.Data[i] = 0
 		}
 	}
 	return dst
@@ -161,79 +147,3 @@ func (s *Sigmoid) Backward(gradOut *mat.Matrix) *mat.Matrix {
 
 // Params returns nil: Sigmoid is stateless.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-// Dropout implements inverted dropout: at train time each activation is
-// dropped with probability Rate and survivors are scaled by 1/(1−Rate); at
-// eval time it is the identity. CALLOC uses Rate 0.2 in the original-data
-// embedding network (paper §V.A).
-type Dropout struct {
-	Rate float64
-	rng  *rand.Rand
-	mask *mat.Matrix
-}
-
-// NewDropout creates a dropout layer with the given drop probability.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// Forward drops activations at train time and is the identity at eval time.
-func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	if !train || d.Rate <= 0 {
-		d.mask = nil
-		return x
-	}
-	keep := 1 - d.Rate
-	d.mask = mat.New(x.Rows, x.Cols)
-	out := mat.New(x.Rows, x.Cols)
-	inv := 1 / keep
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			d.mask.Data[i] = inv
-			out.Data[i] = v * inv
-		}
-	}
-	return out
-}
-
-// Backward applies the same mask to the gradient.
-func (d *Dropout) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	if d.mask == nil {
-		return gradOut
-	}
-	return mat.Hadamard(gradOut, d.mask)
-}
-
-// Params returns nil: Dropout is stateless.
-func (d *Dropout) Params() []*Param { return nil }
-
-// GaussianNoise adds N(0, Sigma²) noise at train time and is the identity at
-// eval time. CALLOC uses Sigma 0.32 in the original-data embedding network to
-// simulate environmental and device variation (paper §IV.B, §V.A).
-type GaussianNoise struct {
-	Sigma float64
-	rng   *rand.Rand
-}
-
-// NewGaussianNoise creates the noise layer with standard deviation sigma.
-func NewGaussianNoise(sigma float64, rng *rand.Rand) *GaussianNoise {
-	return &GaussianNoise{Sigma: sigma, rng: rng}
-}
-
-// Forward adds noise when training.
-func (g *GaussianNoise) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	if !train || g.Sigma <= 0 {
-		return x
-	}
-	out := mat.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = v + g.rng.NormFloat64()*g.Sigma
-	}
-	return out
-}
-
-// Backward passes the gradient through unchanged (noise is additive).
-func (g *GaussianNoise) Backward(gradOut *mat.Matrix) *mat.Matrix { return gradOut }
-
-// Params returns nil: GaussianNoise is stateless.
-func (g *GaussianNoise) Params() []*Param { return nil }
