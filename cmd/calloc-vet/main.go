@@ -1,8 +1,7 @@
-// Command calloc-vet is the repo's vet suite: five project-specific
-// analyzers that turn the serving stack's hand-maintained invariants — pool
-// Get/Put ownership (poolcheck), atomics discipline (atomiccheck), mutex
-// release and ordering (lockcheck), goroutine lifecycle ties (lifecycle), and
-// request-path context propagation (ctxcheck) — into build failures.
+// Command calloc-vet is the repo's vet tool: one project-specific analyzer,
+// poolcheck, that turns the serving stack's sync.Pool ownership rules (a
+// pooled value reaches Put on every path, goes back reset and at zero
+// length, and is not used after Put) into build failures.
 //
 // Run it through the go command:
 //
@@ -18,20 +17,10 @@
 package main
 
 import (
-	"calloc/internal/analysis/atomiccheck"
-	"calloc/internal/analysis/ctxcheck"
-	"calloc/internal/analysis/lifecycle"
-	"calloc/internal/analysis/lockcheck"
 	"calloc/internal/analysis/poolcheck"
 	"calloc/internal/analysis/unit"
 )
 
 func main() {
-	unit.Main(
-		poolcheck.Analyzer,
-		atomiccheck.Analyzer,
-		lockcheck.Analyzer,
-		lifecycle.Analyzer,
-		ctxcheck.Analyzer,
-	)
+	unit.Main(poolcheck.Analyzer)
 }

@@ -1,5 +1,5 @@
 // Package analysistest is the golden-file test harness for the calloc-vet
-// analyzers — a miniature of golang.org/x/tools/go/analysis/analysistest.
+// analyzer — a miniature of golang.org/x/tools/go/analysis/analysistest.
 //
 // A fixture package lives under <testdata>/src/<pkg>/ as ordinary Go files.
 // Lines that should trigger a diagnostic carry a trailing comment of the
@@ -44,25 +44,15 @@ type expectation struct {
 // the `// want` comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	RunAnalyzers(t, testdata, []*analysis.Analyzer{a}, pkgs...)
-}
-
-// RunAnalyzers executes several analyzers over each fixture package and pools
-// their diagnostics against the want comments — for fixtures shared between
-// analyzers, where only the union of their reports satisfies the
-// expectations.
-func RunAnalyzers(t *testing.T, testdata string, as []*analysis.Analyzer, pkgs ...string) {
-	t.Helper()
 	for _, pkg := range pkgs {
-		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
 			t.Helper()
-			runOne(t, filepath.Join(testdata, "src", pkg), as)
+			runOne(t, filepath.Join(testdata, "src", pkg), a)
 		})
 	}
 }
 
-func runOne(t *testing.T, dir string, as []*analysis.Analyzer) {
+func runOne(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(dir)
@@ -104,18 +94,16 @@ func runOne(t *testing.T, dir string, as []*analysis.Analyzer) {
 	wants := collectWants(t, fset, files)
 
 	var diags []analysis.Diagnostic
-	for _, a := range as {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("analyzer %s error: %v", a.Name, err)
-		}
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     files,
+		Pkg:       pkg,
+		TypesInfo: info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+	}
+	if _, err := a.Run(pass); err != nil {
+		t.Fatalf("analyzer %s error: %v", a.Name, err)
 	}
 
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })

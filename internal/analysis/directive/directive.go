@@ -1,6 +1,6 @@
 // Package directive parses the repo's `//calloc:` source annotations — the
 // vocabulary through which code declares its allocation and ownership
-// contracts to the calloc-vet analyzers and to scripts/escapecheck.sh:
+// contracts to poolcheck and to scripts/escapecheck.sh:
 //
 //	//calloc:noalloc
 //	    On a function's doc comment: the function is part of the zero-
@@ -22,32 +22,6 @@
 //	    caller, enqueued into a lane, abandoned to the GC on cancel), so
 //	    poolcheck must not demand a Put on every path. Requires a reason.
 //
-//	//calloc:nonatomic <reason>
-//	    On (or immediately above) a plain access to a field that is
-//	    accessed atomically elsewhere in the package: the access is
-//	    deliberately non-atomic (pre-publication initialisation, access
-//	    under the lock that also orders the atomics). Requires a reason.
-//
-//	//calloc:detached <reason>
-//	    On (or immediately above) a `go` statement: the goroutine is
-//	    deliberately fire-and-forget — nothing joins it on shutdown. The
-//	    lifecycle analyzer otherwise requires every goroutine to be tied to
-//	    a WaitGroup, a stop/done channel, or an owner's Close. Requires a
-//	    reason.
-//
-//	//calloc:holdok <reason>
-//	    On (or immediately above) a potentially-blocking operation executed
-//	    while a lock is held: the blocking-under-lock is deliberate (the
-//	    engine's enqueue holds the send-side read lock across a blocking
-//	    send — that IS the close-ordering protocol). Requires a reason.
-//
-//	//calloc:bgctx <reason>
-//	    On (or immediately above) a context.Background()/TODO() call in a
-//	    request-path package (serve, cluster, node, wire): the detach from
-//	    the caller's context is deliberate (the coalescer's upstream batch
-//	    call must not die with any single waiter's context). Requires a
-//	    reason.
-//
 // A directive written on its own line applies to the next source line, so
 // both trailing and preceding placement work.
 package directive
@@ -64,13 +38,9 @@ const Prefix = "//calloc:"
 
 // Directive names.
 const (
-	NoAlloc   = "noalloc"
-	Allow     = "allow"
-	Handoff   = "handoff"
-	NonAtomic = "nonatomic"
-	Detached  = "detached"
-	HoldOK    = "holdok"
-	BgCtx     = "bgctx"
+	NoAlloc = "noalloc"
+	Allow   = "allow"
+	Handoff = "handoff"
 )
 
 // Known maps every recognised directive name to whether it must carry a
@@ -78,13 +48,9 @@ const (
 // finding and owe the reader an explanation. `calloc-vet -directives` exits
 // non-zero on a reason-less waiver or a name missing from this map.
 var Known = map[string]bool{
-	NoAlloc:   false,
-	Allow:     true,
-	Handoff:   true,
-	NonAtomic: true,
-	Detached:  true,
-	HoldOK:    true,
-	BgCtx:     true,
+	NoAlloc: false,
+	Allow:   true,
+	Handoff: true,
 }
 
 // Directive is one parsed `//calloc:name reason` annotation.

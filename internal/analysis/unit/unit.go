@@ -1,5 +1,5 @@
 // Package unit implements the `go vet -vettool` protocol for the calloc
-// analyzers — a dependency-free miniature of
+// analyzer — a dependency-free miniature of
 // golang.org/x/tools/go/analysis/unitchecker.
 //
 // The go command drives a vettool in three modes:
@@ -75,7 +75,7 @@ type config struct {
 }
 
 // Main is the entry point for cmd/calloc-vet.
-func Main(analyzers ...*analysis.Analyzer) {
+func Main(a *analysis.Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
@@ -85,10 +85,6 @@ func Main(analyzers ...*analysis.Analyzer) {
 		return
 	}
 
-	enabled := make(map[string]*bool)
-	for _, a := range analyzers {
-		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)
-	}
 	jsonFlag := flag.Bool("json", false, "emit JSON diagnostics")
 	flagsFlag := flag.Bool("flags", false, "print flags in JSON (go vet protocol)")
 	rangesFlag := flag.Bool("ranges", false, "print //calloc:noalloc function ranges and //calloc:allow lines for escapecheck.sh")
@@ -118,13 +114,7 @@ func Main(analyzers ...*analysis.Analyzer) {
 		if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 			log.Fatalf(`invoke via the go command: go vet -vettool=%s ./...`, progname)
 		}
-		var live []*analysis.Analyzer
-		for _, a := range analyzers {
-			if *enabled[a.Name] {
-				live = append(live, a)
-			}
-		}
-		os.Exit(runUnit(args[0], live, *jsonFlag))
+		os.Exit(runUnit(args[0], a, *jsonFlag))
 	}
 }
 
@@ -171,7 +161,7 @@ func printFlags() {
 }
 
 // runUnit checks one package unit; returns the process exit code.
-func runUnit(cfgFile string, analyzers []*analysis.Analyzer, asJSON bool) int {
+func runUnit(cfgFile string, a *analysis.Analyzer, asJSON bool) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		log.Fatal(err)
@@ -181,7 +171,7 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer, asJSON bool) int {
 		log.Fatalf("cannot decode JSON config file %s: %v", cfgFile, err)
 	}
 	// The go command expects the facts output file regardless; the calloc
-	// analyzers keep no cross-package facts, so it is always empty.
+	// analyzer keeps no cross-package facts, so it is always empty.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			log.Fatal(err)
@@ -239,45 +229,32 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer, asJSON bool) int {
 		log.Fatalf("typecheck %s: %v", cfg.ImportPath, err)
 	}
 
-	type finding struct {
-		analyzer string
-		diag     analysis.Diagnostic
+	var diags []analysis.Diagnostic
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     files,
+		Pkg:       pkg,
+		TypesInfo: info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	var findings []finding
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report: func(d analysis.Diagnostic) {
-				findings = append(findings, finding{a.Name, d})
-			},
-		}
-		if _, err := a.Run(pass); err != nil {
-			log.Fatalf("%s: %v", a.Name, err)
-		}
+	if _, err := a.Run(pass); err != nil {
+		log.Fatalf("%s: %v", a.Name, err)
 	}
-	if len(findings) == 0 {
+	if len(diags) == 0 {
 		return 0
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		return findings[i].diag.Pos < findings[j].diag.Pos
-	})
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	if asJSON {
 		type jsonDiag struct {
 			Posn    string `json:"posn"`
 			Message string `json:"message"`
 		}
-		byAnalyzer := make(map[string][]jsonDiag)
-		for _, f := range findings {
-			byAnalyzer[f.analyzer] = append(byAnalyzer[f.analyzer], jsonDiag{
-				Posn:    fset.Position(f.diag.Pos).String(),
-				Message: f.diag.Message,
-			})
+		var list []jsonDiag
+		for _, d := range diags {
+			list = append(list, jsonDiag{Posn: fset.Position(d.Pos).String(), Message: d.Message})
 		}
-		out := map[string]map[string][]jsonDiag{cfg.ImportPath: byAnalyzer}
+		out := map[string]map[string][]jsonDiag{cfg.ImportPath: {a.Name: list}}
 		data, err := json.MarshalIndent(out, "", "\t")
 		if err != nil {
 			log.Fatal(err)
@@ -286,8 +263,8 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer, asJSON bool) int {
 		fmt.Println()
 		return 0
 	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(f.diag.Pos), f.diag.Message)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
 	return 2
 }

@@ -155,7 +155,6 @@ func (c *coalescer) dispatch(batch []*coalesceWaiter) {
 	// The upstream call is bounded by the client's Timeout, not by any one
 	// waiter's context: a single canceled client must not abort the rows of
 	// everyone else in the window.
-	//calloc:bgctx the coalesced upstream call is bounded by the client's Timeout; one canceled waiter must not abort everyone else's rows
 	resp, err := c.r.do(context.Background(), c.name, http.MethodPost, "/v1/localize/batch", buf)
 	batchBufPool.Put(buf[:0])
 	if err != nil {
@@ -225,7 +224,8 @@ func (c *coalescer) singles(batch []*coalesceWaiter) {
 		wg.Add(1)
 		go func(w *coalesceWaiter) {
 			defer wg.Done()
-			//calloc:bgctx the flushed single call is bounded by the client's Timeout; the waiter already detached when it entered the window
+			// Bounded by the client's Timeout: the waiter already detached
+			// from its own context when it entered the window.
 			resp, err := c.r.do(context.Background(), c.name, http.MethodPost, "/v1/localize", w.body)
 			if err != nil {
 				c.fail(w, err)

@@ -73,7 +73,8 @@ func (p *Prober) Start() {
 	if !p.started.CompareAndSwap(false, true) {
 		return
 	}
-	//calloc:bgctx the probe loop outlives any request; each probe is bounded by the prober's own per-probe timeout
+	// The probes outlive any request, so they take no caller's context: each
+	// is bounded by the prober's client timeout.
 	p.ProbeOnce(context.Background())
 	go func() {
 		defer close(p.done)
@@ -84,7 +85,6 @@ func (p *Prober) Start() {
 			case <-p.stop:
 				return
 			case <-ticker.C:
-				//calloc:bgctx the probe loop outlives any request; each probe is bounded by the prober's own per-probe timeout
 				p.ProbeOnce(context.Background())
 			}
 		}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -377,6 +379,81 @@ func TestProberHealthTransitions(t *testing.T) {
 	if !strings.Contains(joined, "unhealthy") || !strings.Contains(joined, "healthy again") {
 		t.Fatalf("missing health-transition logs:\n%s", joined)
 	}
+}
+
+// TestProberCloseWaitsForLoop holds one of the probe loop's /healthz calls
+// in flight and closes the prober: Close must not return before the loop
+// has exited.
+func TestProberCloseWaitsForLoop(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if calls.Add(1) == 2 { // the first probe is Start's own; the second is the loop's
+			close(entered)
+			<-release
+		}
+		fmt.Fprintln(w, "ok")
+	}))
+	defer srv.Close()
+	p := NewProber(map[string]string{"a": srv.URL}, time.Millisecond, nil, nil)
+	p.Start()
+	<-entered
+
+	closed := make(chan bool)
+	go func() {
+		p.Close()
+		select {
+		case <-p.done:
+			closed <- true
+		default:
+			closed <- false
+		}
+	}()
+	var exited bool
+	select {
+	case exited = <-closed:
+		close(release)
+	case <-time.After(100 * time.Millisecond):
+		close(release) // Close is waiting for the probe, as it should
+		exited = <-closed
+	}
+	if !exited {
+		t.Fatal("Prober.Close returned while its probe loop was still running")
+	}
+}
+
+// TestRouterProxyCancelsUpstream cancels a client's request while the
+// router forwards it: the shard's handler must see its request context end.
+func TestRouterProxyCancelsUpstream(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	entered, canceled := make(chan struct{}), make(chan bool, 1)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // the server watches for a hang-up only once the body is read
+		close(entered)
+		select {
+		case <-r.Context().Done():
+			canceled <- true
+		case <-time.After(5 * time.Second):
+			canceled <- false
+		}
+	}))
+	defer shard.Close()
+	r := newTestRouter(t, staticTwoShards(t, shard.URL, shard.URL), RouterOptions{Retries: -1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/localize", strings.NewReader(`{"rss":[1,2],"floor":0}`))
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	<-entered
+	cancel()
+	if !<-canceled {
+		t.Error("the shard's request context outlived the client's cancel by 5s")
+	}
+	<-served
 }
 
 // Satellite: hammer the router with routed traffic under -race while one

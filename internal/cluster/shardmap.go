@@ -119,10 +119,17 @@ type HashMap struct {
 // within a few percent of evenly.
 const DefaultHashReplicas = 128
 
+// MaxHashReplicas bounds the virtual points per node: the ring hashes and
+// stores nodes×replicas points when it is built.
+const MaxHashReplicas = 1024
+
 // NewHashMap builds a consistent-hash assigner over the named nodes.
 func NewHashMap(nodes map[string]string, replicas int) (*HashMap, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: hash map has no nodes")
+	}
+	if replicas > MaxHashReplicas {
+		return nil, fmt.Errorf("cluster: %d hash replicas per node, above the limit of %d", replicas, MaxHashReplicas)
 	}
 	if replicas <= 0 {
 		replicas = DefaultHashReplicas
@@ -195,7 +202,7 @@ type File struct {
 	// Assign maps "building/floor" keys to node names (static strategy).
 	Assign map[string]string `json:"assign,omitempty"`
 	// Replicas is the virtual points per node (hash strategy; default
-	// DefaultHashReplicas).
+	// DefaultHashReplicas, at most MaxHashReplicas).
 	Replicas int `json:"replicas,omitempty"`
 }
 
@@ -212,11 +219,16 @@ func (f File) Build() (Assigner, error) {
 	switch strategy {
 	case "static":
 		assign := make(map[ShardKey]string, len(f.Assign))
+		spelling := make(map[ShardKey]string, len(f.Assign))
 		for ks, name := range f.Assign {
 			k, err := ParseShardKey(ks)
 			if err != nil {
 				return nil, err
 			}
+			if prev, ok := spelling[k]; ok {
+				return nil, fmt.Errorf("cluster: shard keys %q and %q both name %s", prev, ks, k)
+			}
+			spelling[k] = ks
 			assign[k] = name
 		}
 		return NewStaticMap(f.Nodes, assign)

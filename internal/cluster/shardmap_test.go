@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -135,6 +136,10 @@ func TestFileBuildHash(t *testing.T) {
 	if _, ok := a.(*HashMap); !ok {
 		t.Fatalf("no assign table should default to hash, got %T", a)
 	}
+	f.Replicas = MaxHashReplicas
+	if _, err := f.Build(); err != nil {
+		t.Fatalf("MaxHashReplicas rejected: %v", err)
+	}
 }
 
 func TestFileBuildErrors(t *testing.T) {
@@ -149,4 +154,67 @@ func TestFileBuildErrors(t *testing.T) {
 	if _, err := f.Build(); err == nil {
 		t.Fatal("bad shard key in assign table accepted")
 	}
+	// The bound is checked before the ring is built, so this allocates
+	// nothing.
+	f = File{Strategy: "hash", Nodes: map[string]string{"a": "http://a"}, Replicas: 100_000_000}
+	if _, err := f.Build(); err == nil {
+		t.Fatal("10^8 replicas per node accepted")
+	}
+}
+
+// Two spellings of one key would otherwise leave its owner to map
+// iteration order.
+func TestFileBuildRejectsDuplicateKey(t *testing.T) {
+	f, err := ParseFile([]byte(`{"nodes": {"a": "http://a", "b": "http://b"}, "assign": {"77/0": "a", " 77/00": "b"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Build()
+	if err == nil {
+		t.Fatal("two spellings of 77/0 accepted")
+	}
+	for _, ks := range []string{`"77/0"`, `" 77/00"`} {
+		if !strings.Contains(err.Error(), ks) {
+			t.Errorf("error %q does not name %s", err, ks)
+		}
+	}
+}
+
+// FuzzShardMapFile builds whatever shard-map file parses, and checks that
+// the assigner it builds answers for every key the file names.
+func FuzzShardMapFile(f *testing.F) {
+	f.Add([]byte(`{"nodes": {"node-a": "http://10.0.0.1:8080", "node-b": "http://10.0.0.2:8080"}, "assign": {"77/0": "node-a", "77/1": "node-b"}}`))
+	f.Add([]byte(`{"strategy": "hash", "nodes": {"a": "http://a", "b": "http://b"}, "replicas": 3}`))
+	f.Add([]byte(`{"nodes": {"a": "http://a", "b": "http://b"}, "assign": {"77/0": "a", " 77/00": "b"}}`))
+	f.Add([]byte(`{"strategy": "hash", "nodes": {"a": "http://a"}, "replicas": 100000000}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := ParseFile(data)
+		if err != nil {
+			return
+		}
+		a, err := file.Build()
+		if err != nil {
+			return
+		}
+		nodes := a.Nodes()
+		if len(nodes) == 0 {
+			t.Fatal("built an assigner with no nodes")
+		}
+		if _, ok := a.(*HashMap); ok {
+			name, _ := a.Owner(ShardKey{77, 0})
+			if _, ok := nodes[name]; !ok {
+				t.Fatalf("hash ring gives 77/0 to %q, not a member", name)
+			}
+			return
+		}
+		for ks, name := range file.Assign {
+			k, _ := ParseShardKey(ks)
+			if got, ok := a.Owner(k); !ok || got != name {
+				t.Fatalf("%q is assigned to %q, Owner(%s) = %q, %v", ks, name, k, got, ok)
+			}
+			if _, ok := nodes[name]; !ok {
+				t.Fatalf("%q is owned by %q, not a member", ks, name)
+			}
+		}
+	})
 }

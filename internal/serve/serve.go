@@ -333,7 +333,7 @@ type Result struct {
 // enqueueing; a call that enqueued before Close began is always answered.
 func (e *Engine) Localize(ctx context.Context, key localizer.Key, rss []float64) (Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //calloc:bgctx nil ctx is documented to mean Background: the caller explicitly opted out of cancellation
+		ctx = context.Background() // nil opts out of cancellation, as documented
 	}
 	l, err := e.lane(key, false)
 	if err != nil {
@@ -395,7 +395,8 @@ func (e *Engine) enqueue(ctx context.Context, l *lane, r *request, rows int64) e
 	default:
 		// Lane queue full: count the backpressure event, then wait for space.
 		e.fullWaits.Add(1)
-		//calloc:holdok blocking under sendMu.RLock IS the close-ordering protocol: Close's write lock waits until every enqueued request is in its lane
+		// Blocking under sendMu.RLock is the close-ordering protocol: Close's
+		// write lock waits until every enqueued request is in its lane.
 		select {
 		case l.reqs <- r:
 		case <-ctx.Done():
@@ -425,7 +426,7 @@ func (e *Engine) enqueue(ctx context.Context, l *lane, r *request, rows int64) e
 // batch was enqueued or answered.
 func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]float64) ([]Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //calloc:bgctx nil ctx is documented to mean Background: the caller explicitly opted out of cancellation
+		ctx = context.Background() // nil opts out of cancellation, as documented
 	}
 	out := make([]Result, len(rss))
 	if len(rss) == 0 {
@@ -514,7 +515,7 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 // evidence.
 func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, rss [][]float64) ([]Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //calloc:bgctx nil ctx is documented to mean Background: the caller explicitly opted out of cancellation
+		ctx = context.Background() // nil opts out of cancellation, as documented
 	}
 	out := make([]Result, len(rss))
 	if len(rss) == 0 {

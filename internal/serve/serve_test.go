@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -858,6 +859,138 @@ func TestRouteMisroute(t *testing.T) {
 	st := e.Stats()
 	if st.Misroutes != 1 {
 		t.Fatalf("Misroutes = %d, want 1 (%+v)", st.Misroutes, st)
+	}
+}
+
+// TestMisroutesCountedWhileStatsRead counts misroutes from several callers
+// while another goroutine reads Stats in a loop. The misroute counter is
+// written on the callers' goroutines, so under -race a plain read of it in
+// Stats is reported here.
+func TestMisroutesCountedWhileStatsRead(t *testing.T) {
+	reg := localizer.NewRegistry()
+	if _, err := reg.Register(localizer.FloorKey(3), &scripted{name: "floor", features: 2, classes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Register(localizer.Key{Building: 3, Floor: 0, Backend: "pos"}, &scripted{name: "pos", features: 2, classes: 4}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const callers, perCaller = 4, 200
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Stats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				if _, err := e.Route(nil, 3, "pos", []float64{echo(5), .9}); !errors.Is(err, ErrMisroute) {
+					t.Errorf("route to unregistered floor 5 = %v, want ErrMisroute", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	if st := e.Stats(); st.Misroutes != callers*perCaller {
+		t.Fatalf("Misroutes = %d, want %d", st.Misroutes, callers*perCaller)
+	}
+}
+
+// TestConcurrentFirstLaneCallsRelease makes several first calls of
+// Engine.lane for one key at once: all of them miss the read-locked lookup,
+// so all but one find the lane in the write-locked re-check. Every path out
+// of lane must release laneMu, so the calls and a later one return.
+func TestConcurrentFirstLaneCallsRelease(t *testing.T) {
+	reg, key := reg1(&scripted{name: "s", features: 2, classes: 4})
+	e, err := New(reg, Options{MaxBatch: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the write lock until every caller waits in the read-locked
+	// lookup: one Unlock then admits them all to it before any creates the
+	// lane.
+	const callers = 4
+	e.laneMu.Lock()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.lane(key, false); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	waitForStacks(t, callers, "(*Engine).lane", "(*RWMutex).RLock")
+	e.laneMu.Unlock()
+
+	later := make(chan struct{})
+	go func() {
+		<-done
+		e.lane(key, false)
+		close(later)
+	}()
+	select {
+	case <-later:
+	case <-time.After(5 * time.Second):
+		// Close is skipped: the engine's lanes may be wedged behind laneMu.
+		t.Fatal("lane calls still blocked after 5s: a path out of Engine.lane kept laneMu locked")
+	}
+	if st := e.Stats(); st.Lanes != 1 {
+		t.Fatalf("Lanes = %d, want 1", st.Lanes)
+	}
+	e.Close()
+}
+
+// waitForStacks waits until n goroutines have every one of frames on their
+// stacks.
+func waitForStacks(t *testing.T, n int, frames ...string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			all := true
+			for _, f := range frames {
+				all = all && strings.Contains(g, f)
+			}
+			if all {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d goroutines reached %v", got, n, frames)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -7,13 +7,16 @@
 # directory, applies the patch there, and runs every gate; a gate catches
 # the patch when it fails. The columns:
 #
-#   poolcheck atomiccheck lockcheck lifecycle ctxcheck
-#            calloc-vet with only that analyzer enabled, on the touched packages
+#   poolcheck calloc-vet (poolcheck is its one analyzer) on the touched
+#            packages
 #   vet      go vet on the touched packages
 #   escape   scripts/escapecheck.sh: escape analysis of the //calloc:noalloc
 #            set, plus the allocation tests (go test -run Alloc ./...)
 #   test     go test -short on the touched packages
 #   race     go test -short -race on the touched packages
+#
+# The test and race columns include the targeted tests written for single
+# patches (DESIGN.md "Which gate owns which property").
 #
 # Every test run has a -timeout, so a hang counts as a catch. The unpatched
 # tree is scored first and must pass every gate. Prints a markdown table:
@@ -25,8 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 repo=$(pwd)
 regress=internal/analysis/testdata/regress
-analyzers="poolcheck atomiccheck lockcheck lifecycle ctxcheck"
-gates="$analyzers vet escape test race"
+gates="poolcheck vet escape test race"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -48,13 +50,7 @@ gate() {
 	escape) CALLOC_VET="$tmp/calloc-vet" sh "$dir/scripts/escapecheck.sh" ;;
 	test) go -C "$dir" test -count=1 -short -timeout 180s "$@" ;;
 	race) go -C "$dir" test -count=1 -short -race -timeout 300s "$@" ;;
-	*)
-		off=
-		for a in $analyzers; do
-			[ "$a" = "$g" ] || off="$off -$a=false"
-		done
-		go -C "$dir" vet -vettool="$tmp/calloc-vet" $off "$@"
-		;;
+	poolcheck) go -C "$dir" vet -vettool="$tmp/calloc-vet" "$@" ;;
 	esac
 }
 
