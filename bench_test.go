@@ -729,83 +729,6 @@ func BenchmarkCraftFGSM(b *testing.B) {
 	})
 }
 
-// BenchmarkShadowDispatch measures what the A/B shadow lane costs the
-// routed serving path at paper shapes: ab_off is the plain hierarchical
-// Route (the PR 4 RoutingDispatch/routed baseline), ab_on_no_candidate adds
-// the per-request candidate lookup with nothing staged (the steady-state
-// cost when no deployment is in flight), and ab_on_shadow_8 additionally
-// duplicates every 8th request through the staged candidate's shadow lane.
-// The acceptance bound is on the non-shadowed path: ab_off and
-// ab_on_no_candidate must stay within 5% of the PR 4 baseline.
-func BenchmarkShadowDispatch(b *testing.B) {
-	const building = 1
-	features := core.PaperConfig().NumAPs
-	m := paperShapeModel(b, 512)
-	qs := randQueries(64, features)
-
-	build := func(b *testing.B, abFraction int, stage bool) *serve.Engine {
-		b.Helper()
-		reg := localizer.NewRegistry()
-		fc := localizer.Wrap("floor", features, 2, nil, func(dst []int, x *mat.Matrix) []int {
-			if dst == nil {
-				dst = make([]int, x.Rows)
-			}
-			for i := 0; i < x.Rows; i++ {
-				dst[i] = 0
-				if x.Row(i)[0] > 0.5 {
-					dst[i] = 1
-				}
-			}
-			return dst
-		})
-		if _, err := reg.Register(localizer.FloorKey(building), fc); err != nil {
-			b.Fatal(err)
-		}
-		for floor := 0; floor < 2; floor++ {
-			key := localizer.Key{Building: building, Floor: floor, Backend: "calloc"}
-			if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
-				b.Fatal(err)
-			}
-			if stage {
-				// The candidate shares the model: shadow rows cost one more
-				// batched predict, which is exactly the overhead to measure.
-				if _, err := reg.Stage(key, localizer.FromCore("CAND", m)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		engine, err := serve.New(reg, serve.Options{MaxBatch: 8, ABFraction: abFraction})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return engine
-	}
-
-	run := func(name string, abFraction int, stage bool) {
-		b.Run(name, func(b *testing.B) {
-			engine := build(b, abFraction, stage)
-			defer engine.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Route(nil, building, "calloc", qs[i%len(qs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-			b.StopTimer()
-			if stage {
-				st := engine.Stats()
-				b.ReportMetric(float64(st.ShadowRows), "shadow_rows")
-			}
-		})
-	}
-
-	run("ab_off", 0, false)
-	run("ab_on_no_candidate", 8, false)
-	run("ab_on_shadow_8", 8, true)
-}
-
 // BenchmarkRouterHop measures the fleet router's per-hop cost: one
 // /v1/localize POST against a node's HTTP surface directly vs the same
 // request through a cluster.Router front door backed by that node. Both

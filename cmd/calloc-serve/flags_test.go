@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -20,26 +21,15 @@ func baseFlags() serveFlags {
 		backends: "calloc,knn,bayes",
 		addr:     ":0",
 		node: node.Config{
-			Engine:  serve.Options{MaxBatch: 32, ABFraction: 8},
+			Engine:  serve.Options{MaxBatch: 32},
 			Trainer: train.Policy{MinFeedback: 16, Interval: time.Second},
 		},
 	}
 }
 
-// The backend, precision and shadow-fraction rules live in node.Config.Validate
-// (TestConfigValidate); the next three tests pin only that each flag reaches
-// the config validate checks, before any dataset loads.
-
-// Regression: a negative -ab-fraction used to silently disable the shadow
-// lane (the promotion gate then never saw exposure) instead of failing.
-func TestValidateRejectsNegativeABFraction(t *testing.T) {
-	f := baseFlags()
-	f.node.Engine.ABFraction = -1
-	err := f.validate()
-	if err == nil || !strings.Contains(err.Error(), "ABFraction") {
-		t.Fatalf("want ABFraction error, got %v", err)
-	}
-}
+// The backend and precision rules live in node.Config.Validate
+// (TestConfigValidate); the next tests pin only that each flag reaches the
+// config validate checks, before any dataset loads.
 
 // Regression: an unknown -backends entry used to surface only after the
 // preceding backends had quick-trained — minutes into startup.
@@ -150,7 +140,7 @@ func TestValidateRouterCoalesceFlags(t *testing.T) {
 }
 
 // Regression: router mode used to accept every node flag and ignore it, so
-// "-router -min-agreement 1.5" started a router as if the flag were valid.
+// "-router -min-delta 1.5" started a router as if the flag were valid.
 // Each one is rejected before the shard map is opened.
 func TestValidateRouterRejectsNodeFlags(t *testing.T) {
 	ok := []string{"-router", "-shards", "missing.json", "-data", "f0.gob,f1.gob", "-floors", "2,3",
@@ -160,8 +150,8 @@ func TestValidateRouterRejectsNodeFlags(t *testing.T) {
 		t.Fatalf("router flags rejected: %v", err)
 	}
 	for _, extra := range [][]string{
-		{"-min-agreement", "1.5"}, {"-weights", "a.model"}, {"-backends", "knn"},
-		{"-max-batch", "8"}, {"-train-epochs", "3"}, {"-no-trainer"}, {"-ab-fraction", "2"},
+		{"-min-delta", "1.5"}, {"-weights", "a.model"}, {"-backends", "knn"},
+		{"-max-batch", "8"}, {"-train-epochs", "3"}, {"-no-trainer"}, {"-promote-streak", "2"},
 	} {
 		f := parseFlags(t, append(append([]string(nil), ok...), extra...)...)
 		if err := f.validate(); err == nil || !strings.Contains(err.Error(), "node mode only") {
@@ -200,8 +190,7 @@ func TestEveryFlagReachesItsConfig(t *testing.T) {
 		"floors": "2,3", "train-epochs": "4", "precision": "int8", "addr": ":9",
 		"max-batch": "7", "workers": "3", "queue": "11", "no-trainer": "true",
 		"feedback-min": "5", "trainer-interval": "3s", "finetune-epochs": "9",
-		"finetune-lr": "0.25", "ab-fraction": "0", "min-delta": "0.125",
-		"stage-after": "4", "promote-after": "0", "min-agreement": "0.75",
+		"finetune-lr": "0.25", "min-delta": "0.125", "promote-streak": "4",
 		"regret-window": "0", "regret-delta": "0.0625", "router": "true",
 		"shards": "s.json", "probe-interval": "-1s", "retries": "3",
 		"router-batch": "16", "router-wait": "5ms",
@@ -236,11 +225,11 @@ func TestEveryFlagReachesItsConfig(t *testing.T) {
 		Floors:      []int{2, 3},
 		TrainEpochs: 4,
 		Precision:   "int8",
-		Engine:      serve.Options{MaxBatch: 7, Workers: 3, QueueCap: 11, ABFraction: 0},
+		Engine:      serve.Options{MaxBatch: 7, Workers: 3, QueueCap: 11},
 		Trainer: train.Policy{
 			MinFeedback: 5, Interval: 3 * time.Second, EpochsPerLesson: 9,
-			LearningRate: 0.25, MinDelta: 0.125, StageAfter: 4, PromoteAfter: 0,
-			MinAgreement: 0.75, RegretWindow: 0, RegretDelta: 0.0625,
+			LearningRate: 0.25, MinDelta: 0.125, PromoteStreak: 4,
+			RegretWindow: 0, RegretDelta: 0.0625,
 		},
 		DisableTrainer: true,
 	}
@@ -262,8 +251,7 @@ func TestFlagDefaults(t *testing.T) {
 	want := node.Config{
 		TrainEpochs: 10,
 		Precision:   "float64",
-		Engine:      serve.Options{ABFraction: 8},
-		Trainer:     train.Policy{PromoteAfter: 32, RegretWindow: 3},
+		Trainer:     train.Policy{RegretWindow: 3},
 	}
 	if !reflect.DeepEqual(f.node, want) {
 		t.Errorf("node config\n got %+v\nwant %+v", f.node, want)
@@ -276,12 +264,27 @@ func TestFlagDefaults(t *testing.T) {
 	}
 }
 
-// An agreement floor above 1 can never be met, so it used to disable
+// A non-finite -min-delta never wins a round, so it used to disable
 // promotion silently. It must fail at flag validation; the -data file does
 // not exist, so an error about it would mean a dataset load was tried.
-func TestValidateRejectsUnreachableAgreement(t *testing.T) {
-	f := parseFlags(t, "-data", filepath.Join(t.TempDir(), "missing.gob"), "-min-agreement", "1.5")
-	if err := f.validate(); err == nil || !strings.Contains(err.Error(), "MinAgreement") {
-		t.Fatalf("want MinAgreement error, got %v", err)
+func TestValidateRejectsNonFiniteMinDelta(t *testing.T) {
+	f := parseFlags(t, "-data", filepath.Join(t.TempDir(), "missing.gob"), "-min-delta", "NaN")
+	if err := f.validate(); err == nil || !strings.Contains(err.Error(), "MinDelta") {
+		t.Fatalf("want MinDelta error, got %v", err)
+	}
+}
+
+// The shadow-arm flags are gone, and -stage-after was renamed
+// -promote-streak: each must fail as unknown rather than be accepted with a
+// silently different meaning.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	for _, name := range []string{"ab-fraction", "promote-after", "min-agreement", "stage-after"} {
+		var f serveFlags
+		fs := flag.NewFlagSet("calloc-serve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f.register(fs)
+		if err := fs.Parse([]string{"-" + name, "1"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("-%s: want an unknown-flag error, got %v", name, err)
+		}
 	}
 }

@@ -22,11 +22,10 @@
 // Router mode (-router -shards shards.json): the process owns no models. It
 // proxies /v1/localize and /v1/feedback to the shard owning the request's
 // {building, floor} (resolving floor-less localizes through a classifier
-// fitted from -data when given), forwards /v1/swap and /v1/ab/{promote,
-// abort} checkpoint pushes and overrides to the owner — so each shard's
-// stage → shadow → promote gate keeps running per-node — and merges
-// /v1/models, /v1/stats, /v1/ab, and /v1/trainer across every member into a
-// fleet-wide view. /v1/shards reports membership and health.
+// fitted from -data when given), forwards /v1/swap checkpoint pushes to the
+// owner — so each shard's holdout gate and regret window keep running
+// per-node — and merges /v1/models, /v1/stats and /v1/trainer across every
+// member into a fleet-wide view. /v1/shards reports membership and health.
 //
 //	calloc-serve -router -shards shards.json -addr :8080
 //	calloc-serve -router -shards shards.json -data f0.gob,f1.gob   # + floor resolver
@@ -41,10 +40,8 @@
 //	GET  /v1/trainer                                          -> per-floor fine-tune loop counters
 //	POST /v1/swap {"backend": "calloc", "floor": 0, "weights": "<base64>"}
 //	                                                          -> hot-swap a new CALLOC weight version
-//	POST /v1/swap {..., "stage": true}                        -> stage the weights into the A/B candidate lane instead
-//	GET  /v1/ab                                               -> per-key A/B lane status: candidate, shadow counters, gate state
-//	POST /v1/ab/promote {"floor": 0}                          -> force-promote the staged candidate (regret window still applies)
-//	POST /v1/ab/abort   {"floor": 0}                          -> withdraw the staged candidate
+//	POST /v1/swap {..., "stage": true}                        -> gated push: live only if it beats the incumbent on the
+//	                                                             trainer's holdout (then the regret window applies)
 //	GET  /v1/stats                                            -> engine throughput/latency counters (incl. uptime + per-key load)
 //	GET  /healthz                                             -> 200 ok
 //
@@ -98,11 +95,8 @@ func (f *serveFlags) register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.node.Trainer.Interval, "trainer-interval", 0, "fine-tune loop poll cadence (0 = 2s)")
 	fs.IntVar(&f.node.Trainer.EpochsPerLesson, "finetune-epochs", 0, "epochs per lesson of the fine-tune curriculum (0 = 6)")
 	fs.Float64Var(&f.node.Trainer.LearningRate, "finetune-lr", 0, "learning rate each fine-tune round restarts at (0 = 0.005)")
-	fs.IntVar(&f.node.Engine.ABFraction, "ab-fraction", 8, "shadow every Nth routed request through the staged A/B candidate (0 disables the shadow lane)")
 	fs.Float64Var(&f.node.Trainer.MinDelta, "min-delta", 0, "holdout improvement a fine-tune round must clear to count as a win")
-	fs.IntVar(&f.node.Trainer.StageAfter, "stage-after", 0, "consecutive winning rounds before the candidate is staged into the A/B lane (0 = 1)")
-	fs.Int64Var(&f.node.Trainer.PromoteAfter, "promote-after", 32, "live shadow rows a staged candidate must score before promotion (needs -ab-fraction > 0)")
-	fs.Float64Var(&f.node.Trainer.MinAgreement, "min-agreement", 0, "minimum candidate-vs-live agreement over the shadow sample to promote, in [0, 1] (0 disables)")
+	fs.IntVar(&f.node.Trainer.PromoteStreak, "promote-streak", 0, "consecutive winning rounds before the candidate goes live (0 = 1)")
 	fs.IntVar(&f.node.Trainer.RegretWindow, "regret-window", 3, "post-promotion trainer ticks that re-validate the promoted model (0 disables rollback-on-regret)")
 	fs.Float64Var(&f.node.Trainer.RegretDelta, "regret-delta", 0, "tolerated holdout regression before a promoted model rolls back")
 	fs.BoolVar(&f.router, "router", false, "run as the fleet router instead of a serving node (requires -shards)")

@@ -13,8 +13,8 @@ import (
 	"calloc/internal/node"
 )
 
-// validate catches flag misconfigurations at startup — an unknown backend,
-// a negative shadow fraction, or mismatched per-floor file counts used to
+// validate catches flag misconfigurations at startup — an unknown backend, a
+// non-finite trainer knob, or mismatched per-floor file counts used to
 // surface as a late error (after minutes of quick-training) or a panic. It
 // checks here only what a node.Config cannot see, then runs node.Config's
 // own rules on the config buildNode would build, before any dataset loads.

@@ -129,11 +129,10 @@ func fleetLiveVersion(t testing.TB, client *http.Client, routerURL string, floor
 // router fleet where node A owns floor 0 and node B owns floor 1 of the same
 // building. Floor-less localize traffic is routed by the router's fleet-wide
 // floor resolver; feedback through the router fine-tunes node A's model,
-// which is staged, earns shadow exposure from the routed traffic, and is
-// promoted by node A's own gate — all observed through the router's merged
-// views. A /v1/swap{stage:true} through the router reaches the owning shard,
-// so the per-node promotion machinery keeps working in a fleet. Runs under
-// -race in the -short suite.
+// which node A's own holdout gate promotes — all observed through the
+// router's merged views. A gated /v1/swap{stage:true} through the router
+// reaches the owning shard's trainer, so the per-node promotion machinery
+// keeps working in a fleet. Runs under -race in the -short suite.
 func TestFleetEndToEnd(t *testing.T) {
 	datasets := fleetFloors(t)
 	building := datasets[0].BuildingID
@@ -143,16 +142,12 @@ func TestFleetEndToEnd(t *testing.T) {
 			Backends:    []string{"calloc"},
 			Floors:      []int{floor},
 			WeightBlobs: [][]byte{fleetUntrainedWeights(t, ds)},
-			Engine: serve.Options{
-				MaxBatch: 8, Workers: 2, ABFraction: 2,
-			},
+			Engine:      serve.Options{MaxBatch: 8, Workers: 2},
 			Trainer: train.Policy{
 				MinFeedback:     4,
 				Interval:        25 * time.Millisecond,
 				EpochsPerLesson: 8,
 				LearningRate:    0.02,
-				StageAfter:      1,
-				PromoteAfter:    8,
 				RegretWindow:    2,
 			},
 			Logf: t.Logf,
@@ -206,7 +201,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	// Floor-less routed traffic through the router, drawn from both floors'
 	// online queries: the router resolves each fingerprint's floor and the
 	// owning shard serves it (the forwarded body stays floor-less, so the
-	// shard's own Route path — and its shadow A/B sampling — handles it).
+	// shard's own Route path handles it).
 	stopTraffic := make(chan struct{})
 	var trafficWg sync.WaitGroup
 	defer func() {
@@ -259,93 +254,58 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	// Feedback through the router (explicit floor 0 → owning shard A) until
-	// node A's pipeline fine-tunes, stages, earns shadow exposure from the
-	// routed traffic, and promotes. Feedback pauses while a candidate is
-	// staged so the shadow gate promotes on live traffic alone.
+	// node A's pipeline fine-tunes and promotes.
 	ds0 := datasets[0]
 	fbIdx := 0
 	deadline := time.After(240 * time.Second)
 	for fleetLiveVersion(t, client, front.URL, 0, "a") < 2 {
-		staged := false
-		for _, e := range fleetMerged(t, client, front.URL+"/v1/ab") {
-			if e["node"] == "a" && entryKeyMatches(e, 0) {
-				if cv, ok := e["candidate_version"].(float64); ok && cv > 0 {
-					staged = true
-				}
-			}
-		}
-		if !staged {
-			for i := 0; i < 8; i++ {
-				s := ds0.Train[fbIdx%len(ds0.Train)]
-				fbIdx++
-				status, body := fleetPost(t, client, front.URL+"/v1/feedback",
-					map[string]any{"rss": s.RSS, "rp": s.RP, "floor": 0})
-				if status != http.StatusOK {
-					t.Fatalf("routed /v1/feedback status %d (%v)", status, body)
-				}
+		for i := 0; i < 8; i++ {
+			s := ds0.Train[fbIdx%len(ds0.Train)]
+			fbIdx++
+			status, body := fleetPost(t, client, front.URL+"/v1/feedback",
+				map[string]any{"rss": s.RSS, "rp": s.RP, "floor": 0})
+			if status != http.StatusOK {
+				t.Fatalf("routed /v1/feedback status %d (%v)", status, body)
 			}
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("no promotion observed through the router; merged /v1/ab: %+v",
-				fleetMerged(t, client, front.URL+"/v1/ab"))
+			t.Fatal("no promotion observed through the router")
 		case <-time.After(25 * time.Millisecond):
 		}
 	}
 
-	// The merged A/B view must carry node A's shadow evidence for the
-	// promotion, annotated with the owning node.
-	sawEvidence := false
-	for _, e := range fleetMerged(t, client, front.URL+"/v1/ab") {
-		if e["node"] != "a" || !entryKeyMatches(e, 0) {
-			continue
-		}
-		shadow, _ := e["shadow"].(map[string]any)
-		gate, _ := e["gate"].(map[string]any)
-		if shadow == nil || gate == nil {
-			t.Fatalf("merged /v1/ab entry missing shadow/gate evidence: %v", e)
-		}
-		if rows, _ := shadow["shadow_rows"].(float64); rows < 8 {
-			t.Fatalf("promotion without the required shadow exposure: %v", shadow)
-		}
-		if swaps, _ := gate["swaps"].(float64); swaps < 1 {
-			t.Fatalf("gate stats missing the promotion: %v", gate)
-		}
-		sawEvidence = true
+	// The merged trainer view carries node A's promotion under its node name.
+	resp, err := client.Get(front.URL + "/v1/trainer")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawEvidence {
-		t.Fatal("node A's A/B lane missing from the merged /v1/ab view")
+	var trainers map[string]map[string]train.Stats
+	err = json.NewDecoder(resp.Body).Decode(&trainers)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := trainers["a"]["floor_0"]; st.Swaps < 1 {
+		t.Fatalf("merged /v1/trainer missing node A's promotion: %+v", trainers)
 	}
 
-	// Staging through the router reaches the OWNING shard: /v1/swap with
-	// floor 1 + stage lands on node B, whose own promotion gate picks the
-	// candidate up — per-node promotion keeps working in a fleet.
+	// A gated push through the router reaches the OWNING shard's trainer:
+	// untrained weights tie node B's untrained incumbent, so the holdout
+	// gate keeps the live version.
 	status, body := fleetPost(t, client, front.URL+"/v1/swap", map[string]any{
 		"floor": 1, "stage": true,
 		"weights": base64.StdEncoding.EncodeToString(fleetUntrainedWeights(t, datasets[1])),
 	})
-	if status != http.StatusOK || body["candidate_version"] == nil {
-		t.Fatalf("routed stage failed: %d %v", status, body)
+	if status != http.StatusOK || body["swapped"] != false || body["incumbent"] == nil {
+		t.Fatalf("routed gated push = %d %v", status, body)
 	}
-	stagedOnB := false
-	for _, e := range fleetMerged(t, client, front.URL+"/v1/ab") {
-		if e["node"] == "b" && entryKeyMatches(e, 1) {
-			if cv, ok := e["candidate_version"].(float64); ok && cv > 0 {
-				stagedOnB = true
-			}
-		}
-	}
-	if !stagedOnB {
-		t.Fatalf("staged candidate not visible on node B in merged /v1/ab: %+v",
-			fleetMerged(t, client, front.URL+"/v1/ab"))
-	}
-	if status, _ := fleetPost(t, client, front.URL+"/v1/ab/abort",
-		map[string]any{"floor": 1}); status != http.StatusOK {
-		t.Fatalf("routed abort failed: %d", status)
+	if v := fleetLiveVersion(t, client, front.URL, 1, "b"); v != 1 {
+		t.Fatalf("losing gated push moved node B to version %d", v)
 	}
 
 	// The fleet stats view reports both shards healthy with their load.
-	resp, err := client.Get(front.URL + "/v1/stats")
+	resp, err = client.Get(front.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 var ErrShardDown = errors.New("cluster: shard down")
 
 // maxBodyBytes bounds proxied request bodies; fingerprints are a few KB,
-// staged weight pushes a few MB.
+// weight pushes a few MB.
 const maxBodyBytes = 64 << 20
 
 // RouterOptions configures a Router.
@@ -42,8 +42,8 @@ type RouterOptions struct {
 	Retries int
 	// RetryDelay is the pause between attempts (default 25ms).
 	RetryDelay time.Duration
-	// Timeout bounds each proxy attempt (default 30s — staged weight pushes
-	// deserialise a full model on the shard).
+	// Timeout bounds each proxy attempt (default 30s — a weight push
+	// deserialises a full model, and a gated one scores it, on the shard).
 	Timeout time.Duration
 	// ProbeInterval is the membership/health probe cadence (default 2s;
 	// negative disables probing).
@@ -101,10 +101,9 @@ type shardCounters struct {
 
 // Router is the fleet front door: it owns no models, only the shard map, a
 // health prober, and one keep-alive HTTP client per fleet. Point requests
-// (/v1/localize, /v1/feedback, /v1/swap, /v1/ab/{promote,abort}) proxy to
-// the shard owning the request's {building, floor}; fleet views
-// (/v1/models, /v1/stats, /v1/ab, /v1/trainer) fan out to every member and
-// merge the responses.
+// (/v1/localize, /v1/feedback, /v1/swap) proxy to the shard owning the
+// request's {building, floor}; fleet views (/v1/models, /v1/stats,
+// /v1/trainer) fan out to every member and merge the responses.
 type Router struct {
 	m      Assigner
 	opts   RouterOptions
@@ -202,10 +201,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/localize", r.handleLocalize)
 	mux.HandleFunc("POST /v1/feedback", r.handleByFloor("/v1/feedback"))
 	mux.HandleFunc("POST /v1/swap", r.handleByFloor("/v1/swap"))
-	mux.HandleFunc("POST /v1/ab/promote", r.handleByFloor("/v1/ab/promote"))
-	mux.HandleFunc("POST /v1/ab/abort", r.handleByFloor("/v1/ab/abort"))
 	mux.HandleFunc("GET /v1/models", r.handleFanoutList("/v1/models"))
-	mux.HandleFunc("GET /v1/ab", r.handleFanoutList("/v1/ab"))
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/trainer", r.handleFanoutObject("/v1/trainer"))
 	mux.HandleFunc("GET /v1/shards", r.handleShards)
@@ -261,11 +257,10 @@ func (r *Router) decode(body []byte, q *wire.Query) error {
 // handleLocalize proxies one localization to the owning shard. The original
 // body is forwarded untouched: a floor-carrying request stays a direct
 // lookup on the shard, a floor-less one re-routes through the shard's own
-// floor classifier (or its single floor) — so per-shard routing, shadow A/B
-// sampling, and misroute accounting behave exactly as in a single-process
-// deployment. The router only needs the floor to pick the shard: explicit
-// floor if given, the Resolve hook next, the building's only known floor
-// last.
+// floor classifier (or its single floor) — so the shard's floor decision and
+// its misroute accounting behave exactly as in a single-process deployment.
+// The router needs the floor only to pick the shard: explicit floor if
+// given, the Resolve hook next, the building's only known floor last.
 //
 // With CoalesceBatch > 1 the request joins the shard's coalesce window
 // instead of proxying alone; see coalescer.
@@ -488,7 +483,7 @@ func (r *Router) fanout(ctx context.Context, path string) (map[string]json.RawMe
 	return bodies, errs
 }
 
-// handleFanoutList merges per-shard JSON lists (/v1/models, /v1/ab) into one
+// handleFanoutList merges per-shard JSON lists (/v1/models) into one
 // fleet-wide list: every element is annotated with the shard that reported
 // it, ordered by node name. Unreachable shards are reported alongside so a
 // partial view is never mistaken for the whole fleet.

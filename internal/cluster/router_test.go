@@ -110,7 +110,7 @@ func TestRouterProxiesToOwner(t *testing.T) {
 			t.Fatalf("floor %d served by %q, want %q", floor, resp.ServedBy, want)
 		}
 		// The original body must be forwarded: the shard sees the explicit
-		// floor and keeps its direct-lookup (non-shadow-sampled) path.
+		// floor and keeps its direct-lookup path.
 		if !resp.HadFloor {
 			t.Fatalf("floor %d: shard did not receive the explicit floor", floor)
 		}

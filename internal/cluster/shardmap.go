@@ -5,9 +5,9 @@
 // owning shard, fleet-wide views by fan-out-and-merge.
 //
 // Per-node state stays per-node on purpose: each shard runs its own
-// registry, engine, and promotion gate (stage → shadow → promote →
-// rollback), so a candidate earns exposure against the traffic it will
-// actually serve. The cluster layer only decides WHICH node owns a key and
+// registry, engine, and promotion gate (holdout win streak → SwapIf →
+// regret rollback), so a floor's model is judged on that floor's own
+// holdout. The cluster layer only decides WHICH node owns a key and
 // aggregates the observability surface.
 package cluster
 

@@ -22,19 +22,11 @@ type TrainConfig struct {
 	// budget (the adversarial-samples-without-curriculum design point is
 	// the separate AdvLoc baseline).
 	UseCurriculum bool
-	// EpochsPerLesson caps the training budget per lesson. A lesson can end
-	// earlier once its loss plateaus — §IV.D advances to the next lesson
-	// "once the training process successfully reduces loss".
+	// EpochsPerLesson is the training budget per lesson. Every lesson gets
+	// its full budget (unless MaxReverts abandons it): ending a lesson once
+	// its loss plateaus measurably hurt adversarial robustness at building
+	// scale.
 	EpochsPerLesson int
-	// PlateauPatience, when positive, ends a lesson early after that many
-	// epochs without smoothed-loss improvement. Zero disables early lesson
-	// exit (the default: every lesson gets its full epoch budget, which
-	// measurably improves adversarial robustness at building scale).
-	PlateauPatience int
-	// MinEpochsPerLesson is the minimum number of epochs before a plateau
-	// can end a lesson (0 selects the default 10; only meaningful with
-	// PlateauPatience > 0).
-	MinEpochsPerLesson int
 	// BatchSize splits every epoch's lesson data into shuffled mini-batches
 	// of this many rows with one optimizer step each. Zero (the default)
 	// selects full-batch epochs — the paper's regime, one step per epoch.
@@ -49,14 +41,6 @@ type TrainConfig struct {
 	MaxReverts int
 	// Seed drives adversarial AP selection and data shuffling.
 	Seed int64
-	// MinOriginalFraction floors the share of clean fingerprints in every
-	// lesson batch. The paper's final lesson nominally uses 100% attacked
-	// data; without a clean floor the model forgets the attack-free
-	// geometry it learned early (catastrophic forgetting), which hurts both
-	// clean accuracy and, through it, attacked accuracy. A floor of ~0.35
-	// preserves the curriculum's escalation while anchoring the clean task.
-	// Negative disables the floor; 0 selects the default 0.35.
-	MinOriginalFraction float64
 	// Resume continues training from a checkpoint instead of lesson 1: the
 	// checkpointed weights, optimizer moments, and annealed learning rate
 	// are restored and the schedule resumes at Resume.Lesson. The model's
@@ -71,9 +55,17 @@ type TrainConfig struct {
 
 	// epochHook substitutes the entire per-epoch pipeline (lesson data,
 	// gradients, optimizer step) with a scripted loss in tests of the
-	// lesson-level control flow: plateau exits, revert bookkeeping.
+	// lesson-level control flow: revert bookkeeping, ø overrides.
 	epochHook func(lesson, epoch, phi int) float64
 }
+
+// minOriginalFraction floors the share of clean fingerprints in every lesson
+// batch. The paper's final lesson nominally uses 100% attacked data; without
+// a clean floor the model forgets the attack-free geometry it learned early
+// (catastrophic forgetting), which hurts both clean accuracy and, through it,
+// attacked accuracy. A floor of ~0.35 preserves the curriculum's escalation
+// while anchoring the clean task.
+const minOriginalFraction = 0.35
 
 // DefaultTrainConfig mirrors §IV/§V.A: 10 lessons, adaptive curriculum on.
 func DefaultTrainConfig() TrainConfig {
@@ -124,15 +116,6 @@ func (m *Model) Train(db []fingerprint.Sample, cfg TrainConfig) (TrainResult, er
 	}
 	if cfg.MaxReverts <= 0 {
 		cfg.MaxReverts = 5
-	}
-	switch {
-	case cfg.MinOriginalFraction == 0:
-		cfg.MinOriginalFraction = 0.35
-	case cfg.MinOriginalFraction < 0:
-		cfg.MinOriginalFraction = 0
-	}
-	if cfg.MinEpochsPerLesson <= 0 {
-		cfg.MinEpochsPerLesson = 10
 	}
 	lessons := cfg.Lessons
 	if lessons == nil {
@@ -242,19 +225,16 @@ func (r *trainRun) run() (TrainResult, error) {
 		r.monitor.ResetLesson()
 		r.best = m.snapshotInto(r.best) // the lesson's best-performing weights (§IV.D)
 		lessonSpec := lesson
-		if lessonSpec.OriginalFraction < cfg.MinOriginalFraction {
-			lessonSpec.OriginalFraction = cfg.MinOriginalFraction
+		if lessonSpec.OriginalFraction < minOriginalFraction {
+			lessonSpec.OriginalFraction = minOriginalFraction
 		}
-		sinceBest := 0
 		for epoch := 0; epoch < cfg.EpochsPerLesson; epoch++ {
 			loss := r.trainEpoch(li, epoch, lessonSpec, phi)
 			r.res.LossHistory = append(r.res.LossHistory, loss)
 
-			sinceBest++
 			switch r.monitor.Observe(loss) {
 			case curriculum.Snapshot:
 				r.best = m.snapshotInto(r.best)
-				sinceBest = 0
 			case curriculum.Revert:
 				// The revert-and-ease mechanism is part of the adaptive
 				// curriculum (§IV.D); the NC ablation trains through
@@ -265,21 +245,11 @@ func (r *trainRun) run() (TrainResult, error) {
 				m.restore(r.best)
 				r.memFresh = false
 				phi = curriculum.EasePhi(phi)
-				// The eased lesson gets a fresh plateau budget: without the
-				// reset a lesson could plateau-exit on the very epoch it
-				// reverted, before the eased data trains at all.
-				sinceBest = 0
 				r.res.Reverts++
 				reverts++
 				if reverts >= cfg.MaxReverts {
 					epoch = cfg.EpochsPerLesson // abandon the lesson
 				}
-			}
-			// §IV.D: optionally advance to the next lesson once the loss
-			// has stopped improving — the lesson has been absorbed.
-			if cfg.PlateauPatience > 0 && epoch+1 >= cfg.MinEpochsPerLesson &&
-				sinceBest >= cfg.PlateauPatience {
-				break
 			}
 		}
 		if bl, ok := r.monitor.Best(); ok {

@@ -107,18 +107,15 @@ func TestMiniBatchTrainingLearns(t *testing.T) {
 	}
 }
 
-// TestRevertGrantsFreshPlateauBudget is the regression test for the
-// sinceBest bug: with PlateauPatience configured, a lesson used to
-// plateau-exit on the very epoch the adaptive monitor reverted and eased ø —
-// before the eased lesson trained at all. A revert must reset the plateau
-// budget.
+// TestRevertEasesPhiAndTrainsOn: when the adaptive monitor reverts, the
+// lesson continues at the eased ø for the rest of its epoch budget.
 //
 // The scripted losses drive the monitor (patience 1, EMA 0.3) through:
 //
 //	epoch 0: 1.0 → new best (snapshot)
-//	epoch 1: 2.0 → smoothed 1.3 rises → revert + ease; buggy code breaks here
-//	epoch 2: 0.5 → smoothed 1.06, no new best → plateau exit (fresh budget spent)
-func TestRevertGrantsFreshPlateauBudget(t *testing.T) {
+//	epoch 1: 2.0 → smoothed 1.3 rises → revert + ease
+//	epochs 2-9: falling losses → the eased lesson trains to its budget
+func TestRevertEasesPhiAndTrainsOn(t *testing.T) {
 	ds := testDataset(t)
 	m, err := NewModel(smallConfig(ds))
 	if err != nil {
@@ -128,8 +125,6 @@ func TestRevertGrantsFreshPlateauBudget(t *testing.T) {
 	cfg.Lessons = curriculum.Schedule(2, 100, 0.1)[1:] // one lesson, ø=100
 	cfg.EpochsPerLesson = 10
 	cfg.Patience = 1
-	cfg.PlateauPatience = 1
-	cfg.MinEpochsPerLesson = 1
 	script := []float64{1.0, 2.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.09, 0.08, 0.07}
 	var phis []int
 	cfg.epochHook = func(_, epoch, phi int) float64 {
@@ -143,14 +138,17 @@ func TestRevertGrantsFreshPlateauBudget(t *testing.T) {
 	if res.Reverts != 1 {
 		t.Fatalf("scripted losses produced %d reverts, want 1", res.Reverts)
 	}
-	if len(phis) < 3 {
-		t.Fatalf("lesson plateau-exited on the revert epoch after %d epochs; a revert must grant fresh plateau budget", len(phis))
+	if len(phis) != cfg.EpochsPerLesson {
+		t.Fatalf("trained %d epochs, want the full budget of %d", len(phis), cfg.EpochsPerLesson)
 	}
-	if len(phis) != 3 {
-		t.Fatalf("trained %d epochs, want exactly 3 (revert at 1, fresh budget spent at 2)", len(phis))
-	}
-	if phis[2] != curriculum.EasePhi(100) {
-		t.Fatalf("post-revert epoch trained at ø=%d, want eased ø=%d", phis[2], curriculum.EasePhi(100))
+	for epoch, phi := range phis {
+		want := 100
+		if epoch >= 2 {
+			want = curriculum.EasePhi(100)
+		}
+		if phi != want {
+			t.Fatalf("epoch %d trained at ø=%d, want %d (phis %v)", epoch, phi, want, phis)
+		}
 	}
 }
 

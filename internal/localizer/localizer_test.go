@@ -224,12 +224,6 @@ func TestRegistryRegisterGetSwap(t *testing.T) {
 	if _, err := r.Swap(Key{Building: 9, Floor: 0, Backend: "knn"}, l1); err == nil {
 		t.Fatal("Swap of unregistered key accepted")
 	}
-	if !r.Deregister(key) || r.Deregister(key) {
-		t.Fatal("Deregister must report presence exactly once")
-	}
-	if _, ok := r.Get(key); ok {
-		t.Fatal("Get after Deregister succeeded")
-	}
 }
 
 func TestRegistrySwapEnforcesShapeStability(t *testing.T) {
@@ -331,14 +325,12 @@ func TestConcurrentGetAndSwap(t *testing.T) {
 				t.Errorf("swap %d: %v", i, err)
 				return
 			}
-			other := Key{Building: 1, Floor: 0, Backend: "tmp"}
 			if i%2 == 0 {
+				other := Key{Building: 1, Floor: 1 + i/2, Backend: "tmp"}
 				if _, err := r.Register(other, fit(3)); err != nil {
 					t.Errorf("register %d: %v", i, err)
 					return
 				}
-			} else {
-				r.Deregister(other)
 			}
 		}
 	}()
@@ -366,7 +358,7 @@ func TestConcurrentGetAndSwap(t *testing.T) {
 	}
 }
 
-// stubLoc builds a trivial localizer of the given shape for candidate-lane
+// stubLoc builds a trivial localizer of the given shape for version-lineage
 // tests.
 func stubLoc(name string, inputDim, classes int) Localizer {
 	return Wrap(name, inputDim, classes, nil, func(dst []int, x *mat.Matrix) []int {
@@ -377,106 +369,48 @@ func stubLoc(name string, inputDim, classes int) Localizer {
 	})
 }
 
-// TestRegistryCandidateLifecycle walks the A/B lane end to end:
-// stage → restage → abort → stage → promote (previous retained) → rollback.
-func TestRegistryCandidateLifecycle(t *testing.T) {
+// TestRegistrySwapIfAndRollback walks the promotion lineage: SwapIf swaps
+// only at the expected live version and retains the displaced snapshot,
+// Rollback restores it as a new version exactly once, and a plain Swap drops
+// the retained snapshot so a rollback can never stomp a manual push.
+func TestRegistrySwapIfAndRollback(t *testing.T) {
 	r := NewRegistry()
 	key := Key{Building: 1, Floor: 0, Backend: "stub"}
-	live := stubLoc("v1", testAPs, testClasses)
+	live := stubLoc("live", testAPs, testClasses)
 	if _, err := r.Register(key, live); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := r.Stage(Key{Building: 9, Floor: 0, Backend: "stub"}, live); err == nil {
-		t.Fatal("staging for an unregistered key accepted")
+	if _, err := r.SwapIf(Key{Building: 9, Floor: 0, Backend: "stub"}, live, 1); err == nil {
+		t.Fatal("SwapIf of an unregistered key accepted")
 	}
-	if _, ok := r.Candidate(key); ok {
-		t.Fatal("candidate reported before any Stage")
+	if _, err := r.SwapIf(key, stubLoc("wide", testAPs+1, testClasses), 1); err == nil ||
+		!strings.Contains(err.Error(), "input dim") {
+		t.Fatalf("SwapIf changing the input dim = %v", err)
 	}
-	if _, err := r.Promote(key); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("Promote without candidate = %v, want ErrNoCandidate", err)
+	if _, err := r.SwapIf(key, stubLoc("classes", testAPs, testClasses+1), 1); err == nil ||
+		!strings.Contains(err.Error(), "label space") {
+		t.Fatalf("SwapIf changing the label space = %v", err)
 	}
-	if r.Abort(key) {
-		t.Fatal("Abort without candidate reported true")
-	}
-
-	// Stage enforces the same shape stability as Swap.
-	if _, err := r.Stage(key, stubLoc("wide", testAPs+1, testClasses)); err == nil {
-		t.Fatal("staged candidate with a different input dim accepted")
-	}
-	if _, err := r.Stage(key, stubLoc("classes", testAPs, testClasses+1)); err == nil {
-		t.Fatal("staged candidate with a different label space accepted")
+	if _, err := r.Rollback(key); !errors.Is(err, ErrNoPrevious) {
+		t.Fatalf("Rollback with nothing retained = %v, want ErrNoPrevious", err)
 	}
 
-	candA := stubLoc("candA", testAPs, testClasses)
-	c, err := r.Stage(key, candA)
-	if err != nil || c.Version != 1 || c.Base != 1 {
-		t.Fatalf("Stage = (%+v, %v), want candidate 1 against base 1", c, err)
+	// A stale expectation fails and changes nothing.
+	cand := stubLoc("cand", testAPs, testClasses)
+	if _, err := r.SwapIf(key, cand, 2); !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("SwapIf with a stale version = %v, want ErrVersionConflict", err)
 	}
-	got, ok := r.Candidate(key)
-	if !ok || got.Localizer != candA || got.Version != 1 {
-		t.Fatalf("Candidate = (%+v, %v)", got, ok)
-	}
-	// Staging is invisible to the live slot.
 	if snap, _ := r.Get(key); snap.Version != 1 || snap.Localizer != live {
-		t.Fatalf("live slot disturbed by Stage: %+v", snap)
-	}
-	// Restaging bumps the candidate sequence without touching live.
-	candB := stubLoc("candB", testAPs, testClasses)
-	if c, err = r.Stage(key, candB); err != nil || c.Version != 2 || c.Base != 1 {
-		t.Fatalf("restage = (%+v, %v), want candidate 2 against base 1", c, err)
-	}
-	infos := r.List()
-	if len(infos) != 1 || infos[0].CandidateVersion != 2 || infos[0].CandidateName != "candB" {
-		t.Fatalf("List does not carry the candidate: %+v", infos)
+		t.Fatalf("failed SwapIf moved the live slot: %+v", snap)
 	}
 
-	// AbortIf only withdraws the exact staged version — a stale owner must
-	// not stomp a newer restage.
-	if r.AbortIf(key, 1) {
-		t.Fatal("AbortIf with a stale candidate version aborted the lane")
-	}
-	if _, ok := r.Candidate(key); !ok {
-		t.Fatal("stale AbortIf removed the current candidate")
-	}
-	if !r.AbortIf(key, 2) {
-		t.Fatal("AbortIf with the current version reported false")
-	}
-	if _, ok := r.Candidate(key); ok {
-		t.Fatal("candidate survived a matching AbortIf")
-	}
-	if c, err = r.Stage(key, candB); err != nil || c.Version != 3 {
-		t.Fatalf("restage after AbortIf = (%+v, %v), want candidate 3", c, err)
-	}
-
-	if !r.Abort(key) {
-		t.Fatal("Abort of a staged candidate reported false")
-	}
-	if _, ok := r.Candidate(key); ok {
-		t.Fatal("candidate survived Abort")
-	}
-
-	// Stage → promote: live advances, previous is retained, candidate clears.
-	if c, err = r.Stage(key, candA); err != nil || c.Version != 4 {
-		t.Fatalf("Stage after Abort = (%+v, %v), want candidate 4", c, err)
-	}
-	v, err := r.Promote(key)
+	v, err := r.SwapIf(key, cand, 1)
 	if err != nil || v != 2 {
-		t.Fatalf("Promote = (%d, %v), want (2, nil)", v, err)
+		t.Fatalf("SwapIf = (%d, %v), want (2, nil)", v, err)
 	}
-	if snap, _ := r.Get(key); snap.Version != 2 || snap.Localizer != candA {
-		t.Fatalf("live after Promote = %+v", snap)
+	if p, ok := r.Previous(key); !ok || p.Version != 1 || p.Localizer != live {
+		t.Fatalf("Previous after SwapIf = (%+v, %v)", p, ok)
 	}
-	if _, ok := r.Candidate(key); ok {
-		t.Fatal("candidate survived Promote")
-	}
-	prev, ok := r.Previous(key)
-	if !ok || prev.Version != 1 || prev.Localizer != live {
-		t.Fatalf("Previous = (%+v, %v), want the displaced v1", prev, ok)
-	}
-
-	// Rollback restores the displaced localizer as a NEW version and
-	// consumes the retained previous.
 	v, err = r.Rollback(key)
 	if err != nil || v != 3 {
 		t.Fatalf("Rollback = (%d, %v), want (3, nil)", v, err)
@@ -487,115 +421,24 @@ func TestRegistryCandidateLifecycle(t *testing.T) {
 	if _, ok := r.Previous(key); ok {
 		t.Fatal("previous survived Rollback")
 	}
-	if _, err := r.Rollback(key); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("second Rollback = %v, want ErrNoCandidate", err)
+	if _, err := r.Rollback(key); !errors.Is(err, ErrNoPrevious) {
+		t.Fatalf("second Rollback = %v, want ErrNoPrevious", err)
 	}
-}
 
-// TestRegistryPromoteConflictAndSwapInteraction: a live push while a
-// candidate shadows makes Promote refuse with ErrVersionConflict, a Swap
-// drops the retained previous (rollback must never stomp a manual push),
-// and a rollback aborts the staged candidate.
-func TestRegistryPromoteConflictAndSwapInteraction(t *testing.T) {
-	r := NewRegistry()
-	key := Key{Building: 1, Floor: 0, Backend: "stub"}
-	if _, err := r.Register(key, stubLoc("v1", testAPs, testClasses)); err != nil {
+	// A plain Swap after a promotion drops the rollback target.
+	if _, err := r.SwapIf(key, cand, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Stage(key, stubLoc("cand", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
-	// A manual push lands while the candidate shadows.
 	if _, err := r.Swap(key, stubLoc("manual", testAPs, testClasses)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Promote(key); !errors.Is(err, ErrVersionConflict) {
-		t.Fatalf("Promote over a moved live slot = %v, want ErrVersionConflict", err)
-	}
-	// The candidate is still staged (the caller decides to abort/restage).
-	if _, ok := r.Candidate(key); !ok {
-		t.Fatal("conflicting Promote silently dropped the candidate")
-	}
-	r.Abort(key)
-
-	// Promote, then manually Swap: the retained previous must be dropped —
-	// rolling back would discard the manual push.
-	if _, err := r.Stage(key, stubLoc("cand2", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Promote(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Previous(key); !ok {
-		t.Fatal("no previous retained after Promote")
-	}
-	if _, err := r.Swap(key, stubLoc("manual2", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := r.Previous(key); ok {
-		t.Fatal("Swap left a stale rollback target")
+		t.Fatal("Swap kept the previous snapshot")
 	}
-	if _, err := r.Rollback(key); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("Rollback after Swap = %v, want ErrNoCandidate", err)
+	if _, err := r.Rollback(key); !errors.Is(err, ErrNoPrevious) {
+		t.Fatalf("Rollback after Swap = %v, want ErrNoPrevious", err)
 	}
-
-	// Promote again, stage another candidate, then roll back: the rollback
-	// regrets the whole lineage, so the staged candidate is aborted too.
-	if _, err := r.Stage(key, stubLoc("cand3", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Promote(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Stage(key, stubLoc("cand4", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Rollback(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Candidate(key); ok {
-		t.Fatal("Rollback left the lineage's candidate staged")
-	}
-}
-
-// TestStageIfPromoteIf: the conditional candidate-lane operations let an
-// owner stage/promote atomically against concurrent external pushes.
-func TestStageIfPromoteIf(t *testing.T) {
-	r := NewRegistry()
-	key := Key{Building: 1, Floor: 0, Backend: "stub"}
-	if _, err := r.Register(key, stubLoc("v1", testAPs, testClasses)); err != nil {
-		t.Fatal(err)
-	}
-
-	// expect=0 stages only into an empty lane.
-	mine, err := r.StageIf(key, stubLoc("mine", testAPs, testClasses), 0)
-	if err != nil || mine.Version != 1 {
-		t.Fatalf("StageIf into empty lane = (%+v, %v)", mine, err)
-	}
-	if _, err := r.StageIf(key, stubLoc("late", testAPs, testClasses), 0); !errors.Is(err, ErrCandidateConflict) {
-		t.Fatalf("StageIf(expect empty) over an occupied lane = %v, want ErrCandidateConflict", err)
-	}
-	// expect=v restages only over the caller's own candidate.
-	mine2, err := r.StageIf(key, stubLoc("mine2", testAPs, testClasses), mine.Version)
-	if err != nil || mine2.Version != 2 {
-		t.Fatalf("StageIf over own candidate = (%+v, %v)", mine2, err)
-	}
-	if _, err := r.StageIf(key, stubLoc("stale", testAPs, testClasses), mine.Version); !errors.Is(err, ErrCandidateConflict) {
-		t.Fatalf("StageIf with a stale expectation = %v, want ErrCandidateConflict", err)
-	}
-
-	// PromoteIf refuses when the lane was restaged since the observation.
-	if _, err := r.PromoteIf(key, mine.Version); !errors.Is(err, ErrCandidateConflict) {
-		t.Fatalf("PromoteIf with a stale candidate = %v, want ErrCandidateConflict", err)
-	}
-	if _, err := r.PromoteIf(key, 0); err == nil {
-		t.Fatal("PromoteIf(0) accepted")
-	}
-	v, err := r.PromoteIf(key, mine2.Version)
-	if err != nil || v != 2 {
-		t.Fatalf("PromoteIf with the current candidate = (%d, %v), want (2, nil)", v, err)
-	}
-	if _, err := r.PromoteIf(key, mine2.Version); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("PromoteIf on an empty lane = %v, want ErrNoCandidate", err)
+	if _, err := r.SwapIf(key, cand, 4); !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("SwapIf against the version a Swap displaced = %v, want ErrVersionConflict", err)
 	}
 }

@@ -56,43 +56,21 @@ type Snapshot struct {
 	Version   uint64
 }
 
-// Candidate is a staged next version sitting in a key's A/B lane: it shadows
-// live traffic (the serving engine scores it on sampled routed requests
-// without returning its predictions) until it is promoted to the live slot or
-// aborted. Candidate versions form their own sequence per key, independent of
-// the live version — restaging bumps the candidate version without touching
-// what is served.
-type Candidate struct {
-	Localizer Localizer
-	// Version is the candidate sequence number (per key, starts at 1). The
-	// serving layer resets a key's shadow counters when it changes.
-	Version uint64
-	// Base is the live version the candidate was staged against. Promote
-	// refuses with ErrVersionConflict when the live slot has moved past it —
-	// the candidate was built from (or validated against) a version nobody
-	// serves any more.
-	Base uint64
-}
-
-// entry is the per-key slot; the snapshot pointer is the hot-swap point. The
-// candidate and previous pointers are the A/B lane: cand is the staged next
-// version, prev retains the snapshot a Promote displaced so a regretted
-// promotion can roll back.
+// entry is the per-key slot; the snapshot pointer is the hot-swap point.
+// prev retains the snapshot a SwapIf displaced, so a regretted promotion can
+// roll back.
 type entry struct {
 	snap atomic.Pointer[Snapshot]
-	cand atomic.Pointer[Candidate]
 	prev atomic.Pointer[Snapshot]
-
-	candSeq uint64 // guarded by the registry writeMu
 }
 
 // Registry maps keys to atomically versioned localizer snapshots.
 //
 // Reads (Get, List) are lock-free: two atomic pointer loads — the
 // copy-on-write key map, then the key's current snapshot. Writes (Register,
-// Swap, Deregister) serialise on an internal mutex; Register/Deregister
-// clone the key map, Swap only replaces the key's snapshot pointer, so a
-// version push under load never copies the map and never blocks readers.
+// Swap, SwapIf, Rollback) serialise on an internal mutex; Register clones the
+// key map, the others only replace the key's snapshot pointer, so a version
+// push under load never copies the map and never blocks readers.
 //
 // The zero Registry is not ready; use NewRegistry.
 type Registry struct {
@@ -146,10 +124,14 @@ func (r *Registry) Register(key Key, loc Localizer) (uint64, error) {
 	return 1, nil
 }
 
-// ErrVersionConflict is returned by Promote when the key's live version no
-// longer matches the candidate's base — someone else published a version
-// while the candidate was shadowing.
+// ErrVersionConflict is returned by SwapIf when the key's live version is no
+// longer the one the caller expected — someone else published a version
+// while the caller was deciding.
 var ErrVersionConflict = errors.New("localizer: version changed since it was observed")
+
+// ErrNoPrevious is returned by Rollback when no displaced snapshot is
+// retained.
+var ErrNoPrevious = errors.New("localizer: no previous snapshot retained")
 
 // Swap atomically replaces key's localizer with loc and returns the new
 // version (previous + 1). The key must already be registered and loc must
@@ -157,7 +139,23 @@ var ErrVersionConflict = errors.New("localizer: version changed since it was obs
 // against the old version stay valid across the swap. In-flight batches
 // that loaded the previous snapshot finish on it; new batches observe the
 // new version immediately.
+//
+// A direct swap breaks the promotion lineage: rolling "back" past it would
+// stomp the version just pushed, so any retained previous snapshot is
+// dropped.
 func (r *Registry) Swap(key Key, loc Localizer) (uint64, error) {
+	return r.swap(key, loc, false, 0)
+}
+
+// SwapIf is a promotion: Swap conditioned on the live version still being
+// expect (ErrVersionConflict otherwise), so a gate that validated loc
+// against one incumbent never silently discards a version pushed since. The
+// displaced snapshot is retained for Rollback.
+func (r *Registry) SwapIf(key Key, loc Localizer, expect uint64) (uint64, error) {
+	return r.swap(key, loc, true, expect)
+}
+
+func (r *Registry) swap(key Key, loc Localizer, conditional bool, expect uint64) (uint64, error) {
 	if err := validateLocalizer(key, loc); err != nil {
 		return 0, err
 	}
@@ -168,6 +166,10 @@ func (r *Registry) Swap(key Key, loc Localizer) (uint64, error) {
 		return 0, fmt.Errorf("localizer: %s not registered (use Register first)", key)
 	}
 	cur := e.snap.Load()
+	if conditional && cur.Version != expect {
+		return 0, fmt.Errorf("%w: %s at version %d, expected %d",
+			ErrVersionConflict, key, cur.Version, expect)
+	}
 	if loc.InputDim() != cur.Localizer.InputDim() {
 		return 0, fmt.Errorf("localizer: swap of %s changes input dim %d→%d",
 			key, cur.Localizer.InputDim(), loc.InputDim())
@@ -178,183 +180,19 @@ func (r *Registry) Swap(key Key, loc Localizer) (uint64, error) {
 	}
 	next := &Snapshot{Localizer: loc, Version: cur.Version + 1}
 	e.snap.Store(next)
-	// A direct swap breaks the promotion lineage: rolling "back" past it
-	// would stomp the version just pushed, so the retained previous is
-	// dropped. A staged candidate stays — its Base no longer matches, which
-	// Promote reports as ErrVersionConflict rather than silently serving it.
-	e.prev.Store(nil)
-	return next.Version, nil
-}
-
-// ErrNoCandidate is returned by Promote when the key has no staged
-// candidate, and by Rollback when no displaced previous snapshot is retained.
-var ErrNoCandidate = errors.New("localizer: no staged candidate")
-
-// ErrCandidateConflict is returned by StageIf/PromoteIf when the lane's
-// current candidate is not the one the caller last observed — someone else
-// (re)staged or aborted while the caller was deciding.
-var ErrCandidateConflict = errors.New("localizer: staged candidate changed since it was observed")
-
-// Stage installs loc as key's A/B candidate, replacing any previously staged
-// one, and returns the new candidate descriptor. The same shape-stability
-// checks as Swap apply (a candidate that could not be promoted must not enter
-// the shadow lane); the live slot is untouched, so staging is invisible to
-// normal traffic. The candidate records the live version it was staged
-// against — Promote later refuses if the live slot moved on.
-func (r *Registry) Stage(key Key, loc Localizer) (Candidate, error) {
-	return r.stage(key, loc, false, 0)
-}
-
-// StageIf is Stage conditioned on the lane's occupancy: expect 0 stages only
-// into an EMPTY lane, expect v stages only over the candidate version v the
-// caller itself staged earlier. Anything else fails with
-// ErrCandidateConflict — an owner (the online trainer) uses it so a
-// concurrent external push is never silently replaced.
-func (r *Registry) StageIf(key Key, loc Localizer, expect uint64) (Candidate, error) {
-	return r.stage(key, loc, true, expect)
-}
-
-func (r *Registry) stage(key Key, loc Localizer, conditional bool, expect uint64) (Candidate, error) {
-	if err := validateLocalizer(key, loc); err != nil {
-		return Candidate{}, err
-	}
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	e, ok := (*r.entries.Load())[key]
-	if !ok {
-		return Candidate{}, fmt.Errorf("localizer: %s not registered (use Register first)", key)
-	}
 	if conditional {
-		cur := e.cand.Load()
-		switch {
-		case expect == 0 && cur != nil:
-			return Candidate{}, fmt.Errorf("%w: %s lane holds candidate %d, expected it empty",
-				ErrCandidateConflict, key, cur.Version)
-		case expect != 0 && (cur == nil || cur.Version != expect):
-			have := uint64(0)
-			if cur != nil {
-				have = cur.Version
-			}
-			return Candidate{}, fmt.Errorf("%w: %s lane holds candidate %d, expected %d",
-				ErrCandidateConflict, key, have, expect)
-		}
+		e.prev.Store(cur)
+	} else {
+		e.prev.Store(nil)
 	}
-	live := e.snap.Load()
-	if loc.InputDim() != live.Localizer.InputDim() {
-		return Candidate{}, fmt.Errorf("localizer: staging for %s changes input dim %d→%d",
-			key, live.Localizer.InputDim(), loc.InputDim())
-	}
-	if loc.NumClasses() != live.Localizer.NumClasses() {
-		return Candidate{}, fmt.Errorf("localizer: staging for %s changes label space %d→%d",
-			key, live.Localizer.NumClasses(), loc.NumClasses())
-	}
-	e.candSeq++
-	c := &Candidate{Localizer: loc, Version: e.candSeq, Base: live.Version}
-	e.cand.Store(c)
-	return *c, nil
-}
-
-// Candidate returns key's staged candidate, if any. Like Get it is lock-free;
-// shadow dispatch pins the returned candidate for the duration of one batch.
-func (r *Registry) Candidate(key Key) (Candidate, bool) {
-	e, ok := (*r.entries.Load())[key]
-	if !ok {
-		return Candidate{}, false
-	}
-	c := e.cand.Load()
-	if c == nil {
-		return Candidate{}, false
-	}
-	return *c, true
-}
-
-// Abort clears key's staged candidate, reporting whether one was staged.
-// Shadow batches already holding the candidate finish on it; its predictions
-// were never returned to clients, so aborting has no serving-visible effect.
-func (r *Registry) Abort(key Key) bool {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	e, ok := (*r.entries.Load())[key]
-	if !ok || e.cand.Load() == nil {
-		return false
-	}
-	e.cand.Store(nil)
-	return true
-}
-
-// AbortIf clears key's staged candidate only when it is still at version —
-// it lets an owner withdraw exactly the candidate it staged without stomping
-// a concurrent restage by someone else. Reports whether the candidate was
-// aborted.
-func (r *Registry) AbortIf(key Key, version uint64) bool {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	e, ok := (*r.entries.Load())[key]
-	if !ok {
-		return false
-	}
-	c := e.cand.Load()
-	if c == nil || c.Version != version {
-		return false
-	}
-	e.cand.Store(nil)
-	return true
-}
-
-// Promote moves key's staged candidate into the live slot, advancing the live
-// version, and retains the displaced snapshot for Rollback. It fails with
-// ErrNoCandidate when nothing is staged and with ErrVersionConflict when the
-// live version moved past the candidate's base (someone pushed a version
-// while the candidate was shadowing — promoting would silently discard their
-// work; the caller should Abort and restage against the new live version).
-func (r *Registry) Promote(key Key) (uint64, error) {
-	return r.promote(key, 0)
-}
-
-// PromoteIf is Promote conditioned on the lane still holding candidate
-// version expect: it fails with ErrCandidateConflict when someone (re)staged
-// or aborted the lane since the caller observed it, so a gate that validated
-// one candidate can never accidentally install another.
-func (r *Registry) PromoteIf(key Key, expect uint64) (uint64, error) {
-	if expect == 0 {
-		return 0, fmt.Errorf("localizer: PromoteIf expects a candidate version ≥ 1")
-	}
-	return r.promote(key, expect)
-}
-
-func (r *Registry) promote(key Key, expect uint64) (uint64, error) {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	e, ok := (*r.entries.Load())[key]
-	if !ok {
-		return 0, fmt.Errorf("localizer: %s not registered", key)
-	}
-	c := e.cand.Load()
-	if c == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNoCandidate, key)
-	}
-	if expect != 0 && c.Version != expect {
-		return 0, fmt.Errorf("%w: %s lane holds candidate %d, expected %d",
-			ErrCandidateConflict, key, c.Version, expect)
-	}
-	cur := e.snap.Load()
-	if cur.Version != c.Base {
-		return 0, fmt.Errorf("%w: %s at version %d, candidate staged against %d",
-			ErrVersionConflict, key, cur.Version, c.Base)
-	}
-	next := &Snapshot{Localizer: c.Localizer, Version: cur.Version + 1}
-	e.snap.Store(next)
-	e.prev.Store(cur)
-	e.cand.Store(nil)
 	return next.Version, nil
 }
 
-// Rollback restores the snapshot the last Promote displaced, installing it as
+// Rollback restores the snapshot the last SwapIf displaced, installing it as
 // a NEW live version (versions only ever advance, so clients observe the
 // rollback exactly like any other hot-swap). The retained previous is
-// consumed and any staged candidate is aborted — the promotion lineage that
-// led here is regretted wholesale. Fails with ErrNoCandidate when no
-// previous snapshot is retained (no promotion since the last rollback/swap).
+// consumed. Fails with ErrNoPrevious when no previous snapshot is retained
+// (no SwapIf since the last Rollback or Swap).
 func (r *Registry) Rollback(key Key) (uint64, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
@@ -364,17 +202,16 @@ func (r *Registry) Rollback(key Key) (uint64, error) {
 	}
 	p := e.prev.Load()
 	if p == nil {
-		return 0, fmt.Errorf("%w: %s has no retained previous snapshot to roll back to", ErrNoCandidate, key)
+		return 0, fmt.Errorf("%w: %s", ErrNoPrevious, key)
 	}
 	cur := e.snap.Load()
 	next := &Snapshot{Localizer: p.Localizer, Version: cur.Version + 1}
 	e.snap.Store(next)
 	e.prev.Store(nil)
-	e.cand.Store(nil)
 	return next.Version, nil
 }
 
-// Previous returns the snapshot the last Promote displaced, if it is still
+// Previous returns the snapshot the last SwapIf displaced, if it is still
 // retained (no Rollback or Swap consumed it).
 func (r *Registry) Previous(key Key) (Snapshot, bool) {
 	e, ok := (*r.entries.Load())[key]
@@ -397,25 +234,6 @@ func (r *Registry) Get(key Key) (Snapshot, bool) {
 	return *e.snap.Load(), true
 }
 
-// Deregister removes key, reporting whether it was present. Batches already
-// holding the key's snapshot finish on it; subsequent Gets miss.
-func (r *Registry) Deregister(key Key) bool {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
-	old := *r.entries.Load()
-	if _, exists := old[key]; !exists {
-		return false
-	}
-	clone := make(map[Key]*entry, len(old)-1)
-	for k, v := range old {
-		if k != key {
-			clone[k] = v
-		}
-	}
-	r.entries.Store(&clone)
-	return true
-}
-
 // Len returns the number of registered keys.
 func (r *Registry) Len() int { return len(*r.entries.Load()) }
 
@@ -426,10 +244,6 @@ type Info struct {
 	Version    uint64 `json:"version"`
 	InputDim   int    `json:"input_dim"`
 	NumClasses int    `json:"classes"`
-	// CandidateVersion is the staged A/B candidate's sequence number, 0 when
-	// nothing is staged. CandidateName labels it.
-	CandidateVersion uint64 `json:"candidate_version,omitempty"`
-	CandidateName    string `json:"candidate_name,omitempty"`
 	// Precision and WeightBytes report the packed-snapshot footprint for
 	// backends whose estimator implements FootprintReporter; both are empty
 	// for backends without packed weights.
@@ -450,10 +264,6 @@ func (r *Registry) List() []Info {
 			Version:    s.Version,
 			InputDim:   s.Localizer.InputDim(),
 			NumClasses: s.Localizer.NumClasses(),
-		}
-		if c := e.cand.Load(); c != nil {
-			info.CandidateVersion = c.Version
-			info.CandidateName = c.Localizer.Name()
 		}
 		if fr, ok := Unwrap(s.Localizer).(FootprintReporter); ok {
 			info.Precision, info.WeightBytes = fr.Footprint()

@@ -25,11 +25,9 @@ func TestConfigValidate(t *testing.T) {
 		{"floor count", node.Config{Floors: []int{0, 1, 2}}, 2, "floor indices"},
 		{"negative floor", node.Config{Floors: []int{0, -1}}, 2, "negative floor"},
 		{"duplicate floor", node.Config{Floors: []int{3, 3}}, 2, "duplicate floor"},
-		{"negative ab", node.Config{Engine: serve.Options{ABFraction: -1}}, 2, "ABFraction"},
 		{"unknown precision", node.Config{Precision: "fp16"}, 2, `"fp16"`},
 		// Each trainer row is a setting that used to disable part of the
 		// promotion gate without saying so.
-		{"agreement never reachable", node.Config{Trainer: train.Policy{MinAgreement: 1.5}}, 2, "MinAgreement"},
 		{"NaN min delta", node.Config{Trainer: train.Policy{MinDelta: math.NaN()}}, 2, "MinDelta"},
 		{"NaN regret delta", node.Config{Trainer: train.Policy{RegretDelta: math.NaN()}}, 2, "RegretDelta"},
 		{"NaN learning rate", node.Config{Trainer: train.Policy{LearningRate: math.NaN()}}, 2, "LearningRate"},

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"calloc/internal/core"
 	"calloc/internal/localizer"
 	"calloc/internal/serve"
 	"calloc/internal/train"
@@ -216,9 +217,8 @@ func (n *Node) handleSwap(w http.ResponseWriter, r *http.Request) {
 		Backend string `json:"backend"`
 		Floor   int    `json:"floor"`
 		Weights string `json:"weights"` // base64 of calloc-train output
-		// Stage pushes the weights into the A/B candidate lane instead of
-		// the live slot: the model shadows routed traffic until it is
-		// promoted (by the gate or POST /v1/ab/promote) or aborted.
+		// Stage makes the push gated: the floor's trainer scores the model
+		// against the incumbent on its holdout, and only a win goes live.
 		Stage bool `json:"stage"`
 	}
 	if !n.decodeJSONBounded(w, r, maxSwapBody, &req) {
@@ -251,15 +251,7 @@ func (n *Node) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Stage {
-		c, err := n.reg.Stage(key, loc)
-		if err != nil {
-			// The key exists, so a Stage failure is a bad payload (shape
-			// mismatch), not a missing resource.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n.cfg.Logf("node: staged candidate %d for %s (against live version %d)", c.Version, key, c.Base)
-		n.writeJSON(w, map[string]uint64{"candidate_version": c.Version, "base_version": c.Base})
+		n.offer(w, key, loc)
 		return
 	}
 	version, err := n.reg.Swap(key, loc)
@@ -271,129 +263,41 @@ func (n *Node) handleSwap(w http.ResponseWriter, r *http.Request) {
 	n.writeJSON(w, map[string]uint64{"version": version})
 }
 
-// handleABStatus reports the A/B lane of every registered position
-// localizer: live and candidate versions, the serving engine's shadow
-// counters, and (for trainer-managed keys) the promotion-gate state.
-func (n *Node) handleABStatus(w http.ResponseWriter, _ *http.Request) {
-	type entry struct {
-		Key              localizer.Key  `json:"key"`
-		LiveVersion      uint64         `json:"live_version"`
-		CandidateVersion uint64         `json:"candidate_version,omitempty"`
-		CandidateName    string         `json:"candidate_name,omitempty"`
-		PreviousRetained bool           `json:"previous_retained"`
-		Shadow           *serve.ABStats `json:"shadow,omitempty"`
-		Gate             *train.Stats   `json:"gate,omitempty"`
-	}
-	out := make([]entry, 0, n.reg.Len())
-	for _, info := range n.reg.List() {
-		if info.Key.Floor == localizer.ClassifierFloor {
-			continue
-		}
-		e := entry{
-			Key:              info.Key,
-			LiveVersion:      info.Version,
-			CandidateVersion: info.CandidateVersion,
-			CandidateName:    info.CandidateName,
-		}
-		if _, ok := n.reg.Previous(info.Key); ok {
-			e.PreviousRetained = true
-		}
-		if st, ok := n.engine.ABStats(info.Key); ok {
-			e.Shadow = &st
-		}
-		if info.Key.Backend == "calloc" {
-			if tr, ok := n.trainers[info.Key.Floor]; ok {
-				st := tr.Stats()
-				e.Gate = &st
-			}
-		}
-		out = append(out, e)
-	}
-	n.writeJSON(w, out)
-}
-
-// abTarget resolves the {floor, backend} of a manual A/B override request.
-func (n *Node) abTarget(w http.ResponseWriter, r *http.Request) (localizer.Key, *train.Trainer, bool) {
-	var req struct {
-		Floor   int    `json:"floor"`
-		Backend string `json:"backend"`
-	}
-	if !n.decodeJSONBounded(w, r, maxLocalizeBody, &req) {
-		return localizer.Key{}, nil, false
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = "calloc"
-	}
-	key := localizer.Key{Building: n.building, Floor: req.Floor, Backend: backend}
-	if _, ok := n.reg.Get(key); !ok {
-		http.Error(w, fmt.Sprintf("%s not registered", key), http.StatusNotFound)
-		return localizer.Key{}, nil, false
-	}
-	if backend == "calloc" {
-		return key, n.trainers[req.Floor], true
-	}
-	return key, nil, true
-}
-
-// handleABPromote force-promotes the staged candidate, bypassing the shadow
-// evidence gate. Trainer-managed keys go through the trainer so the regret
-// window still guards the forced promotion; other keys promote directly in
-// the registry.
-func (n *Node) handleABPromote(w http.ResponseWriter, r *http.Request) {
-	key, tr, ok := n.abTarget(w, r)
+// offer answers a gated push: the floor's trainer scores loc against the
+// incumbent with the fine-tune round's holdout gate (Scores, MinDelta), and a
+// win goes live through the same SwapIf and regret window as a winning
+// round. The reply is 200 whether or not the model went live; a floor with
+// no trainer to gate the push is a 409, as is a version pushed while the
+// model was being scored.
+func (n *Node) offer(w http.ResponseWriter, key localizer.Key, loc localizer.Localizer) {
+	tr, ok := n.trainers[key.Floor]
 	if !ok {
+		http.Error(w, fmt.Sprintf("%s runs no trainer to gate a staged push", key), http.StatusConflict)
 		return
 	}
-	var version uint64
-	var err error
-	if tr != nil {
-		version, err = tr.Promote()
-	} else {
-		version, err = n.reg.Promote(key)
-	}
+	res, err := tr.Offer(localizer.Unwrap(loc).(*core.Model))
 	switch {
-	case errors.Is(err, localizer.ErrNoCandidate):
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	case errors.Is(err, localizer.ErrVersionConflict), errors.Is(err, localizer.ErrCandidateConflict):
-		// Retryable races (live slot moved, lane restaged), not malformed
-		// requests.
+	case errors.Is(err, localizer.ErrVersionConflict):
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	n.cfg.Logf("node: manually promoted the candidate for %s to version %d", key, version)
-	n.writeJSON(w, map[string]uint64{"version": version})
-}
-
-// handleABAbort withdraws the staged candidate (and, for trainer-managed
-// keys, resets the hysteresis streak).
-func (n *Node) handleABAbort(w http.ResponseWriter, r *http.Request) {
-	key, tr, ok := n.abTarget(w, r)
-	if !ok {
-		return
-	}
-	var aborted bool
-	if tr != nil {
-		aborted = tr.Abort()
-	} else {
-		aborted = n.reg.Abort(key)
-	}
-	if !aborted {
-		http.Error(w, fmt.Sprintf("no staged candidate for %s", key), http.StatusNotFound)
-		return
-	}
-	n.cfg.Logf("node: manually aborted the candidate for %s", key)
-	n.writeJSON(w, map[string]bool{"aborted": true})
+	n.cfg.Logf("node: gated push for %s: candidate %.4f vs incumbent %.4f, swapped=%v (v%d)",
+		key, res.Candidate.Total(), res.Incumbent.Total(), res.Swapped, res.Version)
+	n.writeJSON(w, struct {
+		Swapped   bool         `json:"swapped"`
+		Version   uint64       `json:"version"`
+		Candidate train.Scores `json:"candidate"`
+		Incumbent train.Scores `json:"incumbent"`
+	}{res.Swapped, res.Version, res.Candidate, res.Incumbent})
 }
 
 // decodeJSONBounded decodes a control-plane body behind http.MaxBytesReader:
 // 413 on overflow, 400 on malformed JSON. The generic decoder is fine here —
-// swap and A/B overrides are rare — but even rare endpoints must not buffer
-// an unbounded body.
+// swaps are rare — but even rare endpoints must not buffer an unbounded
+// body.
 func (n *Node) decodeJSONBounded(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	if err == nil {

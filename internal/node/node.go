@@ -3,7 +3,7 @@
 // (plus the floor classifier when a node serves several floors), the
 // micro-batching serve.Engine dispatching into it, and one background
 // train.Trainer per floor's CALLOC model running the feedback → fine-tune →
-// stage → shadow → promote pipeline.
+// holdout gate → promote → regret-rollback pipeline.
 //
 // The package exists so a serving node is a VALUE, not a process:
 // cmd/calloc-serve wires exactly one Node behind flags, tests instantiate
@@ -63,7 +63,7 @@ type Config struct {
 	Engine serve.Options
 
 	// Trainer tunes the online fine-tune loop each floor's CALLOC model runs
-	// unless DisableTrainer is set; its shadow gate needs Engine.ABFraction > 0.
+	// unless DisableTrainer is set.
 	DisableTrainer bool
 	Trainer        train.Policy
 
@@ -105,9 +105,6 @@ func (c *Config) Validate(numDatasets int) (mat.Precision, error) {
 			}
 			seen[f] = true
 		}
-	}
-	if err := c.Engine.Validate(); err != nil {
-		return 0, err
 	}
 	if err := c.Trainer.Validate(); err != nil {
 		return 0, err
@@ -207,11 +204,10 @@ func New(datasets []*fingerprint.Dataset, cfg Config) (*Node, error) {
 	if !cfg.DisableTrainer && slices.ContainsFunc(cfg.Backends, func(b string) bool { return strings.TrimSpace(b) == "calloc" }) {
 		for i, ds := range datasets {
 			floor := floors[i]
-			key := localizer.Key{Building: n.building, Floor: floor, Backend: "calloc"}
 			coreCfg := core.DefaultConfig(ds.NumAPs, ds.NumRPs)
 			coreCfg.Precision = prec
-			topts := train.Options{
-				Key:        key,
+			tr, err := train.New(n.reg, train.Options{
+				Key:        localizer.Key{Building: n.building, Floor: floor, Backend: "calloc"},
 				Config:     coreCfg,
 				Base:       ds.Train,
 				Holdout:    holdoutOf(ds),
@@ -219,20 +215,7 @@ func New(datasets []*fingerprint.Dataset, cfg Config) (*Node, error) {
 				Dist:       ds.ErrorMeters,
 				Logf:       cfg.Logf,
 				Policy:     cfg.Trainer,
-			}
-			if cfg.Engine.ABFraction > 0 {
-				// Shadow gate: staged candidates must earn live exposure
-				// through the engine's A/B lane before promotion. Without
-				// shadowing, staging promotes directly.
-				topts.Shadow = func() (uint64, int64, int64) {
-					st, ok := n.engine.ABStats(key)
-					if !ok {
-						return 0, 0, 0
-					}
-					return st.CandidateVersion, st.Rows, st.Agree
-				}
-			}
-			tr, err := train.New(n.reg, topts)
+			})
 			if err != nil {
 				n.engine.Close()
 				return nil, fmt.Errorf("floor %d trainer: %w", floor, err)
@@ -260,7 +243,7 @@ func (n *Node) Close() {
 }
 
 // Registry exposes the node's localizer registry — the shard unit a fleet
-// control plane stages checkpoints into.
+// control plane swaps checkpoints into.
 func (n *Node) Registry() *localizer.Registry { return n.reg }
 
 // Engine exposes the node's micro-batching engine.
@@ -301,9 +284,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/localize/batch", n.handleLocalizeBatch)
 	mux.HandleFunc("POST /v1/feedback", n.handleFeedback)
 	mux.HandleFunc("POST /v1/swap", n.handleSwap)
-	mux.HandleFunc("GET /v1/ab", n.handleABStatus)
-	mux.HandleFunc("POST /v1/ab/promote", n.handleABPromote)
-	mux.HandleFunc("POST /v1/ab/abort", n.handleABAbort)
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, _ *http.Request) {
 		n.writeJSON(w, n.reg.List())
 	})

@@ -322,30 +322,6 @@ func TestFeedbackFloorlessBodyLandsOnFloorZero(t *testing.T) {
 	}
 }
 
-// abEntry mirrors the GET /v1/ab response shape.
-type abEntry struct {
-	Key              localizer.Key  `json:"key"`
-	LiveVersion      uint64         `json:"live_version"`
-	CandidateVersion uint64         `json:"candidate_version,omitempty"`
-	PreviousRetained bool           `json:"previous_retained"`
-	Shadow           *serve.ABStats `json:"shadow,omitempty"`
-	Gate             *train.Stats   `json:"gate,omitempty"`
-}
-
-func getAB(t testing.TB, client *http.Client, base string) []abEntry {
-	t.Helper()
-	resp, err := client.Get(base + "/v1/ab")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out []abEntry
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func liveVersion(t testing.TB, client *http.Client, base string, key localizer.Key) uint64 {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/models")
@@ -366,15 +342,12 @@ func liveVersion(t testing.TB, client *http.Client, base string, key localizer.K
 	return 0
 }
 
-// TestABPipelineOverHTTP drives the whole shadow A/B deployment path over
-// the real HTTP surface with -race: routed /v1/localize traffic flows while
-// /v1/feedback fine-tunes a candidate; the candidate is STAGED, earns shadow
-// exposure visible in /v1/ab, and is PROMOTED by the shadow gate — the
-// version bump visible in served responses. Then a deliberately bad model is
-// staged over /v1/swap{stage:true} and force-promoted over /v1/ab/promote;
-// the regret watch detects the regression and automatically ROLLS BACK to
-// the prior version, again visible in /v1/models, /v1/trainer, and served
-// responses.
+// TestABPipelineOverHTTP drives the whole deployment path over the real
+// HTTP surface with -race: routed /v1/localize traffic flows while
+// /v1/feedback fine-tunes a candidate, the winning round goes live through
+// SwapIf — the version bump visible in served responses — and the regret
+// window, set to a hair trigger, rolls the promotion back to the retained
+// incumbent, again visible in /v1/models, /v1/trainer and served responses.
 func TestABPipelineOverHTTP(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	datasets := testFloors(t)[:1]
@@ -382,17 +355,16 @@ func TestABPipelineOverHTTP(t *testing.T) {
 	n, err := node.New(datasets, node.Config{
 		Backends:    []string{"calloc"},
 		WeightBlobs: [][]byte{untrainedWeights(t, ds)},
-		Engine: serve.Options{
-			MaxBatch: 8, Workers: 2, ABFraction: 2,
-		},
+		Engine:      serve.Options{MaxBatch: 8, Workers: 2},
 		Trainer: train.Policy{
 			MinFeedback:     4,
 			Interval:        25 * time.Millisecond,
 			EpochsPerLesson: 8,
 			LearningRate:    0.02,
-			StageAfter:      1,
-			PromoteAfter:    8,
 			RegretWindow:    2,
+			// The promoted model would have to beat the displaced one by
+			// 1000 on every re-check, so the first regret tick rolls back.
+			RegretDelta: -1000,
 		},
 		Logf: t.Logf,
 	})
@@ -404,8 +376,6 @@ func TestABPipelineOverHTTP(t *testing.T) {
 	client := ts.Client()
 	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
 
-	// Routed traffic throughout: it is both the correctness load and the
-	// source of shadow exposure for staged candidates.
 	stopTraffic := make(chan struct{})
 	var stopOnce sync.Once
 	stop := func() { stopOnce.Do(func() { close(stopTraffic) }) }
@@ -443,117 +413,53 @@ func TestABPipelineOverHTTP(t *testing.T) {
 			}
 		}(c)
 	}
-
-	// Phase 1 — feedback → fine-tune → stage → shadow → automatic promotion.
-	// Feedback streams varied labelled samples only while nothing is staged:
-	// once a candidate sits in the A/B lane the stream stops, so the shadow
-	// gate promotes on live traffic alone instead of racing further rounds
-	// (which would restage — resetting the shadow counters — or abort).
-	sawStaged := false
-	fbIdx := 0
-	deadline := time.After(240 * time.Second)
-	for liveVersion(t, client, ts.URL, key) < 2 {
-		staged := false
-		for _, e := range getAB(t, client, ts.URL) {
-			if e.Key == key && e.CandidateVersion > 0 {
-				staged = true
-				sawStaged = true
-			}
-		}
-		if !staged {
-			for i := 0; i < 8; i++ {
-				s := ds.Train[fbIdx%len(ds.Train)]
-				fbIdx++
-				status, body := postJSON(t, client, ts.URL+"/v1/feedback",
-					map[string]any{"rss": s.RSS, "rp": s.RP, "floor": 0})
-				if status != http.StatusOK {
-					t.Fatalf("/v1/feedback status %d (%v)", status, body)
-				}
-			}
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("no automatic promotion observed; /v1/ab: %+v", getAB(t, client, ts.URL))
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
-	// The promotion must have been earned through live shadow exposure,
-	// and /v1/ab must carry the evidence.
-	entries := getAB(t, client, ts.URL)
-	if len(entries) != 1 || entries[0].Key != key {
-		t.Fatalf("unexpected /v1/ab listing: %+v", entries)
-	}
-	e := entries[0]
-	if e.Shadow == nil || e.Shadow.Rows < 8 {
-		t.Fatalf("promotion without the required shadow exposure: %+v", e.Shadow)
-	}
-	if e.Gate == nil || e.Gate.Swaps < 1 {
-		t.Fatalf("gate stats missing the promotion: %+v", e.Gate)
-	}
-	if !e.PreviousRetained {
-		t.Fatal("no rollback target retained after the promotion")
-	}
-	if !sawStaged {
-		t.Log("note: staged window too short to observe live; shadow counters prove it existed")
-	}
-
-	// Wait for the trainer to go quiet (pending below the round threshold)
-	// so background rounds do not race the manual phase.
-	for {
+	trainerStats := func() train.Stats {
+		t.Helper()
 		resp, err := client.Get(ts.URL + "/v1/trainer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trainerStats map[string]train.Stats
-		json.NewDecoder(resp.Body).Decode(&trainerStats)
-		resp.Body.Close()
-		if trainerStats["floor_0"].FeedbackPending < 4 {
-			break
+		defer resp.Body.Close()
+		var st map[string]train.Stats
+		json.NewDecoder(resp.Body).Decode(&st)
+		return st["floor_0"]
+	}
+
+	// Phase 1 — feedback → fine-tune → holdout win → SwapIf. Feedback
+	// streams only until the first promotion.
+	fbIdx := 0
+	deadline := time.After(240 * time.Second)
+	for trainerStats().Swaps == 0 {
+		for i := 0; i < 8; i++ {
+			s := ds.Train[fbIdx%len(ds.Train)]
+			fbIdx++
+			status, body := postJSON(t, client, ts.URL+"/v1/feedback",
+				map[string]any{"rss": s.RSS, "rp": s.RP, "floor": 0})
+			if status != http.StatusOK {
+				t.Fatalf("/v1/feedback status %d (%v)", status, body)
+			}
 		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	// Phase 2 — forced regression: stage an untrained model into the A/B
-	// lane and force-promote it past the shadow gate. The regret watch must
-	// roll the deployment back automatically.
-	vBefore := liveVersion(t, client, ts.URL, key)
-	status, body := postJSON(t, client, ts.URL+"/v1/swap", map[string]any{
-		"floor": 0, "stage": true,
-		"weights": base64.StdEncoding.EncodeToString(untrainedWeights(t, ds)),
-	})
-	if status != http.StatusOK || body["candidate_version"] == nil {
-		t.Fatalf("/v1/swap stage failed: %d %v", status, body)
-	}
-	status, body = postJSON(t, client, ts.URL+"/v1/ab/promote", map[string]any{"floor": 0})
-	if status != http.StatusOK {
-		t.Fatalf("/v1/ab/promote failed: %d %v", status, body)
-	}
-	vBad := uint64(body["version"].(float64))
-	if vBad <= vBefore {
-		t.Fatalf("forced promotion did not advance the version: %d -> %d", vBefore, vBad)
-	}
-
-	// The regret watch runs on the trainer ticker; the rolled-back version
-	// must appear in /v1/models, /v1/trainer, and served responses.
-	rollDeadline := time.After(120 * time.Second)
-	for liveVersion(t, client, ts.URL, key) <= vBad {
 		select {
-		case <-rollDeadline:
-			t.Fatalf("no rollback observed; /v1/ab: %+v", getAB(t, client, ts.URL))
+		case <-deadline:
+			t.Fatalf("no automatic promotion observed; trainer %+v", trainerStats())
 		case <-time.After(25 * time.Millisecond):
 		}
 	}
-	resp, err := client.Get(ts.URL + "/v1/trainer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trainerStats map[string]train.Stats
-	json.NewDecoder(resp.Body).Decode(&trainerStats)
-	resp.Body.Close()
-	if trainerStats["floor_0"].Rollbacks < 1 {
-		t.Fatalf("trainer stats do not record the rollback: %+v", trainerStats["floor_0"])
+
+	// Phase 2 — the regret watch rolls the promotion back on its first
+	// tick: the rolled-back version is the promoted one plus one.
+	rollDeadline := time.After(120 * time.Second)
+	for trainerStats().Rollbacks == 0 {
+		select {
+		case <-rollDeadline:
+			t.Fatalf("no rollback observed; trainer %+v", trainerStats())
+		case <-time.After(25 * time.Millisecond):
+		}
 	}
 	vRolled := liveVersion(t, client, ts.URL, key)
+	if vRolled < 3 {
+		t.Fatalf("rollback not visible in /v1/models: live v%d, trainer %+v", vRolled, trainerStats())
+	}
 	sawRolled := false
 	for i := 0; i < 50 && !sawRolled; i++ {
 		q := ds.Test["OP3"][i%len(ds.Test["OP3"])]
@@ -569,26 +475,133 @@ func TestABPipelineOverHTTP(t *testing.T) {
 		t.Fatal("no served response carried the rolled-back version")
 	}
 
-	// Phase 3 — manual abort path: stage another candidate and withdraw it.
-	status, _ = postJSON(t, client, ts.URL+"/v1/swap", map[string]any{
-		"floor": 0, "stage": true,
-		"weights": base64.StdEncoding.EncodeToString(untrainedWeights(t, ds)),
-	})
-	if status != http.StatusOK {
-		t.Fatalf("restage failed: %d", status)
-	}
-	if status, _ = postJSON(t, client, ts.URL+"/v1/ab/abort", map[string]any{"floor": 0}); status != http.StatusOK {
-		t.Fatalf("/v1/ab/abort failed: %d", status)
-	}
-	if status, _ = postJSON(t, client, ts.URL+"/v1/ab/abort", map[string]any{"floor": 0}); status != http.StatusNotFound {
-		t.Fatalf("aborting an empty lane returned %d, want 404", status)
-	}
-
 	stop()
 	trafficWg.Wait()
 	ts.Close()
 	n.Close()
 	closed = true
+}
+
+// TestExplicitFloorTrafficPromotes: clients that always name their floor
+// never take the routed path, and a winning fine-tune round must still go
+// live — the round, not the traffic shape, decides.
+func TestExplicitFloorTrafficPromotes(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)[:1]
+	ds := datasets[0]
+	n, err := node.New(datasets, node.Config{
+		Backends:    []string{"calloc"},
+		WeightBlobs: [][]byte{untrainedWeights(t, ds)},
+		Engine:      serve.Options{MaxBatch: 8, Workers: 2},
+		Trainer: train.Policy{
+			MinFeedback:     1 << 20, // rounds run only when the test calls FineTune
+			EpochsPerLesson: 8,
+			LearningRate:    0.02,
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(n.Handler())
+	defer func() { ts.Close(); n.Close() }()
+	client := ts.Client()
+	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
+
+	for _, s := range ds.Train[:40] {
+		if status, body := postJSON(t, client, ts.URL+"/v1/feedback",
+			map[string]any{"rss": s.RSS, "rp": s.RP, "floor": 0}); status != http.StatusOK {
+			t.Fatalf("/v1/feedback: %d %v", status, body)
+		}
+	}
+	for i, q := range ds.Test["OP3"] {
+		if i == 200 {
+			break
+		}
+		if status, body := postJSON(t, client, ts.URL+"/v1/localize",
+			map[string]any{"rss": q.RSS, "floor": 0}); status != http.StatusOK {
+			t.Fatalf("/v1/localize: %d %v", status, body)
+		}
+	}
+	tr, _ := n.Trainer(0)
+	res, err := tr.FineTune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Win {
+		t.Fatalf("fine-tuned candidate should beat the untrained incumbent: %+v", res)
+	}
+	if v := liveVersion(t, client, ts.URL, key); !res.Swapped || v != 2 {
+		t.Fatalf("winning round left the live version at %d: %+v", v, res)
+	}
+}
+
+// TestGatedPushOverHTTP: /v1/swap with "stage": true goes live only when the
+// floor's trainer scores the pushed model better than the incumbent. A
+// trained model replaces an untrained incumbent; untrained weights pushed
+// over it answer 200 with swapped:false and leave the version alone; a floor
+// with no trainer answers 409.
+func TestGatedPushOverHTTP(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)[:1]
+	ds := datasets[0]
+	untrained := base64.StdEncoding.EncodeToString(untrainedWeights(t, ds))
+	m, err := core.NewModel(core.DefaultConfig(ds.NumAPs, ds.NumRPs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := core.DefaultTrainConfig()
+	tc.EpochsPerLesson = 5
+	if _, err := m.Train(ds.Train, tc); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := m.MarshalWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := base64.StdEncoding.EncodeToString(blob)
+
+	for _, disable := range []bool{false, true} {
+		n, err := node.New(datasets, node.Config{
+			Backends:       []string{"calloc"},
+			WeightBlobs:    [][]byte{untrainedWeights(t, ds)},
+			Engine:         serve.Options{MaxBatch: 4, Workers: 1},
+			DisableTrainer: disable,
+			Logf:           t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(n.Handler())
+		client := ts.Client()
+		key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
+		push := func(weights string) (int, map[string]any) {
+			return postJSON(t, client, ts.URL+"/v1/swap", map[string]any{"floor": 0, "stage": true, "weights": weights})
+		}
+		if disable {
+			if status, body := push(trained); status != http.StatusConflict {
+				t.Errorf("gated push without a trainer = %d %v, want 409", status, body)
+			}
+			if v := liveVersion(t, client, ts.URL, key); v != 1 {
+				t.Errorf("refused push moved the version to %d", v)
+			}
+		} else {
+			status, body := push(trained)
+			if status != http.StatusOK || body["swapped"] != true || body["version"] != 2.0 ||
+				body["candidate"] == nil || body["incumbent"] == nil {
+				t.Fatalf("trained push over an untrained incumbent = %d %v", status, body)
+			}
+			status, body = push(untrained)
+			if status != http.StatusOK || body["swapped"] != false || body["version"] != 2.0 {
+				t.Fatalf("untrained push over a trained incumbent = %d %v", status, body)
+			}
+			if v := liveVersion(t, client, ts.URL, key); v != 2 {
+				t.Fatalf("losing push moved the version to %d", v)
+			}
+		}
+		ts.Close()
+		n.Close()
+	}
 }
 
 // /v1/models must report each CALLOC model's packed-weight precision and

@@ -200,55 +200,6 @@ func TestRouteBatchMixed(t *testing.T) {
 	}
 }
 
-// TestRouteBatchShadowSampling: routed batch rows feed the candidate's
-// shadow lane on the same every-Nth cadence as singles, so batch clients
-// keep earning A/B evidence.
-func TestRouteBatchShadowSampling(t *testing.T) {
-	live := &scripted{name: "pos", features: 2, classes: 64}
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: 7, Floor: 0, Backend: "pos"}
-	if _, err := reg.Register(key, live); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(reg, Options{MaxBatch: 8, Workers: 2, ABFraction: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	agree := localizer.Wrap("cand", 2, 64, nil, func(dst []int, x *mat.Matrix) []int {
-		if dst == nil {
-			dst = make([]int, x.Rows)
-		}
-		for i := 0; i < x.Rows; i++ {
-			dst[i] = unecho(x.Row(i)[0])
-		}
-		return dst
-	})
-	if _, err := reg.Stage(key, agree); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 16
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = []float64{echo(i), 0}
-	}
-	got, err := e.RouteBatch(nil, 7, "pos", rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range got {
-		if g.Err != nil || g.Class != i {
-			t.Fatalf("row %d = %+v", i, g)
-		}
-	}
-	st := waitABRows(t, e, key, n/2)
-	if st.Sampled != n/2 || st.Agree != st.Rows {
-		t.Fatalf("shadow sampled %d (agree %d/%d), want %d sampled all agreeing", st.Sampled, st.Agree, st.Rows, n/2)
-	}
-}
-
 // TestBatchConcurrentWithSingles hammers mixed batch and single traffic on
 // one lane under -race: every caller gets its own rows back.
 func TestBatchConcurrentWithSingles(t *testing.T) {

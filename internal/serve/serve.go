@@ -28,15 +28,6 @@
 // the floor, then localizes the position on that floor's backend. Both
 // stages are micro-batched.
 //
-// When Options.ABFraction is set and a key has a staged candidate
-// (Registry.Stage), every Nth routed request is additionally scored through
-// the candidate's own shadow micro-batch lane: the candidate's prediction is
-// compared against the live answer and recorded in per-key A/B counters
-// (ABStats) but never returned, and shadow work never blocks or fails live
-// traffic — a full shadow queue drops the sample. This is how a next model
-// version earns real-traffic evidence before the promotion gate (see
-// internal/train) makes it the live version.
-//
 // Models are updated by hot-swap: build a NEW localizer and Registry.Swap it
 // in. Lock-free for readers; in-flight batches finish on the old snapshot. A
 // registered localizer is never mutated in place (see DESIGN.md).
@@ -86,25 +77,6 @@ type Options struct {
 	// without bound, and one overloaded model does not consume another
 	// model's queue space.
 	QueueCap int
-	// ABFraction enables shadow A/B dispatch on the routed path: every Nth
-	// routed request whose position key has a staged candidate (see
-	// localizer.Registry.Stage) is ALSO batched through the candidate's own
-	// shadow micro-batch lane. The candidate's prediction is recorded in the
-	// key's A/B counters (agreement with the live arm, per-arm latency,
-	// shadow row counts — see ABStats) but never returned to the caller, and
-	// shadow enqueues never block: when the shadow lane is full the sample is
-	// dropped and counted. 0 disables shadowing entirely (no per-request
-	// candidate lookup).
-	ABFraction int
-}
-
-// Validate rejects options that setDefaults would not repair: a negative
-// ABFraction silently disabled the shadow lane.
-func (o *Options) Validate() error {
-	if o.ABFraction < 0 {
-		return fmt.Errorf("serve: ABFraction must be >= 0 (0 disables shadowing), got %d", o.ABFraction)
-	}
-	return nil
 }
 
 func (o *Options) setDefaults() {
@@ -132,58 +104,13 @@ type response struct {
 // request is one in-flight unit of localization work: a single query (rn ==
 // 1) or a pre-formed batch of rn rows packed row-major into x
 // (LocalizeBatch). A batch occupies ONE lane-queue slot and one wakeup, which
-// is what amortises the gather protocol across its rows. Shadow requests
-// additionally carry the live arm's answer for agreement accounting; nobody
-// waits on their result channel — the worker recycles them after scoring.
+// is what amortises the gather protocol across its rows.
 type request struct {
-	x         []float64 // rn × features, row-major
-	rn        int       // rows carried by this request
-	out       []int     // batch only: per-row classes, written by the worker before the result send
-	enq       time.Time
-	liveClass int
-	result    chan response // buffered (cap 1) so an abandoned caller never blocks a worker
-}
-
-// abCounters is one shadow lane's A/B bookkeeping. rows/agree/candNs are
-// bumped by the workers dispatching the lane's batches; sampled/dropped/liveNs
-// from Route goroutines. Counters reset when the staged candidate version
-// changes, so they always describe the current candidate's exposure.
-type abCounters struct {
-	candVersion atomic.Uint64
-	sampled     atomic.Int64 // routed requests selected for shadowing
-	rows        atomic.Int64 // shadow rows actually scored by the candidate
-	agree       atomic.Int64 // shadow rows where candidate == live prediction
-	dropped     atomic.Int64 // samples dropped (lane full, candidate vanished)
-	candNs      atomic.Int64 // cumulative enqueue→scored latency of shadow rows
-	liveNs      atomic.Int64 // cumulative live-arm latency of sampled requests
-	liveRows    atomic.Int64
-}
-
-// resetIfStale zeroes the counters when they still describe an older
-// candidate version. Candidate versions are monotonic per key, so a sample
-// that pinned its version before a restage (and was then delayed in the
-// shadow queue) must never roll the bucket backwards and wipe the newer
-// candidate's evidence — it just lands in the newer bucket. The CAS elects
-// exactly one resetter per version bump; increments racing the reset from
-// still-in-flight old-version samples may be lost or re-attributed, which
-// is acceptable for advisory counters.
-func (c *abCounters) resetIfStale(version uint64) {
-	for {
-		v := c.candVersion.Load()
-		if v >= version {
-			return
-		}
-		if c.candVersion.CompareAndSwap(v, version) {
-			c.sampled.Store(0)
-			c.rows.Store(0)
-			c.agree.Store(0)
-			c.dropped.Store(0)
-			c.candNs.Store(0)
-			c.liveNs.Store(0)
-			c.liveRows.Store(0)
-			return
-		}
-	}
+	x      []float64 // rn × features, row-major
+	rn     int       // rows carried by this request
+	out    []int     // batch only: per-row classes, written by the worker before the result send
+	enq    time.Time
+	result chan response // buffered (cap 1) so an abandoned caller never blocks a worker
 }
 
 // lane is one localizer's micro-batch queue. Lanes are created on first use
@@ -199,16 +126,6 @@ type lane struct {
 	// per-shard, per-key load out of Stats.Keys.
 	requests atomic.Int64
 
-	// shadow marks the candidate lane of an A/B pair: dispatch pins the
-	// key's staged candidate instead of the live snapshot, records the
-	// prediction in ab, and answers nobody. sampleSeq drives this key's
-	// every-Nth shadow sampling — per lane, so periodic multi-key traffic
-	// cannot alias one key's candidate out of all exposure; it survives
-	// restages (it is a cadence, not evidence).
-	shadow    bool
-	sampleSeq atomic.Int64
-	ab        abCounters
-
 	// pending counts accepted-but-ungathered requests; scheduled is true
 	// while the lane sits in the run queue or a worker is gathering from it.
 	// Together they guarantee a lane with pending work is always either
@@ -221,13 +138,6 @@ type lane struct {
 	scheduled atomic.Bool
 }
 
-// laneKey names a lane: the live lane of a position key, or (shadow) the
-// candidate lane of its A/B pair.
-type laneKey struct {
-	key    localizer.Key
-	shadow bool
-}
-
 // Engine coalesces concurrent localization requests into batched model
 // calls, one micro-batch lane per registered localizer, dispatched by a
 // shared worker pool.
@@ -238,7 +148,7 @@ type Engine struct {
 	// laneMu guards the lane map (read-mostly; lanes are created once per
 	// key and never removed while the engine runs).
 	laneMu sync.RWMutex
-	lanes  map[laneKey]*lane
+	lanes  map[localizer.Key]*lane
 
 	// runMu/cond protect the run queue of lanes with pending requests.
 	// draining tells idle workers to exit once the queue is empty.
@@ -267,27 +177,19 @@ type Engine struct {
 	completed atomic.Int64
 	latencyNs atomic.Int64
 	misroutes atomic.Int64
-
-	// Shadow A/B aggregates across shadow lanes (per-key figures, including
-	// the sampling cadence, live on the lanes).
-	shadowBatches atomic.Int64
-	shadowRows    atomic.Int64
 }
 
 // New starts an engine dispatching into the given registry. Localizers may
-// be registered, swapped, and deregistered while the engine runs.
+// be registered and swapped while the engine runs.
 func New(reg *localizer.Registry, opts Options) (*Engine, error) {
 	if reg == nil {
 		return nil, errors.New("serve: nil registry")
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
 	}
 	opts.setDefaults()
 	e := &Engine{
 		reg:     reg,
 		opts:    opts,
-		lanes:   make(map[laneKey]*lane),
+		lanes:   make(map[localizer.Key]*lane),
 		started: time.Now(),
 	}
 	e.cond = sync.NewCond(&e.runMu)
@@ -335,7 +237,7 @@ func (e *Engine) Localize(ctx context.Context, key localizer.Key, rss []float64)
 	if ctx == nil {
 		ctx = context.Background() // nil opts out of cancellation, as documented
 	}
-	l, err := e.lane(key, false)
+	l, err := e.lane(key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -432,7 +334,7 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 	if len(rss) == 0 {
 		return out, nil
 	}
-	l, err := e.lane(key, false)
+	l, err := e.lane(key)
 	if err != nil {
 		return nil, err
 	}
@@ -508,11 +410,6 @@ func (e *Engine) LocalizeBatch(ctx context.Context, key localizer.Key, rss [][]f
 // that floor's backend (groups run concurrently). Per-row misroutes — the
 // classifier predicting an unregistered floor — fail only their own row with
 // ErrMisroute in results[i].Err, exactly mirroring Route's semantics.
-//
-// When shadow A/B sampling is enabled, routed batch rows feed the candidate
-// lane on the same per-key every-Nth cadence as single routed requests, so
-// clients migrating to the batch API do not starve staged candidates of
-// evidence.
 func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, rss [][]float64) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background() // nil opts out of cancellation, as documented
@@ -559,18 +456,12 @@ func (e *Engine) RouteBatch(ctx context.Context, building int, backend string, r
 				rows[j] = rss[i]
 			}
 		}
-		start := time.Now()
 		res, err := e.LocalizeBatch(ctx, key, rows)
-		if err != nil {
-			for _, i := range idxs {
-				out[i].Err = err
-			}
-			return
-		}
 		for j, i := range idxs {
-			out[i] = res[j]
-			if res[j].Err == nil {
-				e.sample(key, rows[j], res[j].Class, start)
+			if err != nil {
+				out[i].Err = err
+			} else {
+				out[i] = res[j]
 			}
 		}
 	}
@@ -617,18 +508,7 @@ func (e *Engine) Route(ctx context.Context, building int, backend string, rss []
 			return Result{}, err
 		}
 	}
-	key := localizer.Key{Building: building, Floor: floor, Backend: backend}
-
-	var start time.Time
-	if e.opts.ABFraction > 0 {
-		start = time.Now() // the live arm's latency, for the A/B counters
-	}
-	res, err := e.Localize(ctx, key, rss)
-	if err != nil {
-		return Result{}, err
-	}
-	e.sample(key, rss, res.Class, start)
-	return res, nil
+	return e.Localize(ctx, localizer.Key{Building: building, Floor: floor, Backend: backend}, rss)
 }
 
 // onlyFloor is the floor a building without a floor classifier routes to:
@@ -662,69 +542,12 @@ func (e *Engine) checkFloor(building int, backend string, floor int) error {
 		ErrMisroute, building, backend, floor, e.reg.Floors(building, backend))
 }
 
-// sample is the shadow A/B cadence, applied to one routed row after its live
-// answer (liveClass, dispatched at liveStart): every ABFraction-th such row
-// of a key with a staged candidate is also enqueued into the candidate's
-// shadow lane (per-key cadence — see lane.sampleSeq). It never blocks and
-// never fails the caller: a full shadow queue or a closing engine just drops
-// the sample (counted). With ABFraction 0 it does nothing at all.
-func (e *Engine) sample(key localizer.Key, row []float64, liveClass int, liveStart time.Time) {
-	if e.opts.ABFraction <= 0 {
-		return
-	}
-	cand, staged := e.reg.Candidate(key)
-	if !staged {
-		return
-	}
-	l, err := e.lane(key, true)
-	if err != nil || l.sampleSeq.Add(1)%int64(e.opts.ABFraction) != 0 {
-		return
-	}
-	l.ab.resetIfStale(cand.Version)
-	l.ab.sampled.Add(1)
-	l.ab.liveNs.Add(time.Since(liveStart).Nanoseconds())
-	l.ab.liveRows.Add(1)
-
-	//calloc:handoff enqueued into the shadow lane; the worker recycles it (or the closed/full paths Put here)
-	r := e.reqPool.Get().(*request)
-	if cap(r.x) < l.features {
-		r.x = make([]float64, l.features)
-	}
-	r.x = r.x[:l.features]
-	copy(r.x, row)
-	r.rn = 1
-	r.out = r.out[:0]
-	r.enq = time.Now()
-	r.liveClass = liveClass
-
-	e.sendMu.RLock()
-	if e.closed {
-		e.sendMu.RUnlock()
-		e.reqPool.Put(r)
-		l.ab.dropped.Add(1)
-		return
-	}
-	select {
-	case l.reqs <- r:
-		l.pending.Add(1)
-		e.schedule(l)
-		e.sendMu.RUnlock()
-	default:
-		e.sendMu.RUnlock()
-		e.reqPool.Put(r)
-		l.ab.dropped.Add(1)
-	}
-}
-
-// lane returns (creating on first use) the micro-batch lane for key: its live
-// lane, or with shadow set the candidate lane of its A/B pair. Lane creation
-// requires the key to be registered; the lane's feature width is pinned from
-// the live localizer's InputDim, which registry swaps preserve and Stage
-// enforces for candidates.
-func (e *Engine) lane(key localizer.Key, shadow bool) (*lane, error) {
-	lk := laneKey{key, shadow}
+// lane returns (creating on first use) the micro-batch lane for key. Lane
+// creation requires the key to be registered; the lane's feature width is
+// pinned from the localizer's InputDim, which registry swaps preserve.
+func (e *Engine) lane(key localizer.Key) (*lane, error) {
 	e.laneMu.RLock()
-	l, ok := e.lanes[lk]
+	l, ok := e.lanes[key]
 	e.laneMu.RUnlock()
 	if ok {
 		return l, nil
@@ -735,16 +558,15 @@ func (e *Engine) lane(key localizer.Key, shadow bool) (*lane, error) {
 	}
 	e.laneMu.Lock()
 	defer e.laneMu.Unlock()
-	if l, ok := e.lanes[lk]; ok {
+	if l, ok := e.lanes[key]; ok {
 		return l, nil
 	}
 	l = &lane{
 		key:      key,
 		features: snap.Localizer.InputDim(),
 		reqs:     make(chan *request, e.opts.QueueCap),
-		shadow:   shadow,
 	}
-	e.lanes[lk] = l
+	e.lanes[key] = l
 	return l, nil
 }
 
@@ -825,11 +647,7 @@ func (e *Engine) run() {
 		if cap(dst) < rows {
 			dst = make([]int, rows)
 		}
-		if l.shadow {
-			e.dispatchShadow(l, batch, rows, dst, xbuf, xm)
-		} else {
-			e.dispatch(l, batch, rows, dst, xbuf, xm)
-		}
+		e.dispatch(l, batch, rows, dst, xbuf, xm)
 	}
 }
 
@@ -871,26 +689,9 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 	// reads it during PredictInto, so refilling it next batch is safe.
 	x.Rows, x.Cols, x.Data = rows, f, xbuf[:rows*f]
 
-	snap, ok := e.reg.Get(l.key)
-	if !ok {
-		// Deregistered with requests in flight: fail them rather than drop.
-		for _, r := range batch {
-			r.result <- response{class: -1, err: fmt.Errorf("%w: %s", ErrUnknownModel, l.key)}
-		}
-		return
-	}
-	if snap.Localizer.InputDim() != f {
-		// Swap preserves shapes, but Deregister+Register can install a
-		// localizer with a different width under a key whose lane (and
-		// whose queued fingerprints) are pinned to the old one. Fail the
-		// batch instead of feeding the model wrong-width rows.
-		for _, r := range batch {
-			r.result <- response{class: -1, err: fmt.Errorf(
-				"serve: %s re-registered with input dim %d, lane pinned to %d (re-registering a different shape needs a new key)",
-				l.key, snap.Localizer.InputDim(), f)}
-		}
-		return
-	}
+	// A lane exists only for a registered key, keys are never removed, and
+	// swaps preserve the input width the lane was sized with.
+	snap, _ := e.reg.Get(l.key)
 	snap.Localizer.PredictInto(dst[:rows], x)
 
 	// Counted before delivery, so a caller holding its answer finds its batch
@@ -910,106 +711,6 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		}
 		off += rn
 	}
-}
-
-// dispatchShadow runs one shadow batch through the key's staged candidate:
-// it pins the candidate (not the live snapshot), records agreement with the
-// live arm and candidate-arm latency, and answers nobody — shadow requests
-// have no waiting caller and are recycled here. A candidate that was aborted
-// (or restaged with a different shape) while the batch sat queued just
-// drops the rows.
-func (e *Engine) dispatchShadow(l *lane, batch []*request, rows int, dst []int, xbuf []float64, x *mat.Matrix) {
-	recycle := func() {
-		for _, r := range batch {
-			e.reqPool.Put(r)
-		}
-	}
-	cand, ok := e.reg.Candidate(l.key)
-	if !ok || cand.Localizer.InputDim() != l.features {
-		l.ab.dropped.Add(int64(len(batch)))
-		recycle()
-		return
-	}
-	// Counters describe exactly one candidate version: a restage resets
-	// them. Rows queued before the restage are scored by (and attributed
-	// to) the candidate pinned here.
-	l.ab.resetIfStale(cand.Version)
-
-	n := rows // shadow requests are always single-row, so rows == len(batch)
-	f := l.features
-	for i, r := range batch {
-		copy(xbuf[i*f:(i+1)*f], r.x)
-	}
-	x.Rows, x.Cols, x.Data = n, f, xbuf[:n*f]
-
-	cand.Localizer.PredictInto(dst[:n], x)
-
-	now := time.Now()
-	for i, r := range batch {
-		if dst[i] == r.liveClass {
-			l.ab.agree.Add(1)
-		}
-		l.ab.candNs.Add(now.Sub(r.enq).Nanoseconds())
-		e.reqPool.Put(r)
-	}
-	l.ab.rows.Add(int64(n))
-	e.shadowBatches.Add(1)
-	e.shadowRows.Add(int64(n))
-}
-
-// ABStats is one key's shadow A/B exposure: how much routed traffic the
-// staged candidate has scored and how it compares to the live arm. Counters
-// reset whenever a new candidate version is staged.
-type ABStats struct {
-	Key localizer.Key `json:"key"`
-	// CandidateVersion is the candidate sequence the counters describe (see
-	// localizer.Candidate.Version); 0 before any shadow row was scored.
-	CandidateVersion uint64 `json:"candidate_version"`
-	// Sampled counts routed requests selected for shadowing; Rows counts
-	// shadow rows the candidate actually scored; Dropped counts samples lost
-	// to a full shadow queue or a vanished candidate.
-	Sampled int64 `json:"sampled"`
-	Rows    int64 `json:"shadow_rows"`
-	Dropped int64 `json:"dropped"`
-	// Agree counts shadow rows where the candidate matched the live arm's
-	// prediction; Agreement is Agree/Rows.
-	Agree     int64   `json:"agree"`
-	Agreement float64 `json:"agreement"`
-	// AvgCandidateLatency is the mean enqueue→scored time of shadow rows;
-	// AvgLiveLatency the mean live-arm latency of the sampled requests.
-	AvgCandidateLatency time.Duration `json:"avg_candidate_latency_ns"`
-	AvgLiveLatency      time.Duration `json:"avg_live_latency_ns"`
-}
-
-func (l *lane) abStats() ABStats {
-	s := ABStats{
-		Key:              l.key,
-		CandidateVersion: l.ab.candVersion.Load(),
-		Sampled:          l.ab.sampled.Load(),
-		Rows:             l.ab.rows.Load(),
-		Dropped:          l.ab.dropped.Load(),
-		Agree:            l.ab.agree.Load(),
-	}
-	if s.Rows > 0 {
-		s.Agreement = float64(s.Agree) / float64(s.Rows)
-		s.AvgCandidateLatency = time.Duration(l.ab.candNs.Load() / s.Rows)
-	}
-	if lr := l.ab.liveRows.Load(); lr > 0 {
-		s.AvgLiveLatency = time.Duration(l.ab.liveNs.Load() / lr)
-	}
-	return s
-}
-
-// ABStats returns the shadow A/B counters for key, false when no routed
-// request has ever been sampled for it.
-func (e *Engine) ABStats(key localizer.Key) (ABStats, bool) {
-	e.laneMu.RLock()
-	l, ok := e.lanes[laneKey{key, true}]
-	e.laneMu.RUnlock()
-	if !ok {
-		return ABStats{}, false
-	}
-	return l.abStats(), true
 }
 
 // Close shuts the engine down gracefully. The ordering guarantee is
@@ -1059,8 +760,7 @@ type Stats struct {
 	Rows int64 `json:"rows"`
 	// QueueFullWaits counts requests that hit backpressure (full lane queue).
 	QueueFullWaits int64 `json:"queue_full_waits"`
-	// Lanes is the number of live micro-batch lanes created so far (shadow
-	// lanes are not counted).
+	// Lanes is the number of micro-batch lanes created so far.
 	Lanes int `json:"lanes"`
 	// AvgBatch is Rows/Batches — the realised coalescing factor.
 	AvgBatch float64 `json:"avg_batch"`
@@ -1069,12 +769,6 @@ type Stats struct {
 	// Misroutes counts routed requests whose floor classifier predicted a
 	// floor with no registered localizer (failed with ErrMisroute).
 	Misroutes int64 `json:"misroutes"`
-	// ShadowBatches/ShadowRows count candidate-lane dispatches across all
-	// keys (excluded from Batches/Rows/AvgBatch, which describe live
-	// traffic); AB carries the per-key candidate counters.
-	ShadowBatches int64     `json:"shadow_batches"`
-	ShadowRows    int64     `json:"shadow_rows"`
-	AB            []ABStats `json:"ab,omitempty"`
 	// Keys is the per-key monotonic request count of every lane, ordered by
 	// key — the per-shard load breakdown a fleet router aggregates.
 	Keys []KeyStats `json:"keys,omitempty"`
@@ -1082,18 +776,12 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's throughput and latency counters.
 func (e *Engine) Stats() Stats {
-	var ab []ABStats
 	var keys []KeyStats
 	e.laneMu.RLock()
 	for _, l := range e.lanes {
-		if l.shadow {
-			ab = append(ab, l.abStats())
-		} else {
-			keys = append(keys, KeyStats{Key: l.key, Requests: l.requests.Load()})
-		}
+		keys = append(keys, KeyStats{Key: l.key, Requests: l.requests.Load()})
 	}
 	e.laneMu.RUnlock()
-	sort.Slice(ab, func(i, j int) bool { return ab[i].Key.Less(ab[j].Key) })
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Key.Less(keys[j].Key) })
 	s := Stats{
 		Uptime:         time.Since(e.started),
@@ -1103,9 +791,6 @@ func (e *Engine) Stats() Stats {
 		QueueFullWaits: e.fullWaits.Load(),
 		Lanes:          len(keys),
 		Misroutes:      e.misroutes.Load(),
-		ShadowBatches:  e.shadowBatches.Load(),
-		ShadowRows:     e.shadowRows.Load(),
-		AB:             ab,
 		Keys:           keys,
 	}
 	if s.Batches > 0 {

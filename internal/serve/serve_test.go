@@ -505,7 +505,7 @@ func TestBackpressure(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		e.laneMu.RLock()
-		l = e.lanes[laneKey{key, false}]
+		l = e.lanes[key]
 		e.laneMu.RUnlock()
 		if l != nil && len(l.reqs) == 1 {
 			break
@@ -647,54 +647,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := e.Localize(nil, localizer.Key{Building: 7, Floor: 0, Backend: "echo"}, []float64{1, 2}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown key error = %v, want ErrUnknownModel", err)
-	}
-}
-
-// TestDeregisterFailsInFlight: requests for a deregistered key fail with
-// ErrUnknownModel instead of being dropped.
-func TestDeregisterFailsInFlight(t *testing.T) {
-	s := &scripted{name: "echo", features: 1, classes: 8}
-	reg, key := reg1(s)
-	e, err := New(reg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.Localize(nil, key, []float64{1}); err != nil {
-		t.Fatal(err) // lane created while registered
-	}
-	reg.Deregister(key)
-	if _, err := e.Localize(nil, key, []float64{1}); !errors.Is(err, ErrUnknownModel) {
-		t.Fatalf("deregistered key = %v, want ErrUnknownModel", err)
-	}
-}
-
-// TestReregisterShapeMismatchFailsBatch: Swap preserves shapes, but
-// Deregister+Register can change a key's input width under a lane pinned to
-// the old one — dispatch must fail those requests, not feed the model
-// wrong-width rows.
-func TestReregisterShapeMismatchFailsBatch(t *testing.T) {
-	s := &scripted{name: "echo", features: 2, classes: 8}
-	reg, key := reg1(s)
-	e, err := New(reg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.Localize(nil, key, []float64{echo(1), echo(2)}); err != nil {
-		t.Fatal(err) // lane pinned at 2 features
-	}
-	reg.Deregister(key)
-	wide := &scripted{name: "echo", features: 3, classes: 8}
-	if _, err := reg.Register(key, wide); err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Localize(nil, key, []float64{echo(1), echo(2)})
-	if err == nil || !strings.Contains(err.Error(), "lane pinned") {
-		t.Fatalf("wrong-width re-registration served: %v", err)
-	}
-	if got := wide.sizes(); len(got) != 0 {
-		t.Fatalf("mismatched localizer was dispatched: %v", got)
 	}
 }
 
@@ -937,7 +889,7 @@ func TestConcurrentFirstLaneCallsRelease(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.lane(key, false); err != nil {
+			if _, err := e.lane(key); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -952,7 +904,7 @@ func TestConcurrentFirstLaneCallsRelease(t *testing.T) {
 	later := make(chan struct{})
 	go func() {
 		<-done
-		e.lane(key, false)
+		e.lane(key)
 		close(later)
 	}()
 	select {
@@ -991,221 +943,5 @@ func waitForStacks(t *testing.T, n int, frames ...string) {
 			t.Fatalf("%d of %d goroutines reached %v", got, n, frames)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// waitABRows polls until key's shadow lane has scored want rows.
-func waitABRows(t *testing.T, e *Engine, key localizer.Key, want int64) ABStats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st, ok := e.ABStats(key); ok && st.Rows >= want {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st, _ := e.ABStats(key)
-	t.Fatalf("shadow lane never scored %d rows: %+v", want, st)
-	return ABStats{}
-}
-
-// TestShadowDispatch: with a staged candidate and ABFraction=2, every 2nd
-// routed request is also scored by the candidate — recorded in the A/B
-// counters, never returned — and restaging resets the counters to describe
-// the new candidate. Without a candidate nothing is sampled.
-func TestShadowDispatch(t *testing.T) {
-	live := &scripted{name: "pos", features: 2, classes: 64}
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: 7, Floor: 0, Backend: "pos"}
-	if _, err := reg.Register(key, live); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(reg, Options{MaxBatch: 4, Workers: 2, ABFraction: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	// No candidate staged: routed traffic must not be sampled at all.
-	for i := 0; i < 6; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := e.ABStats(key); ok {
-		t.Fatal("A/B counters exist without a staged candidate")
-	}
-
-	// Candidate that always DISAGREES with the live arm (echo+1).
-	disagree := localizer.Wrap("cand", 2, 64, nil, func(dst []int, x *mat.Matrix) []int {
-		if dst == nil {
-			dst = make([]int, x.Rows)
-		}
-		for i := 0; i < x.Rows; i++ {
-			dst[i] = unecho(x.Row(i)[0]) + 1
-		}
-		return dst
-	})
-	c, err := reg.Stage(key, disagree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		res, err := e.Route(nil, 7, "pos", []float64{echo(i), 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Class != i {
-			t.Fatalf("request %d answered %d — the candidate's prediction leaked into a response", i, res.Class)
-		}
-		if res.Version != 1 {
-			t.Fatalf("request %d carries version %d — staging must not advance the live version", i, res.Version)
-		}
-	}
-	st := waitABRows(t, e, key, n/2)
-	if st.CandidateVersion != c.Version {
-		t.Fatalf("counters describe candidate %d, staged %d", st.CandidateVersion, c.Version)
-	}
-	if st.Sampled != n/2 || st.Rows != n/2 {
-		t.Fatalf("sampled %d scored %d, want %d each (%+v)", st.Sampled, st.Rows, n/2, st)
-	}
-	if st.Agree != 0 || st.Agreement != 0 {
-		t.Fatalf("always-disagreeing candidate recorded %d agreements (%+v)", st.Agree, st)
-	}
-
-	// Restage an always-AGREEING candidate: counters reset and re-attribute.
-	agreeCand := localizer.Wrap("cand2", 2, 64, nil, func(dst []int, x *mat.Matrix) []int {
-		if dst == nil {
-			dst = make([]int, x.Rows)
-		}
-		for i := 0; i < x.Rows; i++ {
-			dst[i] = unecho(x.Row(i)[0])
-		}
-		return dst
-	})
-	c2, err := reg.Stage(key, agreeCand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ = e.ABStats(key)
-		if st.CandidateVersion == c2.Version && st.Rows >= n/2 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("counters never reset to candidate %d: %+v", c2.Version, st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st.Agree != st.Rows {
-		t.Fatalf("always-agreeing candidate: %d agreements over %d rows (%+v)", st.Agree, st.Rows, st)
-	}
-	if st.AvgCandidateLatency <= 0 || st.AvgLiveLatency <= 0 {
-		t.Fatalf("per-arm latencies not recorded: %+v", st)
-	}
-
-	// Aborting stops the sampling at the source.
-	reg.Abort(key)
-	before, _ := e.ABStats(key)
-	for i := 0; i < 6; i++ {
-		if _, err := e.Route(nil, 7, "pos", []float64{echo(i), 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, _ := e.ABStats(key)
-	if after.Sampled != before.Sampled {
-		t.Fatalf("aborted candidate still sampled: %d → %d", before.Sampled, after.Sampled)
-	}
-
-	// Engine stats surface the shadow aggregate and per-key counters.
-	es := e.Stats()
-	if es.ShadowRows == 0 || es.ShadowBatches == 0 || len(es.AB) != 1 || es.AB[0].Key != key {
-		t.Fatalf("engine stats missing shadow figures: %+v", es)
-	}
-}
-
-// TestShadowNeverFailsLive: shadow enqueues drop (counted) instead of
-// blocking or erroring when the shadow queue is full or the engine is
-// closing.
-func TestShadowNeverFailsLive(t *testing.T) {
-	live := &scripted{name: "pos", features: 1, classes: 8}
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: 1, Floor: 0, Backend: "pos"}
-	if _, err := reg.Register(key, live); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Stage(key, &scripted{name: "cand", features: 1, classes: 8}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(reg, Options{MaxBatch: 1, Workers: 1, QueueCap: 1, ABFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fill the shadow lane's queue without scheduling it, so the next
-	// sampled request finds it full and must drop.
-	l, err := e.lane(key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.reqs <- &request{x: []float64{0}, result: make(chan response, 1)}
-	if _, err := e.Route(nil, 1, "pos", []float64{echo(3)}); err != nil {
-		t.Fatalf("live request failed under a full shadow queue: %v", err)
-	}
-	if st, _ := e.ABStats(key); st.Dropped != 1 {
-		t.Fatalf("full shadow queue not counted as a drop: %+v", st)
-	}
-	<-l.reqs // drain the stuffed request so Close's workers see an empty lane
-
-	e.Close()
-	// After Close, shadowing drops silently rather than racing the drain.
-	e.sample(key, []float64{1}, 0, time.Now())
-	if st, _ := e.ABStats(key); st.Dropped != 2 {
-		t.Fatalf("post-Close shadow not dropped: %+v", st)
-	}
-}
-
-// TestShadowSamplingPerKey: the every-Nth shadow cadence is per key, so
-// strictly alternating traffic across two staged candidates exposes BOTH —
-// a single global counter would alias one key out of all shadow rows.
-func TestShadowSamplingPerKey(t *testing.T) {
-	reg := localizer.NewRegistry()
-	keys := make([]localizer.Key, 2)
-	for b := 0; b < 2; b++ {
-		live := &scripted{name: "pos", features: 1, classes: 8}
-		keys[b] = localizer.Key{Building: b, Floor: 0, Backend: "pos"}
-		if _, err := reg.Register(keys[b], live); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reg.Stage(keys[b], &scripted{name: "cand", features: 1, classes: 8}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, err := New(reg, Options{MaxBatch: 4, Workers: 2, ABFraction: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	const perKey = 20
-	for i := 0; i < perKey; i++ {
-		for b := 0; b < 2; b++ { // strict alternation
-			if _, err := e.Route(nil, b, "pos", []float64{echo(i % 8)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for b := 0; b < 2; b++ {
-		st := waitABRows(t, e, keys[b], perKey/2)
-		if st.Sampled != perKey/2 {
-			t.Fatalf("key %d sampled %d of %d, want every 2nd (%d)", b, st.Sampled, perKey, perKey/2)
-		}
 	}
 }

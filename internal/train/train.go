@@ -2,39 +2,37 @@
 // train→serve→feedback→retrain→hot-swap cycle: a background Trainer
 // accumulates labelled online fingerprints (e.g. from a /v1/feedback
 // endpoint), periodically continues the curriculum from the incumbent
-// model's checkpoint on base+feedback data, and walks each candidate through
-// a two-phase promotion gate before it replaces what is being served:
+// model's checkpoint on base+feedback data, and puts each candidate through
+// one promotion gate before it replaces what is being served:
 //
-//  1. Holdout gate (stage): a fine-tune round "wins" when the candidate
-//     beats the incumbent on the held-out clean+attacked split by at least
-//     MinDelta; after StageAfter consecutive winning rounds the candidate is
-//     staged into the registry's A/B lane (Registry.Stage), where the
-//     serving engine shadows live routed traffic through it without ever
-//     returning its predictions. A losing round aborts the staged candidate
-//     and resets the hysteresis streak.
-//  2. Shadow gate (promote): once the candidate has scored at least
-//     PromoteAfter real shadowed rows (and, optionally, agrees with the live
-//     arm on at least MinAgreement of them), it is promoted
-//     (Registry.Promote) — the live version advances, in-flight batches
-//     finish on the old snapshot, and the displaced snapshot is retained.
+//  1. Holdout gate: a fine-tune round "wins" when the candidate beats the
+//     incumbent on the held-out clean+attacked split by more than MinDelta.
+//     A losing round resets the win streak.
+//  2. Win streak: after PromoteStreak consecutive winning rounds the
+//     candidate goes live through Registry.SwapIf against the version the
+//     round started from — a version pushed meanwhile fails the swap instead
+//     of being silently discarded. In-flight batches finish on the old
+//     snapshot, and the registry retains the displaced one.
+//  3. Regret window: for RegretWindow ticker checks after a promotion the
+//     trainer scores the live model AND the retained previous snapshot on
+//     the same salted holdout evaluation, and if the served error regresses
+//     past the previous snapshot's (plus RegretDelta) it rolls back
+//     (Registry.Rollback) — promotion is cheap to undo, so the gate can
+//     afford to be optimistic.
 //
-// After a promotion the trainer watches a regret window: for RegretWindow
-// ticker checks it scores the live model AND the retained previous snapshot
-// on the same salted holdout evaluation, and if the served error regresses
-// past the previous snapshot's (plus RegretDelta) it automatically rolls
-// back (Registry.Rollback) — promotion is cheap to undo, so the gate can
-// afford to be optimistic.
+// Offer puts an externally built model (a gated weight push) through the
+// same holdout comparison and, on a win, the same SwapIf and regret window.
 //
 // Everything runs off the request path: fine-tuning happens on the trainer's
-// own goroutine, candidate models shadow but never answer until the
-// promotion, and validation against the live incumbent only uses paths that
-// are safe under concurrent serving (the pooled predictors over the model's
-// immutable serving snapshot for inference; the caching gradient path is exercised under the trainer's
-// round lock alone, and serving never touches the training caches).
+// own goroutine, candidate models never answer until they are promoted, and
+// validation against the live incumbent only uses paths that are safe under
+// concurrent serving (the pooled predictors over the model's immutable
+// serving snapshot for inference; the caching gradient path is exercised
+// under the trainer's round lock alone, and serving never touches the
+// training caches).
 package train
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -69,11 +67,6 @@ type Options struct {
 	// one from the incumbent's current weights — how weight-file deployments
 	// (no optimizer history) enter the loop.
 	Checkpoint *core.TrainCheckpoint
-	// Shadow reads the serving layer's A/B counters for Key: the staged
-	// candidate version the counters describe, shadow rows scored, and
-	// agreements with the live arm (see serve.Engine.ABStats). Nil disables
-	// the shadow gate.
-	Shadow func() (candVersion uint64, rows, agree int64)
 	// Dist scores a validation prediction against its label — typically
 	// Dataset.ErrorMeters. Nil selects 0/1 misclassification.
 	Dist func(pred, label int) float64
@@ -106,28 +99,17 @@ type Policy struct {
 	MinFeedback int
 	MaxFeedback int
 	// Interval is the background loop's poll cadence (default 2s). Each tick
-	// also advances the promotion and regret checks, which do not need new
-	// feedback.
+	// also advances the regret check, which does not need new feedback.
 	Interval time.Duration
 
 	// MinDelta is how much the candidate's holdout score (Scores.Total) must
 	// improve on the incumbent's for a fine-tune round to count as a win.
 	// The default 0 keeps the historical strict-improvement rule.
 	MinDelta float64
-	// StageAfter is the hysteresis depth: consecutive winning rounds
-	// required before the candidate is staged into the A/B lane (default 1).
-	// A losing round resets the streak and aborts any staged candidate.
-	StageAfter int
-	// PromoteAfter is the minimum number of live shadowed rows the staged
-	// candidate must score before promotion. It only gates when Shadow is
-	// wired; with Shadow nil (or PromoteAfter 0) a staged candidate promotes
-	// immediately — the historical behaviour.
-	PromoteAfter int64
-	// MinAgreement, when > 0, additionally requires the candidate to agree
-	// with the live arm on at least this fraction of the shadow sample —
-	// a cheap sanity floor against degenerate candidates that happened to
-	// score well on the holdout.
-	MinAgreement float64
+	// PromoteStreak is the hysteresis depth: consecutive winning rounds
+	// required before the candidate goes live (default 1). A losing round
+	// resets the streak.
+	PromoteStreak int
 	// RegretWindow is how many ticker checks after a promotion the live
 	// model is re-validated on the holdout; 0 disables rollback-on-regret.
 	RegretWindow int
@@ -149,17 +131,14 @@ const attackPhi = 50
 
 // Validate rejects the settings that are accepted by the zero-means-default
 // rules yet disable part of the gate without saying so: a NaN delta never
-// wins (MinDelta) or never rolls back (RegretDelta), a NaN rate trains into
-// NaN weights, and an agreement floor above 1 never promotes.
+// wins (MinDelta) or never rolls back (RegretDelta), and a NaN rate trains
+// into NaN weights.
 func (p *Policy) Validate() error {
 	names := [...]string{"MinDelta", "RegretDelta", "LearningRate"}
 	for i, v := range [...]float64{p.MinDelta, p.RegretDelta, p.LearningRate} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("train: %s must be finite, got %v", names[i], v)
 		}
-	}
-	if !(p.MinAgreement >= 0 && p.MinAgreement <= 1) {
-		return fmt.Errorf("train: MinAgreement must be in [0, 1] (0 disables), got %v", p.MinAgreement)
 	}
 	return nil
 }
@@ -186,8 +165,8 @@ func (p *Policy) setDefaults() {
 	if p.Interval <= 0 {
 		p.Interval = 2 * time.Second
 	}
-	if p.StageAfter <= 0 {
-		p.StageAfter = 1
+	if p.PromoteStreak <= 0 {
+		p.PromoteStreak = 1
 	}
 }
 
@@ -204,24 +183,20 @@ type Scores struct {
 // trade-off the curriculum itself optimises.
 func (s Scores) Total() float64 { return s.Clean + s.Attacked }
 
-// Round reports one fine-tune cycle.
+// Round reports one fine-tune cycle, or one Offer (whose Round and Feedback
+// are zero).
 type Round struct {
 	Round     int64  `json:"round"`
 	Feedback  int    `json:"feedback"`
 	Candidate Scores `json:"candidate"`
 	Incumbent Scores `json:"incumbent"`
 	// Win reports whether the candidate cleared the holdout min-delta gate
-	// this round; Streak is the consecutive-win count after this round.
+	// this round; Streak is the consecutive-win count it reached (a
+	// promotion restarts the trainer's count).
 	Win    bool `json:"win"`
 	Streak int  `json:"streak"`
-	// Staged reports whether the candidate sits in the A/B lane after this
-	// round (staged now or in an earlier round and not yet promoted);
-	// CandidateVersion identifies it.
-	Staged           bool   `json:"staged"`
-	CandidateVersion uint64 `json:"candidate_version,omitempty"`
 	// Swapped reports whether this round's candidate was promoted to the
-	// live slot (immediately — when the shadow gate is disabled or already
-	// satisfied). Version is the live registry version after the round.
+	// live slot. Version is the live registry version after the round.
 	Swapped bool   `json:"swapped"`
 	Version uint64 `json:"version"`
 }
@@ -232,31 +207,18 @@ type Stats struct {
 	FeedbackPending int   `json:"feedback_pending"`
 	FeedbackHeld    int   `json:"feedback_held"`
 	Rounds          int64 `json:"rounds"`
-	// Swaps counts promotions into the live slot (the historical name: each
-	// one is a served hot-swap). Aborts counts staged candidates withdrawn
-	// (hysteresis reset or version conflict); Rollbacks counts regretted
-	// promotions undone.
+	// Swaps counts promotions into the live slot (each one is a served
+	// hot-swap); Rollbacks counts regretted promotions undone.
 	Swaps     int64 `json:"swaps"`
-	Aborts    int64 `json:"aborts"`
 	Rollbacks int64 `json:"rollbacks"`
-	// Streak is the current consecutive-win count; Staged/CandidateVersion
-	// describe the A/B lane; RegretTicksLeft is how much of the
-	// post-promotion regret window remains.
-	Streak           int    `json:"streak"`
-	Staged           bool   `json:"staged"`
-	CandidateVersion uint64 `json:"candidate_version,omitempty"`
-	RegretTicksLeft  int    `json:"regret_ticks_left,omitempty"`
-	Version          uint64 `json:"version"`
-	LastCandidate    Scores `json:"last_candidate"`
-	LastIncumbent    Scores `json:"last_incumbent"`
-	LastError        string `json:"last_error,omitempty"`
-}
-
-// staged is the trainer-side record of a candidate sitting in the A/B lane.
-type stagedState struct {
-	candVersion uint64 // localizer.Candidate.Version staged under the key
-	final       *core.TrainCheckpoint
-	cand, inc   Scores // holdout scores at stage time (inc = regret baseline)
+	// Streak is the current consecutive-win count; RegretTicksLeft is how
+	// much of the post-promotion regret window remains.
+	Streak          int    `json:"streak"`
+	RegretTicksLeft int    `json:"regret_ticks_left,omitempty"`
+	Version         uint64 `json:"version"`
+	LastCandidate   Scores `json:"last_candidate"`
+	LastIncumbent   Scores `json:"last_incumbent"`
+	LastError       string `json:"last_error,omitempty"`
 }
 
 // regretState is the post-promotion watch: while ticksLeft > 0 the live
@@ -287,16 +249,15 @@ type Trainer struct {
 	version  uint64
 	stats    Stats
 	streak   int
-	staged   *stagedState
 	regret   *regretState
 
 	runMu   sync.Mutex // serialises fine-tune rounds and gate transitions
 	round   int64
 	evalSeq int64 // salts out-of-round holdout evaluations (regret checks)
 
-	// prePromote, when non-nil, runs immediately before Registry.Promote —
-	// a test hook to interleave concurrent version pushes deterministically.
-	prePromote func()
+	// preSwap, when non-nil, runs immediately before Registry.SwapIf — a
+	// test hook to interleave concurrent version pushes deterministically.
+	preSwap func()
 	// scoreFn, when non-nil, replaces score — a test hook that lets the
 	// gate state machine be driven with scripted holdout results.
 	scoreFn func(m *core.Model, salt int64) Scores
@@ -398,19 +359,15 @@ func (t *Trainer) Stats() Stats {
 	s.FeedbackPending = t.pending
 	s.FeedbackHeld = len(t.feedback)
 	s.Streak = t.streak
-	if t.staged != nil {
-		s.Staged = true
-		s.CandidateVersion = t.staged.candVersion
-	}
 	if t.regret != nil {
 		s.RegretTicksLeft = t.regret.ticksLeft
 	}
 	return s
 }
 
-// Start launches the background loop: every Interval, advance the regret and
-// promotion checks, and if at least MinFeedback new samples arrived, run one
-// fine-tune round. Idempotent; a no-op after Close.
+// Start launches the background loop: every Interval, advance the regret
+// check, and if at least MinFeedback new samples arrived, run one fine-tune
+// round. Idempotent; a no-op after Close.
 func (t *Trainer) Start() {
 	t.lifeMu.Lock()
 	defer t.lifeMu.Unlock()
@@ -442,11 +399,9 @@ func (t *Trainer) Start() {
 }
 
 // tick is one background-loop step: advance the post-promotion regret watch,
-// promote a staged candidate whose shadow sample filled up between rounds,
 // then fine-tune if enough feedback accumulated.
 func (t *Trainer) tick() {
 	t.regretCheck()
-	t.promoteCheck()
 	if t.Pending() < t.opts.MinFeedback {
 		return
 	}
@@ -476,44 +431,27 @@ func (t *Trainer) Close() {
 
 // FineTune runs one synchronous fine-tune cycle: continue the curriculum
 // from the incumbent's checkpoint on base+feedback data, validate on the
-// held-out clean+attacked split, and walk the two-phase gate — stage into
-// the A/B lane after StageAfter consecutive MinDelta wins, promote once the
-// shadow gate is satisfied (immediately when it is disabled). Rounds are
-// serialised; concurrent callers queue.
+// held-out clean+attacked split, and after PromoteStreak consecutive MinDelta
+// wins promote the candidate through SwapIf against the version the round
+// started from. Rounds are serialised; concurrent callers queue.
 func (t *Trainer) FineTune() (Round, error) {
 	t.runMu.Lock()
 	defer t.runMu.Unlock()
 
-	snap, ok := t.reg.Get(t.opts.Key)
-	if !ok {
-		return Round{}, t.fail(fmt.Errorf("train: %s no longer registered", t.opts.Key))
-	}
-	inc, ok := localizer.Unwrap(snap.Localizer).(*core.Model)
-	if !ok {
-		return Round{}, t.fail(fmt.Errorf("train: %s no longer wraps a core.Model", t.opts.Key))
+	snap, inc, err := t.incumbent()
+	if err != nil {
+		return Round{}, t.fail(err)
 	}
 
 	t.mu.Lock()
 	if snap.Version != t.version {
 		// Someone else published a version (a manual /v1/swap weight push, a
 		// rollback): the carried optimizer state describes a different
-		// model, so restart the fine-tune continuation from the live
-		// weights; a staged candidate was derived from the displaced version
-		// and is withdrawn.
+		// model, so restart the fine-tune continuation from the live weights,
+		// and the streak earned against the displaced version restarts too.
 		t.ckpt = inc.NewTrainCheckpoint(0, t.opts.LearningRate, t.opts.Seed)
 		t.version = snap.Version
 		t.streak = 0
-		if t.staged != nil {
-			stagedVersion := t.staged.candVersion
-			t.staged = nil
-			t.stats.Aborts++
-			t.mu.Unlock()
-			// Withdraw only OUR candidate: an operator may have restaged the
-			// lane since.
-			t.reg.AbortIf(t.opts.Key, stagedVersion)
-			t.logf("train: live version moved to %d — aborting the staged candidate", snap.Version)
-			t.mu.Lock()
-		}
 	}
 	fb := t.feedbackSnapshotLocked()
 	taken := t.pending
@@ -574,92 +512,18 @@ func (t *Trainer) FineTune() (Round, error) {
 	res.Incumbent = t.scoreOf(inc, round)
 	res.Win = res.Candidate.Total() < res.Incumbent.Total()-t.opts.MinDelta
 
-	var gateErr error
-	if !res.Win {
-		// Hysteresis reset: the streak restarts, and a previously staged
-		// candidate loses its evidence — abort it rather than let it keep
-		// shadowing (or promote) on stale holdout wins. Only OUR candidate
-		// is withdrawn; an operator's external stage is left alone.
-		t.mu.Lock()
-		t.streak = 0
-		var stagedVersion uint64
-		aborted := t.staged != nil
-		if aborted {
-			stagedVersion = t.staged.candVersion
-			t.staged = nil
-			t.stats.Aborts++
-		}
-		t.mu.Unlock()
-		if aborted {
-			t.reg.AbortIf(t.opts.Key, stagedVersion)
-			t.logf("train: round %d: candidate lost the holdout gate — aborted the staged candidate", round)
-		}
-	} else {
-		t.mu.Lock()
+	t.mu.Lock()
+	if res.Win {
 		t.streak++
-		streak := t.streak
-		st := t.staged
-		t.mu.Unlock()
-		res.Streak = streak
-		if streak >= t.opts.StageAfter {
-			stage := true
-			if cur, ok := t.reg.Candidate(t.opts.Key); ok {
-				switch {
-				case st == nil || cur.Version != st.candVersion:
-					// The lane holds a candidate the trainer did not stage
-					// (an operator's /v1/swap{stage:true} push): never stomp
-					// it — the operator promotes or aborts it explicitly.
-					stage = false
-					t.logf("train: round %d: lane holds an external candidate (v%d) — not staging the trainer's", round, cur.Version)
-				default:
-					// Restage only when the new candidate beats the one
-					// already shadowing by MinDelta on THIS round's salted
-					// evaluation (paired — the staged candidate's recorded
-					// score used an older attack draw, and comparing across
-					// draws would let noise alone restage, resetting the
-					// shadow counters every round and starving the promote
-					// gate). Ties keep the accumulated evidence.
-					stagedScore := st.cand
-					if sm, isCore := localizer.Unwrap(cur.Localizer).(*core.Model); isCore {
-						stagedScore = t.scoreOf(sm, round)
-					}
-					if res.Candidate.Total() >= stagedScore.Total()-t.opts.MinDelta {
-						stage = false
-					}
-				}
-			}
-			if stage {
-				// StageIf makes the decision above atomic with the stage: a
-				// /v1/swap{stage:true} push that slips in between fails the
-				// expectation instead of being silently replaced.
-				expect := uint64(0)
-				if st != nil {
-					expect = st.candVersion
-				}
-				c, err := t.reg.StageIf(t.opts.Key, localizer.FromCore(t.name, cand), expect)
-				switch {
-				case errors.Is(err, localizer.ErrCandidateConflict):
-					// An operator claimed the lane concurrently: yield — and
-					// if they displaced our candidate, drop its record.
-					t.mu.Lock()
-					t.staged = nil
-					t.mu.Unlock()
-					t.logf("train: round %d: lane claimed concurrently — not staging (%v)", round, err)
-				case err != nil:
-					return failRestore(err)
-				default:
-					t.mu.Lock()
-					t.staged = &stagedState{
-						candVersion: c.Version,
-						final:       final,
-						cand:        res.Candidate,
-						inc:         res.Incumbent,
-					}
-					t.mu.Unlock()
-				}
-			}
-			res.Swapped, gateErr = t.maybePromote()
-		}
+	} else {
+		t.streak = 0
+	}
+	res.Streak = t.streak
+	t.mu.Unlock()
+	var gateErr error
+	if res.Streak >= t.opts.PromoteStreak {
+		_, gateErr = t.promote(localizer.FromCore(t.name, cand), final, snap.Version)
+		res.Swapped = gateErr == nil
 	}
 
 	// Report the live version as it is now — a promotion advanced it, and a
@@ -675,108 +539,49 @@ func (t *Trainer) FineTune() (Round, error) {
 	if gateErr == nil {
 		t.stats.LastError = ""
 	}
-	// Staged/CandidateVersion describe the lane AFTER the round: a
-	// promotion or a conflict-abort inside maybePromote clears them.
-	res.Staged = t.staged != nil
-	res.CandidateVersion = 0
-	if t.staged != nil {
-		res.CandidateVersion = t.staged.candVersion
-	}
-	res.Streak = t.streak
 	t.mu.Unlock()
-	t.logf("train: round %d: feedback %d, candidate %.4f (clean %.4f + attacked %.4f) vs incumbent %.4f — win=%v streak=%d staged=%v swapped=%v (v%d)",
+	t.logf("train: round %d: feedback %d, candidate %.4f (clean %.4f + attacked %.4f) vs incumbent %.4f — win=%v streak=%d swapped=%v (v%d)",
 		round, len(fb), res.Candidate.Total(), res.Candidate.Clean, res.Candidate.Attacked,
-		res.Incumbent.Total(), res.Win, res.Streak, res.Staged, res.Swapped, res.Version)
+		res.Incumbent.Total(), res.Win, res.Streak, res.Swapped, res.Version)
 	return res, nil
 }
 
-// maybePromote promotes the staged candidate if the shadow gate allows:
-// immediately when the gate is disabled (Shadow nil or PromoteAfter 0),
-// otherwise once the candidate has scored PromoteAfter live shadow rows with
-// at least MinAgreement agreement. Caller holds runMu. Returns whether a
-// promotion happened; a non-nil error reports a candidate withdrawn on a
-// version conflict (also recorded in stats.LastError).
-func (t *Trainer) maybePromote() (bool, error) {
+// promote installs a gate winner through SwapIf against base, the live
+// version the candidate was scored against, and arms the regret window. A
+// version published since (a manual push, a rollback) fails the swap with
+// localizer.ErrVersionConflict rather than being discarded; the next round
+// then rebuilds from the live weights. final is the candidate's training
+// continuation, nil for a model with no optimizer history (an Offer), which
+// makes the next round rebuild from the live weights too. The streak
+// restarts either way. Caller holds runMu.
+func (t *Trainer) promote(loc localizer.Localizer, final *core.TrainCheckpoint, base uint64) (uint64, error) {
+	if t.preSwap != nil {
+		t.preSwap()
+	}
+	version, err := t.reg.SwapIf(t.opts.Key, loc, base)
+	live, _ := t.reg.Get(t.opts.Key)
 	t.mu.Lock()
-	st := t.staged
-	t.mu.Unlock()
-	if st == nil {
-		return false, nil
-	}
-	if t.opts.Shadow != nil && t.opts.PromoteAfter > 0 {
-		v, rows, agree := t.opts.Shadow()
-		if v != st.candVersion || rows < t.opts.PromoteAfter {
-			return false, nil
-		}
-		if t.opts.MinAgreement > 0 && float64(agree) < t.opts.MinAgreement*float64(rows) {
-			return false, nil
-		}
-	}
-	if t.prePromote != nil {
-		t.prePromote()
-	}
-	// PromoteIf pins the promotion to the exact candidate the gate
-	// validated: a concurrent external stage/abort fails the expectation
-	// instead of installing a model the trainer never evaluated.
-	version, err := t.reg.PromoteIf(t.opts.Key, st.candVersion)
-	switch {
-	case errors.Is(err, localizer.ErrCandidateConflict), errors.Is(err, localizer.ErrNoCandidate):
-		// The lane no longer holds the trainer's candidate — an operator
-		// aborted it or staged their own over it. Leave the lane alone;
-		// drop the local record and let the hysteresis rebuild.
-		t.mu.Lock()
-		t.staged = nil
-		t.streak = 0
-		t.mu.Unlock()
-		t.logf("train: staged candidate %d no longer in the lane — dropping it (%v)", st.candVersion, err)
-		return false, nil
-	case err != nil:
-		// The live slot moved past the candidate's base (a manual weight
-		// push while it was shadowing): installing the candidate would
-		// discard that work, so withdraw it; the next round detects the
-		// drift and rebuilds from the live weights. Either way the reported
-		// version must track what is actually served, not the stale base.
-		t.reg.AbortIf(t.opts.Key, st.candVersion)
-		live, _ := t.reg.Get(t.opts.Key)
-		t.mu.Lock()
-		t.staged = nil
-		t.streak = 0
-		t.stats.Aborts++
-		t.stats.LastError = err.Error()
-		t.stats.Version = live.Version
-		t.mu.Unlock()
-		t.logf("train: discarding candidate — %v", err)
-		return false, err
-	}
-	t.mu.Lock()
-	t.ckpt = st.final
-	t.version = version
-	t.staged = nil
 	t.streak = 0
-	t.stats.Swaps++
-	t.stats.Version = version
-	if t.opts.RegretWindow > 0 {
-		t.regret = &regretState{version: version, ticksLeft: t.opts.RegretWindow}
+	t.stats.Version = live.Version
+	if err != nil {
+		t.stats.LastError = err.Error()
+	} else {
+		t.ckpt, t.version = final, version
+		if final == nil {
+			t.version = 0 // no optimizer history: the next round rebuilds from the live weights
+		}
+		t.stats.Swaps++
+		if t.opts.RegretWindow > 0 {
+			t.regret = &regretState{version: version, ticksLeft: t.opts.RegretWindow}
+		}
 	}
 	t.mu.Unlock()
-	t.logf("train: promoted candidate %d to live version %d (candidate %.4f vs incumbent %.4f on holdout)",
-		st.candVersion, version, st.cand.Total(), st.inc.Total())
-	return true, nil
-}
-
-// promoteCheck runs the shadow-gate check outside a fine-tune round — shadow
-// evidence accumulates from live traffic between rounds, so a staged
-// candidate can earn promotion on any ticker tick.
-func (t *Trainer) promoteCheck() {
-	t.mu.Lock()
-	staged := t.staged != nil
-	t.mu.Unlock()
-	if !staged {
-		return
+	if err != nil {
+		t.logf("train: discarding candidate — %v", err)
+		return 0, err
 	}
-	t.runMu.Lock()
-	defer t.runMu.Unlock()
-	t.maybePromote()
+	t.logf("train: promoted %s to live version %d", loc.Name(), version)
+	return version, nil
 }
 
 // regretCheck advances the post-promotion watch: while the promoted version
@@ -846,7 +651,6 @@ func (t *Trainer) regretCheck() {
 		}
 		t.mu.Lock()
 		t.regret = nil
-		t.staged = nil // Rollback also clears the registry's candidate slot
 		t.streak = 0
 		t.version = 0 // force the next round to rebuild from the restored live weights
 		t.stats.Rollbacks++
@@ -868,66 +672,46 @@ func (t *Trainer) regretCheck() {
 	}
 }
 
-// Promote is the manual override: it promotes whatever candidate is staged
-// under the trainer's key RIGHT NOW — whether the trainer staged it or an
-// operator pushed it into the lane externally — bypassing the shadow
-// evidence gate. The regret window (when configured) still guards the
-// forced promotion: the displaced snapshot is retained by the registry and
-// each regret tick scores it against the promoted model on the same salted
-// evaluation. Returns the new live version.
-func (t *Trainer) Promote() (uint64, error) {
+// Offer is the gated push: it scores cand against the live incumbent on the
+// same salted holdout evaluation, and when cand wins by more than MinDelta
+// promotes it exactly like a winning round — SwapIf against the scored
+// version, then the regret window. The returned Round reports both scores,
+// whether cand went live, and the live version after the call.
+func (t *Trainer) Offer(cand *core.Model) (Round, error) {
 	t.runMu.Lock()
 	defer t.runMu.Unlock()
-	cand, ok := t.reg.Candidate(t.opts.Key)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", localizer.ErrNoCandidate, t.opts.Key)
-	}
-	// Pin to the observed candidate: a restage racing this call surfaces as
-	// a conflict for the operator to retry, not a silent promotion of a
-	// different model than the one they looked at.
-	version, err := t.reg.PromoteIf(t.opts.Key, cand.Version)
+	snap, inc, err := t.incumbent()
 	if err != nil {
-		return 0, err
+		return Round{}, err
 	}
-	t.mu.Lock()
-	if t.staged != nil && t.staged.candVersion == cand.Version {
-		// The trainer's own candidate: adopt its training continuation.
-		t.ckpt = t.staged.final
-		t.version = version
-	} else {
-		// Externally staged model: no optimizer history — force the next
-		// round to rebuild the continuation from the live weights.
-		t.version = 0
+	t.evalSeq++
+	salt := 100000 + t.evalSeq // clear of the round sequence
+	res := Round{Candidate: t.scoreOf(cand, salt), Incumbent: t.scoreOf(inc, salt), Version: snap.Version}
+	res.Win = res.Candidate.Total() < res.Incumbent.Total()-t.opts.MinDelta
+	if res.Win {
+		version, err := t.promote(localizer.FromCore(t.name, cand), nil, snap.Version)
+		if err != nil {
+			return Round{}, err
+		}
+		res.Swapped, res.Version = true, version
 	}
-	t.staged = nil
-	t.streak = 0
-	t.stats.Swaps++
-	t.stats.Version = version
-	if t.opts.RegretWindow > 0 {
-		t.regret = &regretState{version: version, ticksLeft: t.opts.RegretWindow}
-	}
-	t.mu.Unlock()
-	t.logf("train: manual promote of candidate %d to live version %d", cand.Version, version)
-	return version, nil
+	t.logf("train: offered model %.4f vs incumbent %.4f — swapped=%v (v%d)",
+		res.Candidate.Total(), res.Incumbent.Total(), res.Swapped, res.Version)
+	return res, nil
 }
 
-// Abort is the manual override that withdraws the staged candidate and
-// resets the hysteresis streak. Reports whether a candidate was staged.
-func (t *Trainer) Abort() bool {
-	t.runMu.Lock()
-	defer t.runMu.Unlock()
-	aborted := t.reg.Abort(t.opts.Key)
-	t.mu.Lock()
-	t.staged = nil
-	t.streak = 0
-	if aborted {
-		t.stats.Aborts++
+// incumbent returns the live snapshot under the trainer's key and the model
+// it wraps.
+func (t *Trainer) incumbent() (localizer.Snapshot, *core.Model, error) {
+	snap, ok := t.reg.Get(t.opts.Key)
+	if !ok {
+		return snap, nil, fmt.Errorf("train: %s no longer registered", t.opts.Key)
 	}
-	t.mu.Unlock()
-	if aborted {
-		t.logf("train: manual abort of the staged candidate for %s", t.opts.Key)
+	inc, ok := localizer.Unwrap(snap.Localizer).(*core.Model)
+	if !ok {
+		return snap, nil, fmt.Errorf("train: %s no longer wraps a core.Model", t.opts.Key)
 	}
-	return aborted
+	return snap, inc, nil
 }
 
 // scoreOf dispatches to the scripted score hook in tests and to the real

@@ -59,6 +59,16 @@ func weakIncumbent(t testing.TB, reg *localizer.Registry, key localizer.Key, ds 
 	return m
 }
 
+// stubOf is a localizer of the dataset's shape that wraps no core.Model.
+func stubOf(ds *fingerprint.Dataset) localizer.Localizer {
+	return localizer.Wrap("stub", ds.NumAPs, ds.NumRPs, nil, func(dst []int, x *mat.Matrix) []int {
+		if dst == nil {
+			dst = make([]int, x.Rows)
+		}
+		return dst
+	})
+}
+
 func holdoutOf(ds *fingerprint.Dataset) []fingerprint.Sample {
 	var out []fingerprint.Sample
 	for _, samples := range ds.Test {
@@ -108,13 +118,7 @@ func TestNewValidation(t *testing.T) {
 	// A registered localizer that does not wrap a core.Model must be
 	// rejected — the trainer can only continue a CALLOC curriculum.
 	stubKey := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "stub"}
-	stub := localizer.Wrap("stub", ds.NumAPs, ds.NumRPs, nil, func(dst []int, x *mat.Matrix) []int {
-		if dst == nil {
-			dst = make([]int, x.Rows)
-		}
-		return dst
-	})
-	if _, err := reg.Register(stubKey, stub); err != nil {
+	if _, err := reg.Register(stubKey, stubOf(ds)); err != nil {
 		t.Fatal(err)
 	}
 	opts = fastOptions(ds, stubKey)
@@ -124,9 +128,9 @@ func TestNewValidation(t *testing.T) {
 
 	weakIncumbent(t, reg, key, ds)
 	opts = fastOptions(ds, key)
-	opts.MinAgreement = 1.5
-	if _, err := New(reg, opts); err == nil || !strings.Contains(err.Error(), "MinAgreement") {
-		t.Errorf("want MinAgreement error from New, got %v", err)
+	opts.MinDelta = math.NaN()
+	if _, err := New(reg, opts); err == nil || !strings.Contains(err.Error(), "MinDelta") {
+		t.Errorf("want MinDelta error from New, got %v", err)
 	}
 	if _, err := New(reg, fastOptions(ds, key)); err != nil {
 		t.Fatalf("valid construction failed: %v", err)
@@ -135,8 +139,7 @@ func TestNewValidation(t *testing.T) {
 
 // Each rejected policy is accepted by the zero-means-default rules yet
 // silently disables part of the gate: a NaN delta never wins or never rolls
-// back, a NaN rate trains into NaN weights, an agreement floor above 1
-// never promotes.
+// back, and a NaN rate trains into NaN weights.
 func TestPolicyValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -149,11 +152,8 @@ func TestPolicyValidate(t *testing.T) {
 		{"NaN regret delta", Policy{RegretDelta: nan}, "RegretDelta"},
 		{"NaN learning rate", Policy{LearningRate: nan}, "LearningRate"},
 		{"infinite learning rate", Policy{LearningRate: inf}, "LearningRate"},
-		{"agreement above 1", Policy{MinAgreement: 1.5}, "MinAgreement"},
-		{"negative agreement", Policy{MinAgreement: -0.1}, "MinAgreement"},
-		{"NaN agreement", Policy{MinAgreement: nan}, "MinAgreement"},
 		{"zero policy", Policy{}, ""},
-		{"full agreement", Policy{MinAgreement: 1, MinDelta: -0.5, LearningRate: -1}, ""},
+		{"negative knobs", Policy{MinDelta: -0.5, LearningRate: -1}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,9 +387,11 @@ func TestCloseStartRaceLeaksNoRound(t *testing.T) {
 		if err := tr.AddFeedback(s.RSS, s.RP); err != nil {
 			t.Fatal(err)
 		}
-		// Deregister so a leaked round fails fast — and observably bumps
-		// Stats().Rounds.
-		reg.Deregister(key)
+		// Swap in a model the trainer cannot continue, so a leaked round
+		// fails fast — and observably bumps Stats().Rounds.
+		if _, err := reg.Swap(key, stubOf(ds)); err != nil {
+			t.Fatal(err)
+		}
 
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -504,9 +506,9 @@ func TestFailedRoundRestoresPendingCredit(t *testing.T) {
 
 // TestPromoteConflictRefreshesVersion is the stale-version regression test:
 // when a manual weight push lands while the trainer is promoting its
-// candidate, the promotion yields (ErrVersionConflict) — and the trainer's
-// reported version must refresh to what is actually being served, never a
-// number older than the live snapshot.
+// candidate, SwapIf yields (ErrVersionConflict) instead of discarding the
+// push — and the trainer's reported version must refresh to what is actually
+// being served, never a number older than the live snapshot.
 func TestPromoteConflictRefreshesVersion(t *testing.T) {
 	ds := testDataset(t)
 	reg := localizer.NewRegistry()
@@ -525,8 +527,8 @@ func TestPromoteConflictRefreshesVersion(t *testing.T) {
 	if err := other.SetMemory(ds.Train); err != nil {
 		t.Fatal(err)
 	}
-	// Interleave deterministically: the push lands right before Promote.
-	tr.prePromote = func() {
+	// Interleave deterministically: the push lands right before SwapIf.
+	tr.preSwap = func() {
 		if _, err := reg.Swap(key, localizer.FromCore("MANUAL", other)); err != nil {
 			t.Error(err)
 		}
@@ -548,8 +550,8 @@ func TestPromoteConflictRefreshesVersion(t *testing.T) {
 		t.Fatal("conflicting promotion must not report a swap")
 	}
 	live, _ := reg.Get(key)
-	if live.Version != 2 {
-		t.Fatalf("manual push missing from the registry: v%d", live.Version)
+	if live.Version != 2 || localizer.Unwrap(live.Localizer).(*core.Model) != other {
+		t.Fatalf("manual push missing from the registry: %+v", live)
 	}
 	st := tr.Stats()
 	if st.Version != live.Version {
@@ -558,154 +560,46 @@ func TestPromoteConflictRefreshesVersion(t *testing.T) {
 	if res.Version != live.Version {
 		t.Fatalf("round reports version %d, live is %d", res.Version, live.Version)
 	}
-	if st.Aborts != 1 || st.Staged {
-		t.Fatalf("conflicted candidate not withdrawn: %+v", st)
+	if st.Swaps != 0 || st.Streak != 0 || st.RegretTicksLeft != 0 {
+		t.Fatalf("conflicted candidate counted as promoted: %+v", st)
 	}
-	if st.LastError == "" {
-		t.Fatal("the conflict must stay visible in LastError, not be wiped by the round's tail")
+	if !strings.Contains(st.LastError, "version changed") {
+		t.Fatalf("the conflict must stay visible in LastError, not be wiped by the round's tail: %q", st.LastError)
 	}
-	if res.Staged {
-		t.Fatalf("round still reports the aborted candidate as staged: %+v", res)
-	}
-	if _, ok := reg.Candidate(key); ok {
-		t.Fatal("candidate left staged after the conflict")
+	if _, ok := reg.Previous(key); ok {
+		t.Fatal("a rollback target is retained although the trainer promoted nothing")
 	}
 }
 
-// TestTrainerRespectsExternalCandidate: a candidate an operator staged
-// directly (the /v1/swap{stage:true} path) must never be stomped by the
-// trainer's own staging, aborted by a losing round, or promoted by the
-// trainer's gate on its behalf.
-func TestTrainerRespectsExternalCandidate(t *testing.T) {
+// scriptedTrainer builds a trainer over an untrained incumbent whose holdout
+// scores are scripted: the registry's live model scores live, any other
+// model (a fresh candidate) scores cand. Rounds train one one-epoch lesson,
+// so they are cheap.
+func scriptedTrainer(t *testing.T, opts func(*Options)) (tr *Trainer, reg *localizer.Registry, key localizer.Key, setScores func(live, cand float64)) {
+	t.Helper()
 	ds := testDataset(t)
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
+	reg = localizer.NewRegistry()
+	key = localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
 	weakIncumbent(t, reg, key, ds)
-
-	opts := fastOptions(ds, key)
-	opts.Lessons = curriculum.Schedule(1, 10, curriculum.DefaultEpsilon)
-	opts.EpochsPerLesson = 1
-	tr, err := New(reg, opts)
+	o := fastOptions(ds, key)
+	o.Lessons = curriculum.Schedule(1, 10, curriculum.DefaultEpsilon)
+	o.EpochsPerLesson = 1
+	opts(&o)
+	tr, err := New(reg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	var scoreMu sync.Mutex
-	candScore := 0.2
-	tr.scoreFn = func(m *core.Model, _ int64) Scores {
-		scoreMu.Lock()
-		defer scoreMu.Unlock()
-		if snap, ok := reg.Get(key); ok {
-			if lm, isCore := localizer.Unwrap(snap.Localizer).(*core.Model); isCore && lm == m {
-				return Scores{Clean: 1.0}
-			}
-		}
-		return Scores{Clean: candScore}
-	}
-
-	// An operator stages their own model for shadow evaluation.
-	external, err := core.NewModel(smallConfig(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := external.SetMemory(ds.Train); err != nil {
-		t.Fatal(err)
-	}
-	ext, err := reg.Stage(key, localizer.FromCore("EXTERNAL", external))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A winning trainer round must leave the operator's candidate in place
-	// (not stomp it, not promote it — the trainer never validated it).
-	r, err := tr.FineTune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Swapped {
-		t.Fatalf("trainer promoted a candidate it never validated: %+v", r)
-	}
-	c, ok := reg.Candidate(key)
-	if !ok || c.Version != ext.Version || localizer.Unwrap(c.Localizer).(*core.Model) != external {
-		t.Fatalf("winning round stomped the external candidate: (%+v, %v)", c, ok)
-	}
-	if snap, _ := reg.Get(key); snap.Version != 1 {
-		t.Fatalf("live version moved: v%d", snap.Version)
-	}
-
-	// A losing trainer round must not abort it either.
-	scoreMu.Lock()
-	candScore = 2.0
-	scoreMu.Unlock()
-	if _, err := tr.FineTune(); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := reg.Candidate(key); !ok || c.Version != ext.Version {
-		t.Fatalf("losing round aborted the external candidate: (%+v, %v)", c, ok)
-	}
-
-	// The explicit manual override is the operator's path: it promotes the
-	// external candidate and arms nothing it shouldn't.
-	version, err := tr.Promote()
-	if err != nil || version != 2 {
-		t.Fatalf("manual promote of the external candidate = (%d, %v)", version, err)
-	}
-	if snap, _ := reg.Get(key); localizer.Unwrap(snap.Localizer).(*core.Model) != external {
-		t.Fatal("manual promote did not install the external candidate")
-	}
-}
-
-// TestGateStateMachine drives the two-phase gate deterministically with
-// scripted holdout scores: hysteresis below StageAfter, stage on the filled
-// streak, abort on a losing round, MinDelta near-wins, the shadow-evidence
-// promote gate (rows then agreement), rollback on regret, and a clean
-// regret-window expiry.
-func TestGateStateMachine(t *testing.T) {
-	ds := testDataset(t)
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
-	incumbent := weakIncumbent(t, reg, key, ds)
-
-	opts := fastOptions(ds, key)
-	opts.Lessons = curriculum.Schedule(1, 10, curriculum.DefaultEpsilon)
-	opts.EpochsPerLesson = 1
-	opts.MinDelta = 0.1
-	opts.StageAfter = 2
-	opts.PromoteAfter = 10
-	opts.MinAgreement = 0.6
-	opts.RegretWindow = 2
-	opts.RegretDelta = 0.05
-	var shadowMu sync.Mutex
-	var shRows, shAgree int64
-	setShadow := func(rows, agree int64) {
-		shadowMu.Lock()
-		shRows, shAgree = rows, agree
-		shadowMu.Unlock()
-	}
-	opts.Shadow = func() (uint64, int64, int64) {
-		shadowMu.Lock()
-		defer shadowMu.Unlock()
-		c, _ := reg.Candidate(key)
-		return c.Version, shRows, shAgree
-	}
-	tr, err := New(reg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	// Scripted holdout results: the registry's live model scores liveScore,
-	// anything else (a fresh candidate) scores candScore.
-	var scoreMu sync.Mutex
+	t.Cleanup(tr.Close)
+	var mu sync.Mutex
 	liveScore, candScore := 1.0, 0.2
-	setScores := func(live, cand float64) {
-		scoreMu.Lock()
+	setScores = func(live, cand float64) {
+		mu.Lock()
 		liveScore, candScore = live, cand
-		scoreMu.Unlock()
+		mu.Unlock()
 	}
 	tr.scoreFn = func(m *core.Model, _ int64) Scores {
-		scoreMu.Lock()
-		defer scoreMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
 		if snap, ok := reg.Get(key); ok {
 			if lm, isCore := localizer.Unwrap(snap.Localizer).(*core.Model); isCore && lm == m {
 				return Scores{Clean: liveScore}
@@ -713,107 +607,86 @@ func TestGateStateMachine(t *testing.T) {
 		}
 		return Scores{Clean: candScore}
 	}
-	mustRound := func() Round {
-		t.Helper()
-		r, err := tr.FineTune()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	return tr, reg, key, setScores
+}
 
-	// Win 1 of 2: nothing staged below the hysteresis depth.
-	r := mustRound()
-	if !r.Win || r.Streak != 1 || r.Staged || r.Swapped {
-		t.Fatalf("round 1 = %+v", r)
+func mustRound(t *testing.T, tr *Trainer) Round {
+	t.Helper()
+	r, err := tr.FineTune()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := reg.Candidate(key); ok {
-		t.Fatal("candidate staged before the streak filled")
-	}
+	return r
+}
 
-	// Win 2 of 2: staged; the shadow gate holds promotion.
-	r = mustRound()
-	if !r.Staged || r.Swapped || r.CandidateVersion != 1 {
-		t.Fatalf("round 2 = %+v", r)
-	}
-	if st := tr.Stats(); !st.Staged || st.Streak != 2 || st.CandidateVersion != 1 {
-		t.Fatalf("stats after stage: %+v", st)
-	}
+// TestPromoteStreakNeedsConsecutiveWins: with PromoteStreak 2, win-win
+// promotes and win-lose-win does not.
+func TestPromoteStreakNeedsConsecutiveWins(t *testing.T) {
+	tr, reg, key, setScores := scriptedTrainer(t, func(o *Options) { o.PromoteStreak = 2 })
+	live := func() uint64 { snap, _ := reg.Get(key); return snap.Version }
 
-	// Hysteresis reset: a losing round aborts the staged candidate.
+	if r := mustRound(t, tr); !r.Win || r.Swapped || r.Streak != 1 || live() != 1 {
+		t.Fatalf("win 1 = %+v at v%d", r, live())
+	}
 	setScores(1.0, 2.0)
-	r = mustRound()
-	if r.Win || r.Staged || r.Streak != 0 {
-		t.Fatalf("losing round = %+v", r)
+	if r := mustRound(t, tr); r.Win || r.Swapped || r.Streak != 0 || live() != 1 {
+		t.Fatalf("lose = %+v at v%d", r, live())
 	}
-	if _, ok := reg.Candidate(key); ok {
-		t.Fatal("staged candidate survived a losing round")
+	setScores(1.0, 0.2)
+	if r := mustRound(t, tr); !r.Win || r.Swapped || r.Streak != 1 || live() != 1 {
+		t.Fatalf("win-lose-win promoted: %+v at v%d", r, live())
 	}
-	if st := tr.Stats(); st.Aborts != 1 {
-		t.Fatalf("abort not counted: %+v", st)
+	if r := mustRound(t, tr); !r.Win || !r.Swapped || r.Streak != 2 || r.Version != 2 || live() != 2 {
+		t.Fatalf("win-win did not promote: %+v at v%d", r, live())
 	}
+	if st := tr.Stats(); st.Swaps != 1 || st.Streak != 0 || st.Version != 2 {
+		t.Fatalf("post-promotion stats: %+v", st)
+	}
+}
+
+// TestGateStateMachine drives the gate deterministically with scripted
+// holdout scores: MinDelta near-wins, promotion through SwapIf with the
+// displaced snapshot retained, rollback on regret, and a clean regret-window
+// expiry.
+func TestGateStateMachine(t *testing.T) {
+	tr, reg, key, setScores := scriptedTrainer(t, func(o *Options) {
+		o.MinDelta = 0.1
+		o.RegretWindow = 2
+		o.RegretDelta = 0.05
+	})
+	incumbent, _ := reg.Get(key)
 
 	// A near-win inside MinDelta does not count.
 	setScores(1.0, 0.95)
-	if r = mustRound(); r.Win || r.Streak != 0 {
+	if r := mustRound(t, tr); r.Win || r.Swapped || r.Streak != 0 {
 		t.Fatalf("win within MinDelta counted: %+v", r)
 	}
 
-	// Rebuild the streak; promotion waits for shadow evidence.
+	// A clear win promotes (PromoteStreak defaults to 1).
 	setScores(1.0, 0.2)
-	mustRound()
-	r = mustRound()
-	if !r.Staged || r.Swapped || r.CandidateVersion != 2 {
-		t.Fatalf("restage = %+v", r)
-	}
-	// Another winning round that is NOT materially better than the staged
-	// candidate keeps it (and its accumulated shadow evidence) instead of
-	// restaging with a reset counter bucket.
-	r = mustRound()
-	if !r.Staged || r.CandidateVersion != 2 {
-		t.Fatalf("equal-quality win restaged: %+v", r)
-	}
-	if c, ok := reg.Candidate(key); !ok || c.Version != 2 {
-		t.Fatalf("registry candidate churned: %+v ok=%v", c, ok)
-	}
-	tr.promoteCheck() // no shadow rows yet
-	if snap, _ := reg.Get(key); snap.Version != 1 {
-		t.Fatalf("promoted without shadow rows: v%d", snap.Version)
-	}
-	setShadow(20, 5) // enough rows, agreement 0.25 < 0.6
-	tr.promoteCheck()
-	if snap, _ := reg.Get(key); snap.Version != 1 {
-		t.Fatalf("promoted below MinAgreement: v%d", snap.Version)
-	}
-	setShadow(20, 15) // agreement 0.75
-	tr.promoteCheck()
-	snap, _ := reg.Get(key)
-	if snap.Version != 2 {
-		t.Fatalf("shadow gate satisfied but not promoted: v%d", snap.Version)
+	if r := mustRound(t, tr); !r.Win || !r.Swapped || r.Version != 2 {
+		t.Fatalf("winning round = %+v", r)
 	}
 	st := tr.Stats()
-	if st.Swaps != 1 || st.Staged || st.RegretTicksLeft != 2 || st.Version != 2 {
+	if st.Swaps != 1 || st.RegretTicksLeft != 2 || st.Version != 2 {
 		t.Fatalf("post-promotion stats: %+v", st)
 	}
-	if _, ok := reg.Previous(key); !ok {
-		t.Fatal("no rollback target retained after promotion")
+	if prev, ok := reg.Previous(key); !ok || prev.Localizer != incumbent.Localizer {
+		t.Fatal("the displaced incumbent is not retained for rollback")
 	}
 
 	// Regret window: a clean tick passes, then a regression beyond the
 	// displaced baseline (1.0 + 0.05) rolls back to the incumbent.
-	setScores(0.2, 0.2)
+	setScores(0.2, 1.0)
 	tr.regretCheck()
 	if st := tr.Stats(); st.RegretTicksLeft != 1 || st.Rollbacks != 0 {
 		t.Fatalf("clean regret tick: %+v", st)
 	}
-	setScores(2.0, 0.2)
+	setScores(2.0, 1.0)
 	tr.regretCheck()
-	snap, _ = reg.Get(key)
-	if snap.Version != 3 {
-		t.Fatalf("regression did not roll back: v%d", snap.Version)
-	}
-	if lm, _ := localizer.Unwrap(snap.Localizer).(*core.Model); lm != incumbent {
-		t.Fatal("rollback did not restore the displaced incumbent")
+	snap, _ := reg.Get(key)
+	if snap.Version != 3 || snap.Localizer != incumbent.Localizer {
+		t.Fatalf("regression did not roll back to the incumbent: %+v", snap)
 	}
 	st = tr.Stats()
 	if st.Rollbacks != 1 || st.RegretTicksLeft != 0 || st.Version != 3 {
@@ -821,19 +694,11 @@ func TestGateStateMachine(t *testing.T) {
 	}
 
 	// Promote once more and let the regret window expire cleanly.
-	setShadow(0, 0)
 	setScores(1.0, 0.2)
-	mustRound()
-	r = mustRound()
-	if !r.Staged || r.CandidateVersion != 3 {
-		t.Fatalf("restage after rollback = %+v", r)
+	if r := mustRound(t, tr); !r.Swapped || r.Version != 4 {
+		t.Fatalf("second promotion = %+v", r)
 	}
-	setShadow(50, 50)
-	tr.promoteCheck()
-	if snap, _ = reg.Get(key); snap.Version != 4 {
-		t.Fatalf("second promotion missing: v%d", snap.Version)
-	}
-	setScores(0.2, 0.2)
+	setScores(0.2, 1.0)
 	tr.regretCheck()
 	tr.regretCheck()
 	st = tr.Stats()
@@ -845,202 +710,49 @@ func TestGateStateMachine(t *testing.T) {
 	}
 }
 
-// TestABGateUnderRoutedTraffic is the end-to-end -race hammer for the A/B
-// lane: concurrent clients route traffic through the serving engine while a
-// real fine-tune stages a candidate, the candidate earns shadow exposure
-// from that live traffic, the shadow gate promotes it, and a forced
-// regression rolls it back — every response staying valid throughout.
-func TestABGateUnderRoutedTraffic(t *testing.T) {
-	ds := testDataset(t)
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
-	incumbent := weakIncumbent(t, reg, key, ds)
-
-	engine, err := serve.New(reg, serve.Options{
-		MaxBatch: 8, Workers: 2, ABFraction: 2,
+// TestOfferGatesAPush: a pushed model goes live only when it beats the
+// incumbent by MinDelta, and then exactly like a winning round — retained
+// rollback target, armed regret window.
+func TestOfferGatesAPush(t *testing.T) {
+	tr, reg, key, setScores := scriptedTrainer(t, func(o *Options) {
+		o.MinDelta = 0.1
+		o.RegretWindow = 1
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := fastOptions(ds, key)
-	opts.StageAfter = 1
-	opts.PromoteAfter = 16
-	opts.RegretWindow = 1
-	opts.Shadow = func() (uint64, int64, int64) {
-		st, ok := engine.ABStats(key)
-		if !ok {
-			return 0, 0, 0
-		}
-		return st.CandidateVersion, st.Rows, st.Agree
-	}
-	tr, err := New(reg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	queries := holdoutOf(ds)
-	stopTraffic := make(chan struct{})
-	var maxVersion atomic.Uint64
-	var trafficWg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		trafficWg.Add(1)
-		go func(c int) {
-			defer trafficWg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stopTraffic:
-					return
-				default:
-				}
-				q := queries[(c*31+i)%len(queries)]
-				res, err := engine.Route(nil, ds.BuildingID, "calloc", q.RSS)
-				if err != nil {
-					t.Errorf("client %d: %v", c, err)
-					return
-				}
-				if res.Class < 0 || res.Class >= ds.NumRPs {
-					t.Errorf("client %d: class %d out of range", c, res.Class)
-					return
-				}
-				for v := maxVersion.Load(); res.Version > v; v = maxVersion.Load() {
-					maxVersion.CompareAndSwap(v, res.Version)
-				}
-			}
-		}(c)
-	}
-
-	// One real fine-tune round: wins against the untrained incumbent and
-	// stages — but with the shadow gate armed it must NOT promote yet.
-	for _, s := range ds.Train {
-		if err := tr.AddFeedback(s.RSS, s.RP); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := tr.FineTune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Win || !res.Staged {
-		t.Fatalf("fine-tuned candidate vs untrained incumbent = %+v", res)
-	}
-	if res.Swapped {
-		t.Fatalf("promoted before any shadow exposure: %+v", res)
-	}
-
-	// Shadow rows accumulate from the live routed traffic; the promote
-	// check (normally a ticker duty) fires once the sample fills.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		tr.promoteCheck()
-		if snap, _ := reg.Get(key); snap.Version == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			ab, _ := engine.ABStats(key)
-			t.Fatalf("never promoted: trainer %+v, shadow %+v", tr.Stats(), ab)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if ab, ok := engine.ABStats(key); !ok || ab.Rows < opts.PromoteAfter {
-		t.Fatalf("promoted with %d shadow rows, gate requires %d", ab.Rows, opts.PromoteAfter)
-	}
-	if st := tr.Stats(); st.Swaps != 1 || st.Version != 2 {
-		t.Fatalf("post-promotion trainer stats: %+v", st)
-	}
-
-	// Force a regression: the promoted model's holdout score collapses, so
-	// the regret check must roll back to the retained incumbent — all while
-	// traffic keeps flowing.
-	tr.scoreFn = func(m *core.Model, _ int64) Scores {
-		if snap, ok := reg.Get(key); ok {
-			if lm, isCore := localizer.Unwrap(snap.Localizer).(*core.Model); isCore && lm == m {
-				return Scores{Clean: 10}
-			}
-		}
-		return Scores{}
-	}
-	tr.regretCheck()
-	snap, _ := reg.Get(key)
-	if snap.Version != 3 {
-		t.Fatalf("forced regression did not roll back: v%d", snap.Version)
-	}
-	if lm, _ := localizer.Unwrap(snap.Localizer).(*core.Model); lm != incumbent {
-		t.Fatal("rollback did not restore the incumbent model")
-	}
-	if st := tr.Stats(); st.Rollbacks != 1 {
-		t.Fatalf("rollback not counted: %+v", st)
-	}
-
-	// Traffic keeps being served on the rolled-back version.
-	time.Sleep(20 * time.Millisecond)
-	close(stopTraffic)
-	trafficWg.Wait()
-	engine.Close()
-	if seen := maxVersion.Load(); seen > 3 {
-		t.Fatalf("traffic observed version %d beyond installed 3", seen)
-	}
-}
-
-// TestPromoteYieldsToConcurrentExternalStage: an operator staging their own
-// candidate between the gate passing and the promotion must win — the
-// trainer yields (PromoteIf conflict) instead of installing a model it
-// never validated or stomping the operator's push.
-func TestPromoteYieldsToConcurrentExternalStage(t *testing.T) {
 	ds := testDataset(t)
-	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: ds.BuildingID, Floor: 0, Backend: "calloc"}
-	weakIncumbent(t, reg, key, ds)
-
-	opts := fastOptions(ds, key)
-	opts.Lessons = curriculum.Schedule(1, 10, curriculum.DefaultEpsilon)
-	opts.EpochsPerLesson = 1
-	tr, err := New(reg, opts)
+	pushed, err := core.NewModel(smallConfig(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	tr.scoreFn = func(m *core.Model, _ int64) Scores {
-		if snap, ok := reg.Get(key); ok {
-			if lm, isCore := localizer.Unwrap(snap.Localizer).(*core.Model); isCore && lm == m {
-				return Scores{Clean: 1.0}
-			}
-		}
-		return Scores{Clean: 0.2}
-	}
-	external, err := core.NewModel(smallConfig(ds))
-	if err != nil {
+	if err := pushed.SetMemory(ds.Train); err != nil {
 		t.Fatal(err)
-	}
-	if err := external.SetMemory(ds.Train); err != nil {
-		t.Fatal(err)
-	}
-	var extVersion uint64
-	tr.prePromote = func() {
-		c, err := reg.Stage(key, localizer.FromCore("EXTERNAL", external))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		extVersion = c.Version
 	}
 
-	res, err := tr.FineTune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Swapped {
-		t.Fatalf("trainer promoted past a concurrent external stage: %+v", res)
+	setScores(1.0, 0.95)
+	r, err := tr.Offer(pushed)
+	if err != nil || r.Win || r.Swapped || r.Version != 1 {
+		t.Fatalf("near-win offer = (%+v, %v)", r, err)
 	}
 	if snap, _ := reg.Get(key); snap.Version != 1 {
-		t.Fatalf("live version moved to %d — something was promoted", snap.Version)
+		t.Fatalf("losing offer moved the live slot: v%d", snap.Version)
 	}
-	c, ok := reg.Candidate(key)
-	if !ok || c.Version != extVersion || localizer.Unwrap(c.Localizer).(*core.Model) != external {
-		t.Fatalf("operator's candidate lost the race it should win: (%+v, %v)", c, ok)
+
+	setScores(1.0, 0.2)
+	r, err = tr.Offer(pushed)
+	if err != nil || !r.Swapped || r.Version != 2 || r.Candidate.Total() != 0.2 || r.Incumbent.Total() != 1.0 {
+		t.Fatalf("winning offer = (%+v, %v)", r, err)
 	}
-	if st := tr.Stats(); st.Staged || st.Swaps != 0 {
-		t.Fatalf("trainer still tracks the displaced candidate: %+v", st)
+	if snap, _ := reg.Get(key); localizer.Unwrap(snap.Localizer).(*core.Model) != pushed {
+		t.Fatal("winning offer did not install the pushed model")
+	}
+	if _, ok := reg.Previous(key); !ok {
+		t.Fatal("no rollback target retained after the offer")
+	}
+	if st := tr.Stats(); st.Swaps != 1 || st.RegretTicksLeft != 1 || st.Version != 2 {
+		t.Fatalf("post-offer stats: %+v", st)
+	}
+	// The pushed model has no optimizer history: the next round rebuilds
+	// its continuation from the live weights and still runs.
+	if _, err := tr.FineTune(); err != nil {
+		t.Fatal(err)
 	}
 }

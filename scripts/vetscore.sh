@@ -19,8 +19,10 @@
 # patches (DESIGN.md "Which gate owns which property").
 #
 # Every test run has a -timeout, so a hang counts as a catch. The unpatched
-# tree is scored first and must pass every gate. Prints a markdown table:
-# x caught, . passed.
+# tree is scored first and must pass every gate; its test and race runs are
+# timed, and each patched run of those gates is bounded at 3x the clean
+# run's time (at least 30 s), so a hung patch costs seconds, not minutes.
+# Prints a markdown table: x caught, . passed.
 #
 # Usage: scripts/vetscore.sh [name...]   (default: every patch)
 #   VETSCORE_LOGS=dir keeps each gate's output as dir/<patch>.<gate>.log.
@@ -48,10 +50,23 @@ gate() {
 	case $g in
 	vet) go -C "$dir" vet "$@" ;;
 	escape) CALLOC_VET="$tmp/calloc-vet" sh "$dir/scripts/escapecheck.sh" ;;
-	test) go -C "$dir" test -count=1 -short -timeout 180s "$@" ;;
-	race) go -C "$dir" test -count=1 -short -race -timeout 300s "$@" ;;
+	test) go -C "$dir" test -count=1 -short -timeout "$(limit test)" "$@" ;;
+	race) go -C "$dir" test -count=1 -short -race -timeout "$(limit race)" "$@" ;;
 	poolcheck) go -C "$dir" vet -vettool="$tmp/calloc-vet" "$@" ;;
 	esac
+}
+
+# limit <gate> is the -timeout of a test gate: 3x the gate's clean run, at
+# least 30 s, once the clean run is timed; go's own default (10m) for the
+# clean run itself.
+limit() {
+	if [ ! -f "$tmp/$1.clean" ]; then
+		echo 10m
+		return
+	fi
+	s=$((3 * $(cat "$tmp/$1.clean")))
+	[ "$s" -ge 30 ] || s=30
+	echo "${s}s"
 }
 
 # touched <patch...> lists the packages the patches edit.
@@ -77,10 +92,14 @@ score() {
 	fi
 	row="| $name |"
 	for g in $gates; do
+		start=$(date +%s)
 		if gate "$g" "$dir" $pkgs >"$logs/$name.$g.log" 2>&1; then
 			row="$row . |"
 		else
 			row="$row x |"
+		fi
+		if [ -z "$patch" ]; then
+			echo $(($(date +%s) - start)) >"$tmp/$g.clean"
 		fi
 	done
 	echo "$row"
